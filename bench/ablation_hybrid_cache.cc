@@ -35,7 +35,7 @@ int main() {
       double alpha = 0;
       bool ok = true;
       for (int hybrid = 0; hybrid < 2 && ok; ++hybrid) {
-        HongTuOptions o;
+        EngineConfig o;
         o.num_devices = 4;
         o.chunks_per_partition = ds.default_chunks_gcn;
         o.device_capacity_bytes = 1ll << 40;

@@ -36,7 +36,7 @@ int main() {
       double prep = 0;
       bool ok = true;
       for (int reorg = 0; reorg < 2 && ok; ++reorg) {
-        HongTuOptions o;
+        EngineConfig o;
         o.num_devices = 4;
         o.chunks_per_partition = chunks;
         o.device_capacity_bytes = 1ll << 40;

@@ -2,14 +2,11 @@
 // three large graphs, normalized speedup over 1 device. Claim: 3.3x-3.8x at
 // 4 devices (near-linear).
 //
-// A second section compares the three chunk executors at 4 devices — serial,
-// the 3-lane stage pipeline (max_inflight 3) and the dataflow task graph
-// (max_inflight 3) — and records the result in BENCH_pipeline.json (the
-// ISSUE 2 / ISSUE 7 acceptance artifact): the concurrent executors must hide
-// communication behind compute, i.e. beat the serial total while reporting
-// the hidden seconds in the Overlap column, and the task graph must beat or
-// tie the fixed-depth pipeline on most configurations (its cross-layer edges
-// release work the stage pipeline's per-layer barrier serializes).
+// A second section compares the two chunk executors at 4 devices — serial
+// and the 3-lane stage pipeline (max_inflight 3) — and records the result in
+// BENCH_pipeline.json: the pipeline must hide communication behind compute,
+// i.e. beat the serial total while reporting the hidden seconds in the
+// Overlap column.
 
 #include <cstdio>
 #include <cstring>
@@ -27,8 +24,6 @@ struct PipelineRow {
   double serial_s = -1;
   double pipelined_s = -1;
   double overlap_s = -1;
-  /// The dataflow task-graph executor at the same in-flight window.
-  double taskgraph_s = -1;
   /// The pipelined epoch again with the bf16 comm wire (kernels/codec.h):
   /// halved wire bytes compound with the overlap.
   double pipelined_bf16_s = -1;
@@ -69,8 +64,7 @@ void WritePipelineReport(const std::vector<PipelineRow>& rows,
   }
   std::fprintf(f, "{\n  \"bench\": \"pipeline\",\n  \"scale\": %g,\n",
                benchutil::Scale());
-  std::fprintf(f, "  \"devices\": 4,\n  \"pipeline_depth\": 3,\n");
-  std::fprintf(f, "  \"max_inflight\": 3,\n");
+  std::fprintf(f, "  \"devices\": 4,\n  \"max_inflight\": 3,\n");
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const PipelineRow& r = rows[i];
@@ -90,10 +84,6 @@ void WritePipelineReport(const std::vector<PipelineRow>& rows,
         "\"overlap_s\": %.6g, \"speedup\": %.4g",
         r.model.c_str(), r.dataset.c_str(), r.chunks, r.serial_s,
         r.pipelined_s, r.overlap_s, r.serial_s / r.pipelined_s);
-    if (r.taskgraph_s > 0) {
-      std::fprintf(f, ", \"taskgraph_sim_s\": %.6g, \"taskgraph_speedup\": %.4g",
-                   r.taskgraph_s, r.serial_s / r.taskgraph_s);
-    }
     if (r.pipelined_bf16_s > 0) {
       std::fprintf(f,
                    ", \"pipelined_bf16_sim_s\": %.6g, \"bf16_speedup\": %.4g",
@@ -173,14 +163,13 @@ int main(int argc, char** argv) {
   // ---- Chunk-executor comparison at 4 devices -----------------------------
   benchutil::PrintTitle(
       "Fig. 11 addendum: chunk executors at 4 devices",
-      "Serial = --executor serial; Pipelined = 3-lane stage pipeline and\n"
-      "TaskGraph = dataflow task graph, both with max_inflight 3. Overlap is\n"
-      "the busy time the pipeline hid (sim seconds). bf16 = the pipelined\n"
-      "epoch with the compressed comm wire on top.");
-  const std::vector<int> wp = {6, 12, 7, 10, 10, 9, 8, 10, 8, 10, 9};
+      "Serial = --executor serial; Pipelined = 3-lane stage pipeline with\n"
+      "max_inflight 3. Overlap is the busy time the pipeline hid (sim\n"
+      "seconds). bf16 = the pipelined epoch with the compressed comm wire on\n"
+      "top.");
+  const std::vector<int> wp = {6, 12, 7, 10, 10, 9, 8, 10, 9};
   benchutil::PrintRow({"Model", "Dataset", "Chunks", "Serial", "Pipelined",
-                       "Overlap", "Speedup", "TaskGraph", "tg spd", "bf16",
-                       "bf16 spd"},
+                       "Overlap", "Speedup", "bf16", "bf16 spd"},
                       wp);
   benchutil::PrintRule(wp);
 
@@ -204,8 +193,6 @@ int main(int argc, char** argv) {
       row.pipelined_s =
           RunEpochSimSeconds(ds, cfg, chunks, ExecutorKind::kPipeline, 3,
                              &row.overlap_s, fp32, &rec);
-      row.taskgraph_s = RunEpochSimSeconds(
-          ds, cfg, chunks, ExecutorKind::kTaskGraph, 3, nullptr, fp32, &rec);
       row.pipelined_bf16_s =
           RunEpochSimSeconds(ds, cfg, chunks, ExecutorKind::kPipeline, 3,
                              nullptr, kernels::CommPrecision::kBf16, &rec);
@@ -217,10 +204,6 @@ int main(int argc, char** argv) {
            row.overlap_s >= 0 ? FormatSeconds(row.overlap_s) : "-",
            row.serial_s > 0 && row.pipelined_s > 0
                ? FormatDouble(row.serial_s / row.pipelined_s, 2) + "x"
-               : "-",
-           row.taskgraph_s > 0 ? FormatSeconds(row.taskgraph_s) : "ERR",
-           row.serial_s > 0 && row.taskgraph_s > 0
-               ? FormatDouble(row.serial_s / row.taskgraph_s, 2) + "x"
                : "-",
            row.pipelined_bf16_s > 0 ? FormatSeconds(row.pipelined_bf16_s)
                                     : "ERR",

@@ -32,15 +32,11 @@ Wall-clock columns are printed for information but not gated (they are
 machine-dependent).
 
 Pipeline mode (--pipeline): compares `fig11_scalability` BENCH_pipeline.json
-reports, keyed on (model, dataset). Two properties are gated. First, the
-sim-time speedups over the serial executor (`speedup`, `taskgraph_speedup`,
-`bf16_speedup`) must not drop more than --max-regression below the baseline:
-the analytic simulator is deterministic and machine-independent, so a drop
-means the executor's modeled schedule itself got worse. Second, the dataflow
-task graph must beat or tie the stage pipeline at the same in-flight window
-(`taskgraph_sim_s` <= --tie-tolerance * `pipelined_sim_s`): its cross-layer
-edges can only release work the per-layer barrier serializes, so losing to
-the pipeline means the emitted graph picked up a spurious constraint.
+reports, keyed on (model, dataset). The sim-time speedups of the stage
+pipeline over the serial executor (`speedup`, `bf16_speedup`) must not drop
+more than --max-regression below the baseline: the analytic simulator is
+deterministic and machine-independent, so a drop means the executor's
+modeled schedule itself got worse.
 
 Exit codes: 0 = no regression, 1 = regression or malformed input.
 """
@@ -173,7 +169,7 @@ def check_memory(args):
 def check_pipeline(args):
     baseline = load_results(args.baseline, ("model", "dataset"))
     current = load_results(args.current, ("model", "dataset"))
-    metrics = ("speedup", "taskgraph_speedup", "bf16_speedup")
+    metrics = ("speedup", "bf16_speedup")
     failures = []
     gated = 0
     for key, base in sorted(baseline.items()):
@@ -208,23 +204,6 @@ def check_pipeline(args):
                 )
             print(f"  {status:<10} {name:<28} {metric:<18} {base_v:.4g} -> "
                   f"{cur_v:.4g} ({change:+.1%})")
-        # The executor-comparison acceptance property: the task graph must
-        # beat or tie the stage pipeline at the same in-flight window.
-        pipe_s = cur.get("pipelined_sim_s")
-        tg_s = cur.get("taskgraph_sim_s")
-        if isinstance(pipe_s, (int, float)) and isinstance(
-                tg_s, (int, float)) and pipe_s > 0 and tg_s > 0:
-            gated += 1
-            ratio = tg_s / pipe_s
-            status = "OK" if ratio <= args.tie_tolerance else "REGRESSION"
-            if status == "REGRESSION":
-                failures.append(
-                    f"{name}: taskgraph_sim_s {tg_s:.4g} vs pipelined_sim_s "
-                    f"{pipe_s:.4g} (ratio {ratio:.4f} > "
-                    f"{args.tie_tolerance:.4g})"
-                )
-            print(f"  {status:<10} {name:<28} tg-vs-pipeline     "
-                  f"ratio {ratio:.4f} (limit {args.tie_tolerance:.4g})")
 
     for key in sorted(set(current) - set(baseline)):
         print(f"  NEW        {key_name(key)} (not in baseline; not gated)")
@@ -235,8 +214,7 @@ def check_pipeline(args):
             print(f"  {f}", file=sys.stderr)
         return 1
     print(f"\nPipeline regression gate passed ({gated} gated metrics over "
-          f"{len(baseline)} configs, limit -{args.max_regression:.0%}, "
-          f"tie tolerance {args.tie_tolerance:.4g}).")
+          f"{len(baseline)} configs, limit -{args.max_regression:.0%}).")
     return 0
 
 
@@ -270,13 +248,6 @@ def main():
         "--pipeline",
         action="store_true",
         help="gate BENCH_pipeline.json executor speedups instead of kernels",
-    )
-    parser.add_argument(
-        "--tie-tolerance",
-        type=float,
-        default=1.02,
-        help="pipeline mode: allowed taskgraph/pipelined sim-time ratio "
-        "(default 1.02)",
     )
     args = parser.parse_args()
 

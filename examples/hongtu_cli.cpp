@@ -3,7 +3,7 @@
 //
 //   hongtu_cli --dataset friendster --model gcn --layers 3 --engine hongtu \
 //              --devices 4 --chunks 32 --dedup ru --epochs 5 --scale 0.3 \
-//              --executor taskgraph --max-inflight 4
+//              --executor pipeline --max-inflight 4
 //
 // Engines: hongtu | inmemory | minibatch | cpu-cluster. Dedup: none|p2p|ru.
 // All engines are built through the unified factory (Engine::Create) and
@@ -40,7 +40,6 @@ struct Args {
   double lr = 0.01;
   double capacity_mb = 0;   // 0 => unlimited
   int max_inflight = 0;     // 0 => HONGTU_MAX_INFLIGHT / default
-  int pipeline_depth = -1;  // deprecated alias; <0 => unset
   bool help = false;
 };
 
@@ -52,13 +51,11 @@ void PrintUsage() {
       "  --engine hongtu|inmemory|minibatch|cpu-cluster\n"
       "  --dedup none|p2p|ru             --devices N     --chunks N\n"
       "  --epochs N   --scale F (0,1]    --lr F          --capacity-mb F\n"
-      "  --executor serial|pipeline|taskgraph\n"
+      "  --executor serial|pipeline\n"
       "                      (hongtu engine's chunk executor; default from\n"
       "                       HONGTU_EXECUTOR, else pipeline)\n"
-      "  --max-inflight N    (in-flight chunk batches / buffer slots;\n"
-      "                       default from HONGTU_MAX_INFLIGHT, else 2)\n"
-      "  --pipeline-depth N  (DEPRECATED alias: 0|1 -> --executor serial,\n"
-      "                       N>=2 -> --executor pipeline --max-inflight N)\n");
+      "  --max-inflight N    (pipeline window: in-flight chunk batches;\n"
+      "                       default from HONGTU_MAX_INFLIGHT, else 2)\n");
 }
 
 bool Parse(int argc, char** argv, Args* a) {
@@ -90,7 +87,6 @@ bool Parse(int argc, char** argv, Args* a) {
     else if (flag == "--lr") a->lr = std::atof(v);
     else if (flag == "--capacity-mb") a->capacity_mb = std::atof(v);
     else if (flag == "--max-inflight") a->max_inflight = std::atoi(v);
-    else if (flag == "--pipeline-depth") a->pipeline_depth = std::atoi(v);
     else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return false;
@@ -159,7 +155,6 @@ Status Run(const Args& a) {
     return Status::Invalid("unknown executor: " + a.executor);
   }
   if (a.max_inflight > 0) o.max_inflight = a.max_inflight;
-  if (a.pipeline_depth >= 0) o.pipeline_depth = a.pipeline_depth;
 
   std::printf("%s | %s %d-layer hidden=%d | engine=%s devices=%d\n",
               ds.graph.DebugString().c_str(), GnnKindName(kind), a.layers,

@@ -19,24 +19,10 @@ CommExecutor::CommExecutor(const TwoLevelPartition* tl, const DedupPlan* plan,
                            fault::DegradationPolicy* degrade)
     : tl_(tl), plan_(plan), platform_(platform), degrade_(degrade) {}
 
-CommExecutor::LayerCtx& CommExecutor::Ctx(int ctx) {
-  std::lock_guard<std::mutex> lk(ctx_mu_);
-  while (static_cast<size_t>(ctx) >= ctxs_.size()) ctxs_.emplace_back();
-  return ctxs_[static_cast<size_t>(ctx)];
-}
-
 Status CommExecutor::BeginLayer(int dim, int num_slots,
                                 kernels::CommPrecision wire, bool integrity) {
-  return BeginLayerCtx(0, dim, num_slots, wire, integrity);
-}
-
-void CommExecutor::EndLayer() { EndLayerCtx(0); }
-
-Status CommExecutor::BeginLayerCtx(int ctx, int dim, int num_slots,
-                                   kernels::CommPrecision wire,
-                                   bool integrity) {
-  LayerCtx& c = Ctx(ctx);
-  EndLayerCtx(ctx);
+  LayerState& c = layer_;
+  EndLayer();
   c.dim = dim;
   c.wire = wire;
   c.integrity = integrity;
@@ -86,9 +72,7 @@ Status CommExecutor::BeginLayerCtx(int ctx, int dim, int num_slots,
       // end and its aggregation kernels consume 16-bit rows directly (as GPU
       // SpMM does) — the decode into fp32 below is the CPU simulation
       // vehicle, not part of the modeled footprint. The gradient side stays
-      // a full fp32 accumulator and is charged as such. This charge is the
-      // budget the task graph's buffer-slot tokens draw from: `num_slots`
-      // tokens <=> `num_slots` reserved in-flight slots.
+      // a full fp32 accumulator and is charged as such.
       int64_t max_remote = 0;
       int64_t max_nbr = 0;
       for (int j = 0; j < plan_->num_chunks; ++j) {
@@ -109,16 +93,11 @@ Status CommExecutor::BeginLayerCtx(int ctx, int dim, int num_slots,
   return Status::OK();
 }
 
-void CommExecutor::EndLayerCtx(int ctx) {
-  if (static_cast<size_t>(ctx) >= ctxs_.size()) return;
+void CommExecutor::EndLayer() {
   // Only the device-memory registrations are released; the host-side pooled
-  // buffers stay parked in the context for the next layer.
-  ctxs_[static_cast<size_t>(ctx)].buf_alloc.clear();
-  ctxs_[static_cast<size_t>(ctx)].dim = 0;
-}
-
-std::vector<Tensor>& CommExecutor::slot_buffers_ctx(int ctx, int slot) {
-  return Ctx(ctx).slot_nbr[static_cast<size_t>(slot)];
+  // buffers stay parked for the next layer.
+  layer_.buf_alloc.clear();
+  layer_.dim = 0;
 }
 
 Status CommExecutor::ForwardLoad(int j, const Tensor& host,
@@ -127,12 +106,13 @@ Status CommExecutor::ForwardLoad(int j, const Tensor& host,
   // is recomputed from the host buffer — so a transient failure (injected
   // or an unrepaired integrity loss) retries it wholesale.
   return fault::RetryTransient(retry_, degrade_, "comm.fetch", [&] {
-    return ForwardLoadAttempt(Ctx(0), j, host, nbr_bufs);
+    return ForwardLoadAttempt(j, host, nbr_bufs);
   });
 }
 
-Status CommExecutor::ForwardLoadAttempt(LayerCtx& c, int j, const Tensor& host,
+Status CommExecutor::ForwardLoadAttempt(int j, const Tensor& host,
                                         std::vector<Tensor>* nbr_bufs) {
+  LayerState& c = layer_;
   if (c.dim == 0 || host.cols() != c.dim) {
     return Status::Invalid("CommExecutor::ForwardLoad: BeginLayer(dim) "
                            "mismatch with host buffer");
@@ -306,39 +286,27 @@ Status CommExecutor::ForwardLoadAttempt(LayerCtx& c, int j, const Tensor& host,
 }
 
 Status CommExecutor::ForwardLoadSlot(int j, int slot, const Tensor& host) {
-  return ForwardLoadSlotCtx(0, j, slot, host);
-}
-
-Status CommExecutor::ForwardLoadSlotCtx(int ctx, int j, int slot,
-                                        const Tensor& host) {
-  LayerCtx& c = Ctx(ctx);
-  if (slot < 0 || static_cast<size_t>(slot) >= c.slot_nbr.size()) {
+  if (slot < 0 || static_cast<size_t>(slot) >= layer_.slot_nbr.size()) {
     return Status::Invalid("CommExecutor::ForwardLoadSlot: slot out of "
                            "range; BeginLayer(dim, num_slots) first");
   }
   return fault::RetryTransient(retry_, degrade_, "comm.fetch", [&] {
-    return ForwardLoadAttempt(c, j, host,
-                              &c.slot_nbr[static_cast<size_t>(slot)]);
+    return ForwardLoadAttempt(j, host,
+                              &layer_.slot_nbr[static_cast<size_t>(slot)]);
   });
 }
 
 Status CommExecutor::BackwardAccumulate(int j,
                                         const std::vector<Tensor>& nbr_grads,
                                         Tensor* host_grad) {
-  return BackwardAccumulateCtx(0, j, nbr_grads, host_grad);
-}
-
-Status CommExecutor::BackwardAccumulateCtx(
-    int ctx, int j, const std::vector<Tensor>& nbr_grads, Tensor* host_grad) {
-  LayerCtx& c = Ctx(ctx);
   return fault::RetryTransient(retry_, degrade_, "comm.flush", [&] {
-    return BackwardAccumulateAttempt(c, j, nbr_grads, host_grad);
+    return BackwardAccumulateAttempt(j, nbr_grads, host_grad);
   });
 }
 
 Status CommExecutor::BackwardAccumulateAttempt(
-    LayerCtx& c, int j, const std::vector<Tensor>& nbr_grads,
-    Tensor* host_grad) {
+    int j, const std::vector<Tensor>& nbr_grads, Tensor* host_grad) {
+  LayerState& c = layer_;
   if (c.dim == 0 || host_grad->cols() != c.dim) {
     return Status::Invalid("CommExecutor::BackwardAccumulate: BeginLayer(dim) "
                            "mismatch with host gradient buffer");

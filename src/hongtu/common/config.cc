@@ -20,8 +20,6 @@ const char* ExecutorKindName(ExecutorKind k) {
       return "serial";
     case ExecutorKind::kPipeline:
       return "pipeline";
-    case ExecutorKind::kTaskGraph:
-      return "taskgraph";
   }
   return "?";
 }
@@ -31,8 +29,6 @@ bool ParseExecutorKind(const std::string& s, ExecutorKind* out) {
     *out = ExecutorKind::kSerial;
   } else if (s == "pipeline") {
     *out = ExecutorKind::kPipeline;
-  } else if (s == "taskgraph") {
-    *out = ExecutorKind::kTaskGraph;
   } else {
     return false;
   }
@@ -74,7 +70,7 @@ RuntimeConfig RuntimeConfig::FromEnv() {
   if (const char* s = Env("HONGTU_EXECUTOR")) {
     if (!ParseExecutorKind(s, &c.executor)) {
       HT_LOG(WARNING) << "HONGTU_EXECUTOR=" << s
-                      << " not recognized (want serial|pipeline|taskgraph); "
+                      << " not recognized (want serial|pipeline); "
                       << "keeping " << ExecutorKindName(c.executor);
     }
   }

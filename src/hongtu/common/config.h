@@ -37,19 +37,18 @@
 
 namespace hongtu {
 
-/// Which chunk executor drives HongTuEngine's epoch loop. All three produce
-/// identical numerics (taskgraph/pipeline are bitwise-equal to serial at
-/// fp32); they differ only in how much load/compute/store time overlaps.
+/// Which chunk executor drives HongTuEngine's epoch loop. Both produce
+/// identical numerics (the pipeline is bitwise-equal to serial at fp32);
+/// they differ only in how much load/compute/store time overlaps.
 enum class ExecutorKind {
-  kSerial = 0,    ///< one batch at a time, no overlap (the A/B baseline)
-  kPipeline = 1,  ///< PR 2's 3-lane fixed-depth stage pipeline, per layer
-  kTaskGraph = 2  ///< dataflow task graph over (chunk, layer, stage) nodes
+  kSerial = 0,   ///< one batch at a time, no overlap (the numerics oracle)
+  kPipeline = 1  ///< 3-lane fixed-depth load/compute/store pipeline, per layer
 };
 
 const char* ExecutorKindName(ExecutorKind k);
 
-/// Parses "serial" / "pipeline" / "taskgraph". Returns false (and leaves
-/// *out untouched) on anything else.
+/// Parses "serial" / "pipeline". Returns false (and leaves *out untouched)
+/// on anything else.
 bool ParseExecutorKind(const std::string& s, ExecutorKind* out);
 
 /// One snapshot of every runtime knob. Options structs embed these fields as
@@ -69,10 +68,10 @@ struct RuntimeConfig {
   /// process-wide capture (fault::DefaultRetryPolicy).
   std::string retry_spec;
   ExecutorKind executor = ExecutorKind::kPipeline;
-  /// Token-pool capacity of the taskgraph executor / window depth of the
-  /// stage pipeline: how many chunk batches may be in flight at once. Each
-  /// in-flight batch holds one buffer slot per device (comm transition
-  /// buffers + compute workspace), so this is also the memory knob.
+  /// Window depth of the stage pipeline: how many chunk batches may be in
+  /// flight at once. Each in-flight batch holds one buffer slot per device
+  /// (comm transition buffers + compute workspace), so this is also the
+  /// memory knob.
   int max_inflight = 2;
   /// Real multi-process cluster transport for CpuClusterEngine: "" (off,
   /// the analytic model), "tcp" (loopback TCP) or "uds" (Unix-domain

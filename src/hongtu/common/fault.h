@@ -56,7 +56,7 @@ enum class Site : int {
   kCommFetch,       ///< CommExecutor::ForwardLoad (Alg. 2 fetch path)
   kCommFlush,       ///< CommExecutor::BackwardAccumulate (Alg. 3 flush path)
   kDeviceH2D,       ///< engine host<->device row streams (gather/scatter)
-  kPipelineStage,   ///< StagePipeline stage execution
+  kPipelineStage,   ///< each stage item of the pipeline executor
   kCkptWrite,       ///< checkpoint section writes
   kGraphIo,         ///< graph/dataset file loaders
   kNetSend,         ///< net/frame.h WriteFrame (cluster RPC egress)

@@ -13,7 +13,7 @@ constexpr int64_t kF32 = static_cast<int64_t>(sizeof(float));
 
 Result<std::unique_ptr<CpuClusterEngine>> CpuClusterEngine::Create(
     const Dataset* dataset, ModelConfig model_config,
-    CpuClusterOptions options) {
+    EngineConfig options) {
   if (dataset == nullptr) {
     return Status::Invalid("CpuClusterEngine: null dataset");
   }

@@ -35,16 +35,15 @@
 
 namespace hongtu {
 
-// CpuClusterOptions is an alias of the flattened EngineConfig (engine.h);
-// this engine consults num_nodes, node_memory_bytes, network_bandwidth,
-// node_flops, node_mem_bw, scaling_exponent, partition_seed and the
-// cluster_* fields.
+// Of the flattened EngineConfig (engine.h) this engine consults num_nodes,
+// node_memory_bytes, network_bandwidth, node_flops, node_mem_bw,
+// scaling_exponent, partition_seed and the cluster_* fields.
 
 class CpuClusterEngine : public Engine {
  public:
   static Result<std::unique_ptr<CpuClusterEngine>> Create(
       const Dataset* dataset, ModelConfig model_config,
-      CpuClusterOptions options);
+      EngineConfig options);
 
   /// Per-epoch estimate; fails with OutOfMemory when a node cannot hold its
   /// share of the training state.
@@ -78,7 +77,7 @@ class CpuClusterEngine : public Engine {
   CpuClusterEngine() = default;
 
   const Dataset* ds_ = nullptr;
-  CpuClusterOptions options_;
+  EngineConfig options_;
   GnnModel model_;
   /// Per node: owned vertices, owned edges, neighbor-set size.
   struct NodeShare {

@@ -18,8 +18,7 @@
 /// callers that need engine-specific accessors (dedup plans, logits, ...).
 ///
 /// Executor policy lives in `EngineOptions::executor` + `max_inflight`
-/// (common/config.h). The old `pipeline_depth` knob survives only as a
-/// deprecated alias on EngineConfig — see its comment for the mapping.
+/// (common/config.h).
 
 #pragma once
 
@@ -103,12 +102,11 @@ struct EngineOptions {
   /// HONGTU_WIRE_INTEGRITY=0 turns it off (explicit assignments win).
   bool wire_integrity = DefaultWireIntegrity();
   /// Which chunk executor HongTuEngine runs (other engines ignore it):
-  /// serial, the 3-lane stage pipeline, or the dataflow task graph. Default
-  /// pipeline, moved by HONGTU_EXECUTOR.
+  /// serial or the 3-lane stage pipeline. Default pipeline, moved by
+  /// HONGTU_EXECUTOR.
   ExecutorKind executor = RuntimeConfig::FromEnv().executor;
-  /// In-flight chunk batches (buffer-slot tokens / pipeline window depth),
-  /// clamped to the batch count at run time. Default 2, moved by
-  /// HONGTU_MAX_INFLIGHT.
+  /// In-flight chunk batches (the pipeline window depth), clamped to the
+  /// batch count at run time. Default 2, moved by HONGTU_MAX_INFLIGHT.
   int max_inflight = RuntimeConfig::FromEnv().max_inflight;
 };
 
@@ -122,8 +120,6 @@ bool ParseEngineKind(const std::string& s, EngineKind* out);
 
 /// The flattened options struct of the unified API: every engine-specific
 /// knob under one roof, each ignored by the engines it does not apply to.
-/// The per-engine option names (HongTuOptions, ...) are aliases of this
-/// type, so existing call sites keep compiling unchanged.
 struct EngineConfig : EngineOptions {
   // ---- HongTuEngine --------------------------------------------------------
   /// Chunks per partition (n). Tunes memory vs. communication (Fig. 10).
@@ -135,13 +131,6 @@ struct EngineConfig : EngineOptions {
   /// Use the recomputation-caching hybrid for cacheable layers (§4.2); when
   /// false every layer recomputes (the pure recomputation ablation).
   bool hybrid_cache = true;
-  /// DEPRECATED alias of (executor, max_inflight); kept so pre-redesign call
-  /// sites keep their meaning and warn once. < 0 (the default) = unset: the
-  /// executor/max_inflight pair governs. >= 0 overrides the pair the way the
-  /// old knob behaved: 0 or 1 -> serial, d >= 2 -> pipeline with
-  /// max_inflight = d. Resolution happens in resolved_executor() /
-  /// resolved_max_inflight(); engines only consult those.
-  int pipeline_depth = -1;
   /// Compile per-(chunk, direction) edge schedules at setup so the
   /// aggregation kernels run the propagation-blocked (cache-banded,
   /// conflict-free-parallel) path. One-time preprocessing cost, metered
@@ -205,22 +194,11 @@ struct EngineConfig : EngineOptions {
   /// before the ack (the coordinator_kill_smoke drill). -1 = off.
   int64_t cluster_coord_kill_epoch = -1;
 
-  /// The executor after applying the deprecated pipeline_depth alias (warns
-  /// once per process when the alias is set).
-  ExecutorKind resolved_executor() const;
-  /// The in-flight window after the same resolution, always >= 1.
-  int resolved_max_inflight() const;
-  /// This config as a RuntimeConfig view (resolved executor fields; the
-  /// process-scoped knobs — kernel backend, pool, fault spec — from
-  /// RuntimeConfig::Process()). For Describe() dumps.
+  /// This config as a RuntimeConfig view (engine-scoped fields from this
+  /// config; the process-scoped knobs — kernel backend, pool, fault spec —
+  /// from RuntimeConfig::Process()). For Describe() dumps.
   RuntimeConfig runtime() const;
 };
-
-/// Pre-redesign per-engine option names; same type, kept as aliases.
-using HongTuOptions = EngineConfig;
-using InMemoryOptions = EngineConfig;
-using MiniBatchOptions = EngineConfig;
-using CpuClusterOptions = EngineConfig;
 
 /// The abstract engine: identical RunEpoch/EvaluateAccuracy across all four
 /// kinds. Accessors that not every engine supports (platform, model, adam,

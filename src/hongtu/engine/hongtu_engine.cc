@@ -104,7 +104,7 @@ int64_t BackwardScratchBytes(const Chunk& chunk, const Layer& layer,
 }  // namespace
 
 Result<std::unique_ptr<HongTuEngine>> HongTuEngine::Create(
-    const Dataset* dataset, ModelConfig model_config, HongTuOptions options) {
+    const Dataset* dataset, ModelConfig model_config, EngineConfig options) {
   if (dataset == nullptr) {
     return Status::Invalid("HongTuEngine: null dataset");
   }
@@ -244,7 +244,7 @@ void HongTuEngine::PresizeWorkspaces() {
     max_out = std::max<int64_t>(max_out, layer->out_dim());
     max_agg = std::max<int64_t>(max_agg, layer->agg_dim());
   }
-  ws_.resize(static_cast<size_t>(WorkspaceSlots()));
+  ws_.resize(static_cast<size_t>(std::max(1, EffectiveDepth())));
   for (SlotWorkspace& ws : ws_) {
     ws.out.resize(m);
     ws.agg.resize(m);
@@ -267,38 +267,16 @@ void HongTuEngine::PresizeWorkspaces() {
 }
 
 int HongTuEngine::EffectiveDepth() const {
-  if (options_.resolved_executor() != ExecutorKind::kPipeline) return 0;
-  const int d = std::min(options_.resolved_max_inflight(),
-                         options_.chunks_per_partition);
+  if (options_.executor != ExecutorKind::kPipeline) return 0;
+  const int d = std::min(options_.max_inflight, options_.chunks_per_partition);
   // A window of 1 in-flight batch cannot overlap anything (the stages
   // serialize through the depth bound), so running it inside an overlap
   // region would fabricate hidden seconds. Serial path instead.
   return d >= 2 ? d : 0;
 }
 
-int HongTuEngine::WorkspaceSlots() const {
-  if (options_.resolved_executor() == ExecutorKind::kTaskGraph) {
-    return std::max(
-        1, std::min(options_.resolved_max_inflight(),
-                    options_.chunks_per_partition));
-  }
-  return std::max(1, EffectiveDepth());
-}
-
 Status HongTuEngine::ForwardPass() {
   const int L = model_.num_layers();
-  if (options_.resolved_executor() == ExecutorKind::kTaskGraph) {
-    const Status st = ForwardPassTaskGraph();
-    if (st.ok()) return st;
-    HT_RETURN_IF_ERROR(DegradeToSerial(st, "forward task graph"));
-    // Serial replay of the whole pass. Safe: forward h^{l+1}/cache writes
-    // are idempotent overwrites, and the poisoned graph drained (skipped
-    // nodes retire as no-ops) before its buffers were released.
-    for (int l = 0; l < L; ++l) {
-      HT_RETURN_IF_ERROR(ForwardLayerSerial(l));
-    }
-    return Status::OK();
-  }
   for (int l = 0; l < L; ++l) {
     if (EffectiveDepth() > 0) {
       const Status st = ForwardLayerPipelined(l);
@@ -526,21 +504,6 @@ Status HongTuEngine::ForwardLayerPipelined(int l) {
 
 Status HongTuEngine::BackwardPass() {
   const int L = model_.num_layers();
-  if (options_.resolved_executor() == ExecutorKind::kTaskGraph) {
-    const Status st = BackwardPassTaskGraph();
-    if (st.ok()) return st;
-    HT_RETURN_IF_ERROR(DegradeToSerial(st, "backward task graph"));
-    // Serial replay from the top: grad_[L] (the loss gradient) is never
-    // mutated by the backward pass, each BackwardLayerSerial starts by
-    // re-zeroing grad_[l], and the parameter gradients the poisoned graph
-    // partially accumulated are re-zeroed here (the backward pass is their
-    // only writer this epoch), so the replay starts from the clean state.
-    model_.ZeroGrads();
-    for (int l = L - 1; l >= 0; --l) {
-      HT_RETURN_IF_ERROR(BackwardLayerSerial(l));
-    }
-    return Status::OK();
-  }
   for (int l = L - 1; l >= 0; --l) {
     if (EffectiveDepth() > 0) {
       const Status st = BackwardLayerPipelined(l);
@@ -722,432 +685,6 @@ Status HongTuEngine::BackwardLayerPipelined(int l) {
         return BackwardScratchBytes(c, *layer, cached);
       },
       std::move(load), std::move(compute), std::move(store));
-}
-
-void HongTuEngine::BuildTaskDeps() {
-  const int m = options_.num_devices;
-  const int n = options_.chunks_per_partition;
-  const int64_t nv = ds_->graph.num_vertices();
-
-  // Each vertex is owned by exactly one chunk; its batch index is the
-  // forward store (and the h^{l+1} row write) that produces it.
-  std::vector<int32_t> owner_batch(static_cast<size_t>(nv), -1);
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      for (VertexId v : tl_.chunks[i][j].dst_vertices) {
-        owner_batch[static_cast<size_t>(v)] = j;
-      }
-    }
-  }
-
-  // Forward: batch j's loads read h^l rows only for *fresh* transition
-  // entries (reused[p] == 1 rows were fetched by an earlier batch's load,
-  // which the within-layer load chain already orders). The producing
-  // batches of those rows are the cross-layer dependencies.
-  fwd_dep_batches_.assign(static_cast<size_t>(n), {});
-  std::vector<uint8_t> mark(static_cast<size_t>(n), 0);
-  for (int j = 0; j < n; ++j) {
-    std::fill(mark.begin(), mark.end(), 0);
-    for (int i = 0; i < m; ++i) {
-      const TransitionStep& step = plan_.transition[i][j];
-      for (size_t p = 0; p < step.vertices.size(); ++p) {
-        if (step.reused[p]) continue;
-        const int32_t b = owner_batch[static_cast<size_t>(step.vertices[p])];
-        if (b >= 0) mark[static_cast<size_t>(b)] = 1;
-      }
-    }
-    for (int b = 0; b < n; ++b) {
-      if (mark[static_cast<size_t>(b)]) fwd_dep_batches_[j].push_back(b);
-    }
-  }
-
-  // Backward: grad^{l+1}[v] is complete once the *last* flush of v's
-  // transition slot retired (a vertex can flush more than once across
-  // batches; only the final one matters). Backward stores are chained in
-  // batch order, so one edge from the max producing batch covers all.
-  std::vector<int32_t> final_flush(static_cast<size_t>(nv), -1);
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      const TransitionStep& step = plan_.transition[i][j];
-      for (size_t p = 0; p < step.vertices.size(); ++p) {
-        if (!step.flush[p]) continue;
-        int32_t& f = final_flush[static_cast<size_t>(step.vertices[p])];
-        f = std::max(f, j);
-      }
-    }
-  }
-  bwd_dep_batch_.assign(static_cast<size_t>(n), -1);
-  for (int j = 0; j < n; ++j) {
-    int32_t dep = -1;
-    for (int i = 0; i < m; ++i) {
-      for (VertexId v : tl_.chunks[i][j].dst_vertices) {
-        dep = std::max(dep, final_flush[static_cast<size_t>(v)]);
-      }
-    }
-    bwd_dep_batch_[j] = dep;
-  }
-}
-
-Status HongTuEngine::ForwardPassTaskGraph() {
-  const int m = options_.num_devices;
-  const int n = options_.chunks_per_partition;
-  const int L = model_.num_layers();
-  const int S = WorkspaceSlots();
-  const kernels::CommPrecision wire = options_.comm_precision;
-  const int64_t eb = kernels::CommElemBytes(wire);
-  if (fwd_dep_batches_.empty()) BuildTaskDeps();
-
-  // One worst-case chunk working set per buffer-slot token per device,
-  // reserved for the whole pass: the compute side of the same in-flight
-  // budget BeginLayerCtx charges on the comm side.
-  std::vector<DeviceAllocation> scratch;
-  scratch.reserve(static_cast<size_t>(m));
-  for (int i = 0; i < m; ++i) {
-    int64_t ws = 0;
-    for (int l = 0; l < L; ++l) {
-      const Layer* layer = model_.layer(l);
-      for (int j = 0; j < n; ++j) {
-        ws = std::max(ws, ForwardScratchBytes(tl_.chunks[i][j], *layer));
-      }
-    }
-    HT_RETURN_IF_ERROR(AllocateWithRetry(&platform_->device(i), S * ws,
-                                         "taskgraph scratch", &degrade_));
-    scratch.emplace_back(&platform_->device(i), S * ws);
-  }
-
-  TaskGraph tg;
-  TaskGraph* tgp = &tg;
-  const TaskGraph::PoolId pool = tg.AddTokenPool(S);
-  std::vector<TaskGraph::NodeId> prev_store;  // layer l-1 stores, by batch
-  TaskGraph::NodeId prev_end[2] = {-1, -1};
-  for (int l = 0; l < L; ++l) {
-    Layer* layer = model_.layer(l);
-    const int ctx = l % 2;
-    const bool cache_l = use_cache_[l];
-
-    TaskGraph::NodeOptions bo;
-    bo.label = "fwd begin l" + std::to_string(l);
-    const TaskGraph::NodeId begin = tg.AddNode(
-        [this, layer, ctx, wire, S](const TaskGraph::NodeContext& nc) {
-          SimPlatform::SetTask(nc.node);
-          return executor_->BeginLayerCtx(ctx, layer->in_dim(), S, wire,
-                                          options_.wire_integrity);
-        },
-        bo);
-    // Layer l reuses layer l-2's comm context; begin must wait for its end.
-    if (prev_end[ctx] >= 0) tg.AddEdge(prev_end[ctx], begin);
-
-    std::vector<TaskGraph::NodeId> stores(static_cast<size_t>(n), -1);
-    TaskGraph::NodeId prev_load = -1;
-    TaskGraph::NodeId prev_comp = -1;
-    for (int j = 0; j < n; ++j) {
-      TaskGraph::NodeOptions lo;
-      lo.label = "fwd load l" + std::to_string(l) + " b" + std::to_string(j);
-      lo.acquires = pool;
-      lo.sim_resource = 0;
-      const TaskGraph::NodeId load = tg.AddNode(
-          [this, ctx, l, j](const TaskGraph::NodeContext& nc) {
-            SimPlatform::SetTask(nc.node);
-            return executor_->ForwardLoadSlotCtx(ctx, j, nc.token, h_[l]);
-          },
-          lo);
-      tg.AddEdge(begin, load);
-      // Transition slots advance in place, so loads chain in batch order.
-      if (prev_load >= 0) tg.AddEdge(prev_load, load);
-      if (l > 0) {
-        for (int jd : fwd_dep_batches_[j]) tg.AddEdge(prev_store[jd], load);
-      }
-      prev_load = load;
-
-      TaskGraph::NodeOptions co;
-      co.label = "fwd comp l" + std::to_string(l) + " b" + std::to_string(j);
-      co.sim_resource = 1;
-      const TaskGraph::NodeId comp = tg.AddNode(
-          [this, tgp, layer, ctx, l, j, m, cache_l,
-           load](const TaskGraph::NodeContext& nc) -> Status {
-            SimPlatform::SetTask(nc.node);
-            const int s = tgp->TokenOf(load);
-            std::vector<Tensor>& nbr = executor_->slot_buffers_ctx(ctx, s);
-            for (int i = 0; i < m; ++i) {
-              const Chunk& chunk = tl_.chunks[i][j];
-              if (chunk.num_dst() == 0) continue;
-              const LocalGraph lg =
-                  LocalGraph::FromChunk(chunk, chunk_schedules(i, j));
-              HT_RETURN_IF_ERROR(
-                  layer->Forward(lg, nbr[i], &ws_[s].out[i],
-                                 cache_l ? &ws_[s].agg[i] : nullptr));
-              double flops = 0, bytes = 0;
-              layer->ForwardCost(lg, &flops, &bytes);
-              platform_->AddGpuCompute(i, flops, bytes);
-            }
-            platform_->Synchronize();
-            return Status::OK();
-          },
-          co);
-      tg.AddEdge(load, comp);
-      // Computes of one layer chain in batch order: the layer object itself
-      // is shared mutable state (GAT scratch today, parameter gradients in
-      // the backward), and the analytic model serializes the GPU resource
-      // anyway, so the chain costs no modeled time.
-      if (prev_comp >= 0) tg.AddEdge(prev_comp, comp);
-      prev_comp = comp;
-
-      TaskGraph::NodeOptions so;
-      so.label = "fwd store l" + std::to_string(l) + " b" + std::to_string(j);
-      so.releases_token_of = load;
-      so.sim_resource = 2;
-      const TaskGraph::NodeId store = tg.AddNode(
-          [this, tgp, layer, l, j, m, cache_l, wire, eb,
-           load](const TaskGraph::NodeContext& nc) -> Status {
-            SimPlatform::SetTask(nc.node);
-            const int s = tgp->TokenOf(load);
-            for (int i = 0; i < m; ++i) {
-              const Chunk& chunk = tl_.chunks[i][j];
-              if (chunk.num_dst() == 0) continue;
-              HT_RETURN_IF_ERROR(ScatterRows(ws_[s].out[i],
-                                             chunk.dst_vertices, &h_[l + 1],
-                                             wire, &degrade_));
-              platform_->AddH2D(i, chunk.num_dst() * layer->out_dim() * eb);
-              if (cache_l) {
-                HT_RETURN_IF_ERROR(ScatterRows(ws_[s].agg[i],
-                                               chunk.dst_vertices, &cache_[l],
-                                               wire, &degrade_));
-                platform_->AddH2D(i, chunk.num_dst() * layer->agg_dim() * eb);
-              }
-            }
-            platform_->Synchronize();
-            return Status::OK();
-          },
-          so);
-      tg.AddEdge(comp, store);
-      stores[static_cast<size_t>(j)] = store;
-    }
-
-    TaskGraph::NodeOptions eo;
-    eo.label = "fwd end l" + std::to_string(l);
-    const TaskGraph::NodeId end = tg.AddNode(
-        [this, ctx](const TaskGraph::NodeContext& nc) {
-          SimPlatform::SetTask(nc.node);
-          executor_->EndLayerCtx(ctx);
-          return Status::OK();
-        },
-        eo);
-    for (TaskGraph::NodeId s : stores) tg.AddEdge(s, end);
-    prev_end[ctx] = end;
-    prev_store = std::move(stores);
-  }
-
-  platform_->BeginTaskRegion();
-  const Status st = tg.Run();
-  std::vector<double> busy(static_cast<size_t>(tg.num_nodes()), 0.0);
-  for (int nid = 0; nid < tg.num_nodes(); ++nid) {
-    busy[static_cast<size_t>(nid)] = platform_->TaskBusySeconds(nid);
-  }
-  platform_->EndTaskRegion(tg.ScheduleSeconds(busy));
-  // A poisoned graph may have skipped its end nodes; the serial fallback's
-  // BeginLayer must see clean devices either way.
-  executor_->EndLayerCtx(0);
-  executor_->EndLayerCtx(1);
-  return st;
-}
-
-Status HongTuEngine::BackwardPassTaskGraph() {
-  const int m = options_.num_devices;
-  const int n = options_.chunks_per_partition;
-  const int L = model_.num_layers();
-  const int S = WorkspaceSlots();
-  const kernels::CommPrecision wire = options_.comm_precision;
-  const int64_t eb = kernels::CommElemBytes(wire);
-  if (fwd_dep_batches_.empty()) BuildTaskDeps();
-
-  std::vector<DeviceAllocation> scratch;
-  scratch.reserve(static_cast<size_t>(m));
-  for (int i = 0; i < m; ++i) {
-    int64_t ws = 0;
-    for (int l = 0; l < L; ++l) {
-      const Layer* layer = model_.layer(l);
-      for (int j = 0; j < n; ++j) {
-        ws = std::max(
-            ws, BackwardScratchBytes(tl_.chunks[i][j], *layer, use_cache_[l]));
-      }
-    }
-    HT_RETURN_IF_ERROR(AllocateWithRetry(&platform_->device(i), S * ws,
-                                         "taskgraph scratch", &degrade_));
-    scratch.emplace_back(&platform_->device(i), S * ws);
-  }
-
-  TaskGraph tg;
-  TaskGraph* tgp = &tg;
-  const TaskGraph::PoolId pool = tg.AddTokenPool(S);
-  std::vector<TaskGraph::NodeId> next_store;  // layer l+1 stores, by batch
-  TaskGraph::NodeId prev_end[2] = {-1, -1};
-  // Built top-down (l = L-1 .. 0) so edges always point forward in id order.
-  for (int l = L - 1; l >= 0; --l) {
-    Layer* layer = model_.layer(l);
-    const int ctx = l % 2;
-    const bool cached = use_cache_[l];
-
-    TaskGraph::NodeOptions bo;
-    bo.label = "bwd begin l" + std::to_string(l);
-    const TaskGraph::NodeId begin = tg.AddNode(
-        [this, layer, ctx, l, wire, S, cached](const TaskGraph::NodeContext& nc) {
-          SimPlatform::SetTask(nc.node);
-          grad_[l].Zero();
-          // The hybrid path never loads neighbor slots; one comm slot backs
-          // its transition-gradient buffers (as in the pipelined layer).
-          return executor_->BeginLayerCtx(ctx, layer->in_dim(),
-                                          cached ? 1 : S, wire,
-                                          options_.wire_integrity);
-        },
-        bo);
-    if (prev_end[ctx] >= 0) tg.AddEdge(prev_end[ctx], begin);
-
-    std::vector<TaskGraph::NodeId> stores(static_cast<size_t>(n), -1);
-    TaskGraph::NodeId prev_load = -1;
-    TaskGraph::NodeId prev_comp = -1;
-    TaskGraph::NodeId prev_store_node = -1;
-    for (int j = 0; j < n; ++j) {
-      TaskGraph::NodeOptions lo;
-      lo.label = "bwd load l" + std::to_string(l) + " b" + std::to_string(j);
-      lo.acquires = pool;
-      lo.sim_resource = 0;
-      const TaskGraph::NodeId load = tg.AddNode(
-          [this, layer, ctx, l, j, m, cached, wire,
-           eb](const TaskGraph::NodeContext& nc) -> Status {
-            SimPlatform::SetTask(nc.node);
-            const int s = nc.token;
-            if (!cached) {
-              // Recomputation path: reload the neighbor representations
-              // through the deduplicated communication framework.
-              HT_RETURN_IF_ERROR(
-                  executor_->ForwardLoadSlotCtx(ctx, j, s, h_[l]));
-            }
-            for (int i = 0; i < m; ++i) {
-              const Chunk& chunk = tl_.chunks[i][j];
-              if (chunk.num_dst() == 0) continue;
-              HT_RETURN_IF_ERROR(GatherRows(grad_[l + 1], chunk.dst_vertices,
-                                            &ws_[s].d_dst[i], wire,
-                                            &degrade_));
-              platform_->AddH2D(i, chunk.num_dst() * layer->out_dim() * eb);
-              if (cached) {
-                HT_RETURN_IF_ERROR(GatherRows(cache_[l], chunk.dst_vertices,
-                                              &ws_[s].agg[i], wire,
-                                              &degrade_));
-                platform_->AddH2D(i, chunk.num_dst() * layer->agg_dim() * eb);
-                if (layer->needs_dst_h()) {
-                  HT_RETURN_IF_ERROR(GatherRows(h_[l], chunk.dst_vertices,
-                                                &ws_[s].dst_rows[i], wire,
-                                                &degrade_));
-                  platform_->AddH2D(i,
-                                    chunk.num_dst() * layer->in_dim() * eb);
-                } else {
-                  ws_[s].dst_rows[i].EnsureShape(0, 0);
-                }
-              }
-            }
-            platform_->Synchronize();
-            return Status::OK();
-          },
-          lo);
-      tg.AddEdge(begin, load);
-      // Loads chain in batch order on both paths: the recompute path
-      // advances transition slots in place, and the chain also pins token
-      // acquisition to batch order, which the store chain's in-order token
-      // release relies on for deadlock freedom.
-      if (prev_load >= 0) tg.AddEdge(prev_load, load);
-      if (l < L - 1 && bwd_dep_batch_[j] >= 0) {
-        tg.AddEdge(next_store[static_cast<size_t>(bwd_dep_batch_[j])], load);
-      }
-      prev_load = load;
-
-      TaskGraph::NodeOptions co;
-      co.label = "bwd comp l" + std::to_string(l) + " b" + std::to_string(j);
-      co.sim_resource = 1;
-      const TaskGraph::NodeId comp = tg.AddNode(
-          [this, tgp, layer, ctx, j, m, cached,
-           load](const TaskGraph::NodeContext& nc) -> Status {
-            SimPlatform::SetTask(nc.node);
-            const int s = tgp->TokenOf(load);
-            for (int i = 0; i < m; ++i) {
-              const Chunk& chunk = tl_.chunks[i][j];
-              Tensor& ds = ws_[s].d_src[i];
-              if (chunk.num_dst() == 0) {
-                ds.EnsureShape(0, layer->in_dim());
-                continue;
-              }
-              const LocalGraph lg =
-                  LocalGraph::FromChunk(chunk, chunk_schedules(i, j));
-              ds.EnsureShapeZeroed(chunk.num_neighbors(), layer->in_dim());
-              if (cached) {
-                HT_RETURN_IF_ERROR(layer->BackwardCached(
-                    lg, ws_[s].agg[i], ws_[s].dst_rows[i], ws_[s].d_dst[i],
-                    &ds));
-              } else {
-                HT_RETURN_IF_ERROR(layer->BackwardRecompute(
-                    lg, executor_->slot_buffers_ctx(ctx, s)[i],
-                    ws_[s].d_dst[i], &ds));
-              }
-              double flops = 0, bytes = 0;
-              layer->BackwardCost(lg, cached, &flops, &bytes);
-              platform_->AddGpuCompute(i, flops, bytes);
-            }
-            platform_->Synchronize();
-            return Status::OK();
-          },
-          co);
-      tg.AddEdge(load, comp);
-      // Same-layer computes chain: parameter-gradient accumulation (dw, db)
-      // lives on the shared layer object, so its order is pinned by graph
-      // structure — fp32 sums match the serial loop bitwise.
-      if (prev_comp >= 0) tg.AddEdge(prev_comp, comp);
-      prev_comp = comp;
-
-      TaskGraph::NodeOptions so;
-      so.label = "bwd store l" + std::to_string(l) + " b" + std::to_string(j);
-      so.releases_token_of = load;
-      so.sim_resource = 2;
-      const TaskGraph::NodeId store = tg.AddNode(
-          [this, tgp, ctx, l, j, load](const TaskGraph::NodeContext& nc) {
-            SimPlatform::SetTask(nc.node);
-            const int s = tgp->TokenOf(load);
-            return executor_->BackwardAccumulateCtx(ctx, j, ws_[s].d_src,
-                                                    &grad_[l]);
-          },
-          so);
-      tg.AddEdge(comp, store);
-      // The batch-order store chain *is* the retire-order-independent
-      // accumulation contract: gradient retirement order is pinned by graph
-      // structure, never by thread schedule, so fp32 sums match the serial
-      // loop bitwise.
-      if (prev_store_node >= 0) tg.AddEdge(prev_store_node, store);
-      prev_store_node = store;
-      stores[static_cast<size_t>(j)] = store;
-    }
-
-    TaskGraph::NodeOptions eo;
-    eo.label = "bwd end l" + std::to_string(l);
-    const TaskGraph::NodeId end = tg.AddNode(
-        [this, ctx](const TaskGraph::NodeContext& nc) {
-          SimPlatform::SetTask(nc.node);
-          executor_->EndLayerCtx(ctx);
-          return Status::OK();
-        },
-        eo);
-    tg.AddEdge(prev_store_node, end);
-    prev_end[ctx] = end;
-    next_store = std::move(stores);
-  }
-
-  platform_->BeginTaskRegion();
-  const Status st = tg.Run();
-  std::vector<double> busy(static_cast<size_t>(tg.num_nodes()), 0.0);
-  for (int nid = 0; nid < tg.num_nodes(); ++nid) {
-    busy[static_cast<size_t>(nid)] = platform_->TaskBusySeconds(nid);
-  }
-  platform_->EndTaskRegion(tg.ScheduleSeconds(busy));
-  executor_->EndLayerCtx(0);
-  executor_->EndLayerCtx(1);
-  return st;
 }
 
 Status HongTuEngine::AllReduceAndStep() {

@@ -16,7 +16,6 @@
 
 #include "hongtu/comm/dedup_plan.h"
 #include "hongtu/common/pipeline.h"
-#include "hongtu/common/taskgraph.h"
 #include "hongtu/comm/executor.h"
 #include "hongtu/comm/reorganize.h"
 #include "hongtu/engine/engine.h"
@@ -26,11 +25,9 @@
 
 namespace hongtu {
 
-// HongTuOptions is an alias of the flattened EngineConfig (engine/engine.h);
-// the HongTu-specific knobs (chunks_per_partition, dedup, reorganize,
+// The HongTu-specific knobs (chunks_per_partition, dedup, reorganize,
 // hybrid_cache, edge_schedules, partition_seed) and the executor policy
-// (executor + max_inflight, with pipeline_depth as the deprecated alias)
-// live there.
+// (executor + max_inflight) live in EngineConfig (engine/engine.h).
 
 class HongTuEngine : public Engine {
  public:
@@ -38,7 +35,7 @@ class HongTuEngine : public Engine {
   /// allocates host-side buffers. `dataset` must outlive the engine.
   static Result<std::unique_ptr<HongTuEngine>> Create(const Dataset* dataset,
                                                       ModelConfig model_config,
-                                                      HongTuOptions options);
+                                                      EngineConfig options);
 
   /// One full forward+backward epoch with parameter update.
   Result<EpochStats> TrainEpoch();
@@ -63,7 +60,7 @@ class HongTuEngine : public Engine {
   /// The engine's degradation record (common/fault.h). TrainEpoch resets the
   /// per-epoch counters and snapshots them into EpochStats::recovery.
   fault::DegradationPolicy* degradation() override { return &degrade_; }
-  const HongTuOptions& options() const { return options_; }
+  const EngineConfig& options() const { return options_; }
 
  private:
   HongTuEngine() = default;
@@ -79,7 +76,7 @@ class HongTuEngine : public Engine {
   /// loop); permanent errors pass through.
   Status DegradeToSerial(const Status& st, const std::string& what);
 
-  /// Serial per-layer loops (pipeline_depth <= 1, and the OOM fallback).
+  /// Serial per-layer loops (the serial executor, and the OOM fallback).
   Status ForwardLayerSerial(int l);
   Status BackwardLayerSerial(int l);
   /// Pipelined per-layer loops: load / compute / store stages on worker
@@ -96,32 +93,11 @@ class HongTuEngine : public Engine {
       const std::function<int64_t(const Chunk&)>& scratch_bytes,
       StagePipeline::StageFn load, StagePipeline::StageFn compute,
       StagePipeline::StageFn store);
-  /// In-flight batches actually used: pipeline_depth clamped to the batch
-  /// count; 0 (serial path) when fewer than 2 batches can be in flight,
-  /// since a window of 1 cannot overlap anything.
+  /// In-flight batches actually used: max_inflight clamped to the batch
+  /// count under the pipeline executor; 0 (serial path) otherwise, or when
+  /// fewer than 2 batches can be in flight, since a window of 1 cannot
+  /// overlap anything.
   int EffectiveDepth() const;
-
-  // ---- Dataflow task-graph executor (common/taskgraph.h) -------------------
-  /// Whole-pass dependency graphs: every (chunk, layer, stage) is a node,
-  /// edges carry per-edge readiness (load chains within a layer, cross-layer
-  /// edges only where a chunk's transition rows are consumed), and a
-  /// buffer-slot token pool — capacity resolved_max_inflight(), charged
-  /// against the same device budget BeginLayerCtx registers — provides
-  /// backpressure. A failed run degrades to a serial replay of the whole
-  /// pass (DegradeToSerial), mirroring the pipelined fallback.
-  Status ForwardPassTaskGraph();
-  Status BackwardPassTaskGraph();
-  /// Cross-layer dependency tables, computed once at Create:
-  /// fwd_dep_batches_[j] = the batches whose forward store writes rows that
-  /// batch j's fresh (non-reused) transition loads read on any device;
-  /// bwd_dep_batch_[j] = the latest batch whose backward flush completes
-  /// grad rows batch j's recompute load reads at layer l from layer l+1's
-  /// store (-1 when none). Both are layer-independent (the dedup plan's
-  /// transition structure is).
-  void BuildTaskDeps();
-  /// Workspace slots the active executor needs: the token-pool capacity
-  /// under taskgraph, max(1, EffectiveDepth()) otherwise.
-  int WorkspaceSlots() const;
 
   /// Per-(pipeline-slot, device) chunk workspaces, pool-backed and reused
   /// across chunks, layers and epochs. Each hot-loop tensor is reshaped in
@@ -157,7 +133,7 @@ class HongTuEngine : public Engine {
   }
 
   const Dataset* ds_ = nullptr;
-  HongTuOptions options_;
+  EngineConfig options_;
   GnnModel model_;
   Adam adam_;
   /// Counted record of every graceful degradation (shared with executor_).
@@ -178,14 +154,6 @@ class HongTuEngine : public Engine {
   /// registrations.
   std::vector<std::vector<ChunkSchedules>> scheds_;
   std::vector<DeviceAllocation> sched_alloc_;
-
-  /// Task-graph cross-layer dependency tables (BuildTaskDeps; empty until
-  /// the taskgraph executor first runs).
-  std::vector<std::vector<int>> fwd_dep_batches_;
-  std::vector<int> bwd_dep_batch_;
-  /// Per-layer worst-case scratch reservations of an in-flight task-graph
-  /// pass (begin nodes reserve, end nodes release).
-  std::vector<std::vector<DeviceAllocation>> task_scratch_;
 
   double partition_seconds_ = 0.0;
   double dedup_preprocess_seconds_ = 0.0;

@@ -19,7 +19,7 @@ double NowSeconds() {
 }  // namespace
 
 Result<std::unique_ptr<InMemoryEngine>> InMemoryEngine::Create(
-    const Dataset* dataset, ModelConfig model_config, InMemoryOptions options) {
+    const Dataset* dataset, ModelConfig model_config, EngineConfig options) {
   if (dataset == nullptr) {
     return Status::Invalid("InMemoryEngine: null dataset");
   }

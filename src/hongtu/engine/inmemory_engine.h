@@ -25,14 +25,14 @@
 
 namespace hongtu {
 
-// InMemoryOptions is an alias of the flattened EngineConfig (engine.h);
-// this engine consults edge_schedules and partition_seed.
+// Of the flattened EngineConfig (engine.h) this engine consults
+// edge_schedules and partition_seed.
 
 class InMemoryEngine : public Engine {
  public:
   static Result<std::unique_ptr<InMemoryEngine>> Create(
       const Dataset* dataset, ModelConfig model_config,
-      InMemoryOptions options);
+      EngineConfig options);
 
   /// One epoch; fails with OutOfMemory when the training state does not fit
   /// the devices.
@@ -55,7 +55,7 @@ class InMemoryEngine : public Engine {
   Status ReserveResidentMemory();
 
   const Dataset* ds_ = nullptr;
-  InMemoryOptions options_;
+  EngineConfig options_;
   GnnModel model_;
   Adam adam_;
   std::unique_ptr<SimPlatform> platform_;

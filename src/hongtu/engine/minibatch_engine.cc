@@ -130,7 +130,7 @@ Chunk SampleChunk(const Graph& g, std::vector<VertexId> dst_vertices,
 }
 
 Result<std::unique_ptr<MiniBatchEngine>> MiniBatchEngine::Create(
-    const Dataset* dataset, ModelConfig model_config, MiniBatchOptions options) {
+    const Dataset* dataset, ModelConfig model_config, EngineConfig options) {
   if (dataset == nullptr) {
     return Status::Invalid("MiniBatchEngine: null dataset");
   }

@@ -21,14 +21,14 @@
 
 namespace hongtu {
 
-// MiniBatchOptions is an alias of the flattened EngineConfig (engine.h);
-// this engine consults fanout, batch_size and seed.
+// Of the flattened EngineConfig (engine.h) this engine consults fanout,
+// batch_size and seed.
 
 class MiniBatchEngine : public Engine {
  public:
   static Result<std::unique_ptr<MiniBatchEngine>> Create(
       const Dataset* dataset, ModelConfig model_config,
-      MiniBatchOptions options);
+      EngineConfig options);
 
   /// One epoch = one pass over all training vertices in shuffled batches.
   Result<EpochStats> TrainEpoch();
@@ -46,7 +46,7 @@ class MiniBatchEngine : public Engine {
   MiniBatchEngine() = default;
 
   const Dataset* ds_ = nullptr;
-  MiniBatchOptions options_;
+  EngineConfig options_;
   GnnModel model_;
   Adam adam_;
   std::unique_ptr<SimPlatform> platform_;

@@ -610,8 +610,17 @@ Status ClusterWorker::Init() {
   transport_.reset(new Transport(topt));
   transport_->set_handler(
       [this](Transport::Request&& req) { OnRequest(std::move(req)); });
-  transport_->set_death_callback([this](int rank, const std::string& why) {
+  transport_->set_death_callback([this](int rank, const std::string& why,
+                                        uint64_t term) {
     if (rank != coord_) return;
+    if (term != 0 && term < coord_term_.load(std::memory_order_relaxed)) {
+      // A superseded coordinator incarnation closed its connection: a
+      // fenced zombie exiting, or the old endpoint a re-attach dropped. The
+      // current coordinator is not lost, so stay attached and re-arm the
+      // watch this report consumed.
+      transport_->WatchPeer(coord_);
+      return;
+    }
     HT_LOG(WARNING) << "worker r" << rank_ << ": coordinator lost (" << why
                     << ") — parking for up to " << cfg_.coord_lease_s << "s";
     LogRecoveryEvent("coord_park", coord_term_.load(std::memory_order_relaxed),
@@ -2014,7 +2023,7 @@ Result<std::unique_ptr<ClusterCoordinator>> ClusterCoordinator::Start(
   co->transport_->set_handler(
       [self](Transport::Request&& req) { self->OnRequest(std::move(req)); });
   co->transport_->set_death_callback(
-      [self](int rank, const std::string& why) {
+      [self](int rank, const std::string& why, uint64_t /*term*/) {
         self->OnPeerDeath(rank, why);
       });
   const std::string listen_addr =
@@ -2211,7 +2220,8 @@ void ClusterCoordinator::JournalMember(int rank) {
 
 void ClusterCoordinator::JournalCompact() {
   // After an applied epoch the live state is just: this term, the current
-  // membership, and the applied pointer. Everything older is garbage.
+  // membership, the run-id high-water mark and the applied pointer.
+  // Everything older is garbage.
   std::vector<JournalRecord> live;
   {
     WireWriter w;
@@ -2228,6 +2238,18 @@ void ClusterCoordinator::JournalCompact() {
       w.U64(static_cast<uint64_t>(workers_[r].pid));
       live.push_back(JournalRecord{JournalRecordType::kMember, w.Take()});
     }
+  }
+  {
+    // The run-id high-water mark, as the start of the last issued run; the
+    // applied pointer below settles it. Dropping it would let a successor
+    // reissue a run id the workers already executed, and a worker still
+    // holding that run's fetch log would serve it to a peer that entered
+    // the reissued run first.
+    WireWriter w;
+    w.U64(next_run_ - 1);
+    w.U64(static_cast<uint64_t>(epochs_completed_ - 1));
+    w.U32(0);
+    live.push_back(JournalRecord{JournalRecordType::kRunStart, w.Take()});
   }
   {
     WireWriter w;

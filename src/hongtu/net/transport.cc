@@ -26,6 +26,7 @@ constexpr double kDialBackoffCapSeconds = 0.5;
 struct Transport::Conn {
   int fd = -1;
   std::atomic<int> peer_rank{-1};  ///< learned from kIdent / frame headers
+  std::atomic<uint64_t> peer_term{0};  ///< term of the last frame received
   bool outbound = false;
   int dial_rank = -1;  ///< outbound only: the rank this conn was dialed for
   std::mutex write_mu;
@@ -235,6 +236,7 @@ void Transport::ReaderLoop(std::shared_ptr<Conn> conn) {
       conn->peer_rank.store(f.src_rank, std::memory_order_relaxed);
       TouchContact(f.src_rank);
     }
+    if (f.term != 0) conn->peer_term.store(f.term, std::memory_order_relaxed);
     if (f.type == MsgType::kIdent || f.type == MsgType::kHeartbeat) continue;
     if (f.is_response()) {
       std::vector<PendingCall*> notify;
@@ -279,10 +281,11 @@ void Transport::ReaderLoop(std::shared_ptr<Conn> conn) {
   // Fast-path death: an identified connection from a watched peer hit EOF.
   const int rank = conn->peer_rank.load();
   if (!stop_.load(std::memory_order_relaxed) && rank >= 0) {
-    ReportDeath(rank, "connection closed (" +
-                          (exit_st.ok() ? std::string("eof")
-                                        : exit_st.message()) +
-                          ")");
+    ReportDeath(rank,
+                "connection closed (" +
+                    (exit_st.ok() ? std::string("eof") : exit_st.message()) +
+                    ")",
+                conn->peer_term.load(std::memory_order_relaxed));
   }
   conn->reader_done.store(true);
 }
@@ -436,7 +439,8 @@ void Transport::TouchContact(int rank) {
   if (it != watched_.end()) it->second.last_contact = MonotonicSeconds();
 }
 
-void Transport::ReportDeath(int rank, const std::string& why) {
+void Transport::ReportDeath(int rank, const std::string& why,
+                            uint64_t term) {
   DeathCallback cb;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -445,7 +449,7 @@ void Transport::ReportDeath(int rank, const std::string& why) {
     it->second.armed = false;  // one report per WatchPeer arm
     cb = on_death_;
   }
-  if (cb) cb(rank, why);
+  if (cb) cb(rank, why, term);
 }
 
 void Transport::DropConnection(int rank) {
@@ -484,8 +488,10 @@ void Transport::MonitorLoop() {
       }
     }
     for (int rank : dead_ranks) {
-      ReportDeath(rank, "heartbeat timeout (> " +
-                            std::to_string(opts_.peer_timeout_s) + "s)");
+      ReportDeath(rank,
+                  "heartbeat timeout (> " +
+                      std::to_string(opts_.peer_timeout_s) + "s)",
+                  /*term=*/0);
     }
   }
 }

@@ -74,8 +74,12 @@ class Transport {
   /// Called on a connection reader thread for every inbound request.
   using Handler = std::function<void(Request&&)>;
   /// Called (once per WatchPeer arm) from the monitor or a reader thread
-  /// when a watched peer goes quiet or its connection closes.
-  using DeathCallback = std::function<void(int rank, const std::string& why)>;
+  /// when a watched peer goes quiet or its connection closes. `term` is the
+  /// coordinator term stamped on the last frame the closed connection
+  /// carried — which incarnation of `rank` it belonged to — and 0 when
+  /// unknown (a heartbeat timeout, or no frame carried a term).
+  using DeathCallback =
+      std::function<void(int rank, const std::string& why, uint64_t term)>;
 
   explicit Transport(Options opts);
   ~Transport();
@@ -146,7 +150,7 @@ class Transport {
   void MonitorLoop();
   void HeartbeatLoop(int rank);
   void TouchContact(int rank);
-  void ReportDeath(int rank, const std::string& why);
+  void ReportDeath(int rank, const std::string& why, uint64_t term);
   Status SendOnConn(const std::shared_ptr<Conn>& conn, Frame& f);
 
   Options opts_;

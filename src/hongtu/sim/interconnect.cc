@@ -7,8 +7,6 @@ namespace hongtu {
 namespace {
 /// Lane binding for the calling thread; see SimPlatform::SetLane.
 thread_local int t_lane = 0;
-/// Task binding for the calling thread; see SimPlatform::SetTask.
-thread_local int t_task = -1;
 }  // namespace
 
 TimeBreakdown& TimeBreakdown::operator+=(const TimeBreakdown& o) {
@@ -53,13 +51,6 @@ SimPlatform::SimPlatform(int num_devices, int64_t device_capacity_bytes,
 }
 
 SimPlatform::Lane& SimPlatform::CurrentLaneLocked() {
-  if (task_region_active_) {
-    Lane& lane = tasks_[t_task];
-    if (lane.pending.size() != devices_.size()) {
-      lane.pending.resize(devices_.size());
-    }
-    return lane;
-  }
   if (!overlap_active_) return lanes_[0];
   const int lane = std::min(std::max(t_lane, 0),
                             static_cast<int>(lanes_.size()) - 1);
@@ -133,7 +124,7 @@ void SimPlatform::Synchronize() {
   std::lock_guard<std::mutex> lock(mu_);
   Lane& lane = CurrentLaneLocked();
   const TimeBreakdown phase = DrainPhaseLocked(&lane);
-  if (overlap_active_ || task_region_active_) {
+  if (overlap_active_) {
     lane.total += phase;
   } else {
     total_time_ += phase;
@@ -185,45 +176,6 @@ double SimPlatform::LaneBusySeconds(int lane) {
   Lane& l = lanes_[static_cast<size_t>(lane)];
   l.total += DrainPhaseLocked(&l);
   return l.total.total();
-}
-
-void SimPlatform::BeginTaskRegion() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Pending serial work belongs to the serial timeline, as in BeginOverlap.
-  total_time_ += DrainPhaseLocked(&lanes_[0]);
-  tasks_.clear();
-  task_region_active_ = true;
-}
-
-void SimPlatform::EndTaskRegion(double modeled_wall_seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  TimeBreakdown region;
-  double host_serial = 0.0;
-  for (auto& [id, lane] : tasks_) {
-    lane.total += DrainPhaseLocked(&lane);
-    region += lane.total;
-    // The host context (-1) is not a graph node: nothing models its
-    // concurrency, so it extends the wall serially.
-    if (id < 0) host_serial += lane.total.total();
-  }
-  // Clamp: the modeled schedule can never beat perfect overlap of the busy
-  // seconds actually metered.
-  const double wall =
-      std::min(region.total(), modeled_wall_seconds + host_serial);
-  region.overlapped += region.total() - wall;
-  total_time_ += region;
-  tasks_.clear();
-  task_region_active_ = false;
-}
-
-void SimPlatform::SetTask(int task) { t_task = task; }
-
-double SimPlatform::TaskBusySeconds(int task) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tasks_.find(task);
-  if (it == tasks_.end()) return 0.0;
-  it->second.total += DrainPhaseLocked(&it->second);
-  return it->second.total.busy();
 }
 
 int64_t SimPlatform::MaxDevicePeak() const {

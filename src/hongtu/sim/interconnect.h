@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "hongtu/sim/device.h"
@@ -143,27 +142,6 @@ class SimPlatform {
   /// executor samples this around an item's stage call to meter that item.
   double LaneBusySeconds(int lane);
 
-  // ---- Task-region metering: the 3 fixed lanes generalized to N concurrent
-  // nodes for the task-graph executor. Each graph node binds its thread to
-  // its node id (SetTask) and meters as usual; per-node busy seconds come
-  // back through TaskBusySeconds, the executor's deterministic list-schedule
-  // turns them into a modeled wall time, and EndTaskRegion charges the
-  // region at that wall, moving the hidden seconds into `overlapped` exactly
-  // like EndOverlap does for lanes.
-
-  /// Starts a task region. Until EndTaskRegion, phases fold into per-task
-  /// totals keyed by the calling thread's task id (SetTask; id -1 is the
-  /// host serial context and is added to the region wall, not overlapped).
-  void BeginTaskRegion();
-  /// Ends the task region with the modeled wall seconds of the concurrent
-  /// nodes (e.g. TaskGraph::ScheduleSeconds over the per-node busy times).
-  void EndTaskRegion(double modeled_wall_seconds);
-  /// Binds the calling thread to a task id (thread-local; -1 = host).
-  static void SetTask(int task);
-  /// Busy seconds accumulated by task `task` so far (drains its pending
-  /// phase first). 0 for tasks that never metered anything.
-  double TaskBusySeconds(int task);
-
   /// Epoch totals since the last ResetEpoch (call Synchronize() first).
   const TimeBreakdown& time() const { return total_time_; }
   const ByteCounters& bytes() const { return total_bytes_; }
@@ -215,9 +193,6 @@ class SimPlatform {
   mutable std::mutex mu_;
   std::vector<Lane> lanes_;  ///< size 1 outside overlap regions
   bool overlap_active_ = false;
-  /// Per-task contexts of the active task region (created on first meter).
-  std::unordered_map<int, Lane> tasks_;
-  bool task_region_active_ = false;
   TimeBreakdown total_time_;
   ByteCounters total_bytes_;
   PoolStats pool_epoch_base_;  ///< pool counters at the last ResetEpoch

@@ -1,11 +1,14 @@
 // Unit tests for hongtu/common: Status/Result, logging, RNG, parallel
-// helpers, and formatting.
+// helpers, formatting, and the runtime-config executor knob.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <set>
+#include <string>
 
+#include "hongtu/common/config.h"
 #include "hongtu/common/format.h"
 #include "hongtu/common/logging.h"
 #include "hongtu/common/parallel.h"
@@ -204,6 +207,36 @@ TEST(Format, Seconds) {
 TEST(Format, FixedPoint) {
   EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
   EXPECT_EQ(FormatDouble(10.0, 0), "10");
+}
+
+TEST(RuntimeConfig, ExecutorKindsAreSerialAndPipelineOnly) {
+  ExecutorKind k = ExecutorKind::kSerial;
+  EXPECT_TRUE(ParseExecutorKind("pipeline", &k));
+  EXPECT_EQ(k, ExecutorKind::kPipeline);
+  EXPECT_TRUE(ParseExecutorKind("serial", &k));
+  EXPECT_EQ(k, ExecutorKind::kSerial);
+  // The removed dataflow executor's name is an unknown value like any other.
+  EXPECT_FALSE(ParseExecutorKind("taskgraph", &k));
+  EXPECT_EQ(k, ExecutorKind::kSerial);
+}
+
+TEST(RuntimeConfig, UnknownExecutorEnvKeepsDefaultWithWarning) {
+  const char* prev = std::getenv("HONGTU_EXECUTOR");
+  const std::string saved = prev != nullptr ? prev : "";
+  setenv("HONGTU_EXECUTOR", "taskgraph", 1);
+  testing::internal::CaptureStderr();
+  const RuntimeConfig c = RuntimeConfig::FromEnv();
+  const std::string err = testing::internal::GetCapturedStderr();
+  if (prev != nullptr) {
+    setenv("HONGTU_EXECUTOR", saved.c_str(), 1);
+  } else {
+    unsetenv("HONGTU_EXECUTOR");
+  }
+  EXPECT_EQ(c.executor, RuntimeConfig::Defaults().executor);
+  EXPECT_EQ(c.executor, ExecutorKind::kPipeline);
+  EXPECT_NE(err.find("HONGTU_EXECUTOR=taskgraph not recognized"),
+            std::string::npos)
+      << err;
 }
 
 }  // namespace

@@ -33,14 +33,14 @@ TEST_P(EquivalenceTest, HongTuMatchesDenseReference) {
   ModelConfig cfg =
       ModelConfig::Make(kind, ds.feature_dim(), 16, ds.num_classes, 2, 777);
 
-  InMemoryOptions imo;
+  EngineConfig imo;
   imo.num_devices = 1;
   imo.device_capacity_bytes = kBig;
   auto refr = InMemoryEngine::Create(&ds, cfg, imo);
   ASSERT_TRUE(refr.ok()) << refr.status().ToString();
   auto& ref = *refr.ValueOrDie();
 
-  HongTuOptions hto;
+  EngineConfig hto;
   hto.num_devices = 4;
   hto.device_capacity_bytes = kBig;
   hto.chunks_per_partition = chunks;
@@ -95,7 +95,7 @@ TEST_P(Bf16DriftTest, TrainingLossStaysWithinTolerance) {
   ModelConfig cfg =
       ModelConfig::Make(kind, ds.feature_dim(), 16, ds.num_classes, 2, 555);
   const auto run = [&](kernels::CommPrecision wire) {
-    HongTuOptions o;
+    EngineConfig o;
     o.num_devices = 4;
     o.chunks_per_partition = 3;
     o.device_capacity_bytes = kBig;
@@ -137,7 +137,7 @@ TEST(HongTuEngine, Fp16WireTrainsAndHalvesCommBytes) {
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
                                       ds.num_classes, 2, 556);
   const auto run = [&](kernels::CommPrecision wire) {
-    HongTuOptions o;
+    EngineConfig o;
     o.num_devices = 4;
     o.chunks_per_partition = 3;
     o.device_capacity_bytes = kBig;
@@ -145,7 +145,7 @@ TEST(HongTuEngine, Fp16WireTrainsAndHalvesCommBytes) {
     // Serial executor: epoch time is the sum of busy seconds, so the
     // halved wire must show up as a strict total-time drop (under overlap
     // a fully hidden comm lane could mask it).
-    o.pipeline_depth = 0;
+    o.executor = ExecutorKind::kSerial;
     auto e = HongTuEngine::Create(&ds, cfg, o);
     EXPECT_TRUE(e.ok());
     auto r = e.ValueOrDie()->TrainEpoch();
@@ -175,12 +175,12 @@ TEST(HongTuEngine, HybridCacheOffMatchesOn) {
   ModelConfig cfg =
       ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16, ds.num_classes,
                         2, 31);
-  HongTuOptions a;
+  EngineConfig a;
   a.num_devices = 4;
   a.chunks_per_partition = 8;
   a.device_capacity_bytes = kBig;
   a.hybrid_cache = true;
-  HongTuOptions b = a;
+  EngineConfig b = a;
   b.hybrid_cache = false;
   auto ea = HongTuEngine::Create(&ds, cfg, a);
   auto eb = HongTuEngine::Create(&ds, cfg, b);
@@ -194,9 +194,9 @@ TEST(HongTuEngine, HybridCacheOffMatchesOn) {
   // The O(alpha|V|) -> O(|V|) traffic claim of §4.2 is stated against plain
   // per-chunk loading, so compare the two policies with dedup disabled:
   // caching (2|V| rows) must beat the recompute reload (alpha|V| rows).
-  HongTuOptions a2 = a;
+  EngineConfig a2 = a;
   a2.dedup = DedupLevel::kNone;
-  HongTuOptions b2 = b;
+  EngineConfig b2 = b;
   b2.dedup = DedupLevel::kNone;
   auto ea2 = HongTuEngine::Create(&ds, cfg, a2);
   auto eb2 = HongTuEngine::Create(&ds, cfg, b2);
@@ -212,11 +212,11 @@ TEST(HongTuEngine, EdgeSchedulesAreMeteredAndOptional) {
   ModelConfig cfg =
       ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16, ds.num_classes,
                         2, 31);
-  HongTuOptions on;
+  EngineConfig on;
   on.num_devices = 2;
   on.chunks_per_partition = 4;
   on.device_capacity_bytes = kBig;
-  HongTuOptions off = on;
+  EngineConfig off = on;
   off.edge_schedules = false;
   auto eon = HongTuEngine::Create(&ds, cfg, on);
   auto eoff = HongTuEngine::Create(&ds, cfg, off);
@@ -239,12 +239,12 @@ TEST(HongTuEngine, ReorganizeKeepsNumericsChangesVolume) {
   ModelConfig cfg =
       ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 8, ds.num_classes,
                         2, 13);
-  HongTuOptions a;
+  EngineConfig a;
   a.num_devices = 4;
   a.chunks_per_partition = 6;
   a.device_capacity_bytes = kBig;
   a.reorganize = true;
-  HongTuOptions b = a;
+  EngineConfig b = a;
   b.reorganize = false;
   auto ea = HongTuEngine::Create(&ds, cfg, a);
   auto eb = HongTuEngine::Create(&ds, cfg, b);
@@ -265,7 +265,7 @@ TEST(HongTuEngine, DedupLevelsReduceHostTraffic) {
   int64_t prev = INT64_MAX;
   for (DedupLevel level :
        {DedupLevel::kNone, DedupLevel::kP2P, DedupLevel::kP2PReuse}) {
-    HongTuOptions o;
+    EngineConfig o;
     o.num_devices = 4;
     o.chunks_per_partition = 6;
     o.device_capacity_bytes = kBig;
@@ -285,7 +285,7 @@ TEST(HongTuEngine, RejectsDimMismatch) {
   ModelConfig cfg =
       ModelConfig::Make(GnnKind::kGcn, ds.feature_dim() + 1, 8,
                         ds.num_classes, 2, 1);
-  HongTuOptions o;
+  EngineConfig o;
   EXPECT_TRUE(HongTuEngine::Create(&ds, cfg, o).status().IsInvalid());
   EXPECT_TRUE(
       HongTuEngine::Create(nullptr, cfg, o).status().IsInvalid());
@@ -295,7 +295,7 @@ TEST(HongTuEngine, SingleDeviceSingleChunkWorks) {
   Dataset ds = SmallDataset();
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 8,
                                       ds.num_classes, 2, 1);
-  HongTuOptions o;
+  EngineConfig o;
   o.num_devices = 1;
   o.chunks_per_partition = 1;
   o.device_capacity_bytes = kBig;
@@ -308,7 +308,7 @@ TEST(InMemoryEngine, OomOnTinyDevices) {
   Dataset ds = SmallDataset("it-2004", 0.2);
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 32,
                                       ds.num_classes, 3, 1);
-  InMemoryOptions o;
+  EngineConfig o;
   o.num_devices = 4;
   o.device_capacity_bytes = 1 << 20;  // 1 MB devices
   auto e = InMemoryEngine::Create(&ds, cfg, o);
@@ -323,14 +323,14 @@ TEST(HongTuEngine, FitsWhereInMemoryOoms) {
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 32,
                                       ds.num_classes, 3, 1);
   const int64_t cap = 6ll << 20;  // 6 MB per device
-  InMemoryOptions imo;
+  EngineConfig imo;
   imo.num_devices = 4;
   imo.device_capacity_bytes = cap;
   auto im = InMemoryEngine::Create(&ds, cfg, imo);
   ASSERT_TRUE(im.ok());
   ASSERT_TRUE(im.ValueOrDie()->TrainEpoch().status().IsOutOfMemory());
 
-  HongTuOptions hto;
+  EngineConfig hto;
   hto.num_devices = 4;
   hto.device_capacity_bytes = cap;
   hto.chunks_per_partition = 16;
@@ -344,7 +344,7 @@ TEST(MiniBatchEngine, TrainsAndImprovesLoss) {
   Dataset ds = SmallDataset();
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
                                       ds.num_classes, 2, 5);
-  MiniBatchOptions o;
+  EngineConfig o;
   o.num_devices = 4;
   o.device_capacity_bytes = kBig;
   o.batch_size = 256;
@@ -383,7 +383,7 @@ TEST(MiniBatchEngine, SampleChunkRespectsFanout) {
 
 TEST(CpuClusterEngine, ScalesWithLayersAndOoms) {
   Dataset ds = SmallDataset("ogbn-paper", 0.3);
-  CpuClusterOptions o;
+  EngineConfig o;
   o.num_nodes = 16;
   o.node_memory_bytes = 1ll << 30;
   double prev = 0.0;
@@ -410,9 +410,9 @@ TEST(CpuClusterEngine, MoreNodesAreFaster) {
   Dataset ds = SmallDataset("it-2004", 0.3);
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
                                       ds.num_classes, 2, 1);
-  CpuClusterOptions a;
+  EngineConfig a;
   a.num_nodes = 4;
-  CpuClusterOptions b;
+  EngineConfig b;
   b.num_nodes = 16;
   auto ea = CpuClusterEngine::Create(&ds, cfg, a);
   auto eb = CpuClusterEngine::Create(&ds, cfg, b);
@@ -427,7 +427,7 @@ TEST(Trainer, ReachesTargetAndStops) {
   Dataset ds = SmallDataset("reddit", 0.2);
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 32,
                                       ds.num_classes, 2, 7);
-  HongTuOptions o;
+  EngineConfig o;
   o.num_devices = 2;
   o.chunks_per_partition = 2;
   o.device_capacity_bytes = kBig;
@@ -450,7 +450,7 @@ TEST(Trainer, PatienceStopsOnPlateau) {
   Dataset ds = SmallDataset("it-2004", 0.05);  // random labels: no progress
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 8,
                                       ds.num_classes, 2, 7);
-  HongTuOptions o;
+  EngineConfig o;
   o.num_devices = 2;
   o.chunks_per_partition = 2;
   o.device_capacity_bytes = kBig;
@@ -470,7 +470,7 @@ TEST(Trainer, RejectsBadOptions) {
   Dataset ds = SmallDataset("reddit", 0.1);
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 8,
                                       ds.num_classes, 2, 7);
-  HongTuOptions o;
+  EngineConfig o;
   o.device_capacity_bytes = kBig;
   auto e = HongTuEngine::Create(&ds, cfg, o);
   ASSERT_TRUE(e.ok());
@@ -487,7 +487,7 @@ TEST(EpochStats, ComponentsPopulated) {
   Dataset ds = SmallDataset("it-2004", 0.1);
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
                                       ds.num_classes, 2, 3);
-  HongTuOptions o;
+  EngineConfig o;
   o.num_devices = 4;
   o.chunks_per_partition = 4;
   o.device_capacity_bytes = kBig;

@@ -40,8 +40,8 @@ Dataset SmallDataset() {
   return r.MoveValueUnsafe();
 }
 
-HongTuOptions BaseOptions() {
-  HongTuOptions o;
+EngineConfig BaseOptions() {
+  EngineConfig o;
   o.num_devices = 4;
   o.chunks_per_partition = 3;
   o.device_capacity_bytes = kBig;
@@ -54,7 +54,7 @@ HongTuOptions BaseOptions() {
 // creation and the first epoch — fault arming goes there so the injections
 // land in the epoch loops (whose recovery is snapshotted into EpochStats)
 // rather than in engine setup.
-std::vector<double> RunLosses(const Dataset& ds, const HongTuOptions& o,
+std::vector<double> RunLosses(const Dataset& ds, const EngineConfig& o,
                               int epochs,
                               fault::RecoveryCounters* recovery = nullptr,
                               const std::function<void()>& after_create = {}) {
@@ -316,7 +316,7 @@ TEST_F(FaultTest, CorruptPayloadFlowsWhenIntegrityDisabled) {
   // what provides the protection (and that the corruption injection isn't a
   // no-op).
   Dataset ds = SmallDataset();
-  HongTuOptions off = BaseOptions();
+  EngineConfig off = BaseOptions();
   off.wire_integrity = false;
   const std::vector<double> clean = RunLosses(ds, off, 2);
 
@@ -345,7 +345,7 @@ TEST_F(FaultTest, TransientFaultsUnderBf16PipelinedStayWithinDrift) {
   // assertion is kept at the Bf16DriftTest tolerance to avoid overpinning
   // the replay path's accumulation order.
   Dataset ds = SmallDataset();
-  HongTuOptions o = BaseOptions();
+  EngineConfig o = BaseOptions();
   o.comm_precision = kernels::CommPrecision::kBf16;
   const std::vector<double> clean = RunLosses(ds, o, 3);
 

@@ -21,7 +21,7 @@ TEST(Training, FullGraphGcnLearnsRedditLike) {
   const Dataset& ds = dsr.ValueOrDie();
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 32,
                                       ds.num_classes, 2, 2024);
-  HongTuOptions o;
+  EngineConfig o;
   o.num_devices = 4;
   o.chunks_per_partition = 2;
   o.device_capacity_bytes = kBig;
@@ -48,7 +48,7 @@ TEST(Training, GatLearnsOnCommunityGraph) {
   const Dataset& ds = dsr.ValueOrDie();
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGat, ds.feature_dim(), 16,
                                       ds.num_classes, 2, 99);
-  HongTuOptions o;
+  EngineConfig o;
   o.num_devices = 4;
   o.chunks_per_partition = 2;
   o.device_capacity_bytes = kBig;
@@ -76,7 +76,7 @@ TEST(Training, ChunkCountDoesNotChangeNumerics) {
   int64_t prev_peak = INT64_MAX;
   int64_t prev_h2d = 0;
   for (int chunks : {1, 2, 4, 8}) {
-    HongTuOptions o;
+    EngineConfig o;
     o.num_devices = 4;
     o.chunks_per_partition = chunks;
     o.device_capacity_bytes = kBig;
@@ -106,7 +106,7 @@ TEST(Training, MoreDevicesReduceSimTime) {
                                       ds.num_classes, 2, 5);
   double prev = 1e30;
   for (int devices : {1, 2, 4}) {
-    HongTuOptions o;
+    EngineConfig o;
     o.num_devices = devices;
     o.chunks_per_partition = 8 / devices;  // constant total chunk count
     o.device_capacity_bytes = kBig;
@@ -127,13 +127,13 @@ TEST(Training, DedupReducesSimTimeOnLargeGraph) {
   const Dataset& ds = dsr.ValueOrDie();
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
                                       ds.num_classes, 2, 5);
-  HongTuOptions base;
+  EngineConfig base;
   base.num_devices = 4;
   base.chunks_per_partition = 8;
   base.device_capacity_bytes = kBig;
   base.dedup = DedupLevel::kNone;
   base.reorganize = false;
-  HongTuOptions full = base;
+  EngineConfig full = base;
   full.dedup = DedupLevel::kP2PReuse;
   full.reorganize = true;
   auto eb = HongTuEngine::Create(&ds, cfg, base);
@@ -153,7 +153,7 @@ TEST(Training, EvaluateAfterTrainingImproves) {
   const Dataset& ds = dsr.ValueOrDie();
   ModelConfig cfg = ModelConfig::Make(GnnKind::kSage, ds.feature_dim(), 16,
                                       ds.num_classes, 2, 5);
-  HongTuOptions o;
+  EngineConfig o;
   o.num_devices = 2;
   o.chunks_per_partition = 2;
   o.device_capacity_bytes = kBig;
@@ -178,13 +178,13 @@ TEST(Training, FullGraphBeatsMiniBatchOnRedditLike) {
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 32,
                                       ds.num_classes, 2, 2024);
 
-  HongTuOptions fo;
+  EngineConfig fo;
   fo.num_devices = 2;
   fo.chunks_per_partition = 2;
   fo.device_capacity_bytes = kBig;
   auto fg = HongTuEngine::Create(&ds, cfg, fo);
   ASSERT_TRUE(fg.ok());
-  MiniBatchOptions mo;
+  EngineConfig mo;
   mo.num_devices = 2;
   mo.device_capacity_bytes = kBig;
   mo.batch_size = 256;
@@ -207,7 +207,7 @@ TEST(Preprocessing, ReorganizationOverheadIsSmall) {
   const Dataset& ds = dsr.ValueOrDie();
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
                                       ds.num_classes, 2, 5);
-  HongTuOptions o;
+  EngineConfig o;
   o.num_devices = 4;
   o.chunks_per_partition = 8;
   o.device_capacity_bytes = kBig;

@@ -396,7 +396,7 @@ TEST_F(NetTest, SilentPeerDeclaredDead) {
   std::mutex mu;
   std::condition_variable cv;
   int dead_rank = -1;
-  tp.a->set_death_callback([&](int rank, const std::string&) {
+  tp.a->set_death_callback([&](int rank, const std::string&, uint64_t) {
     std::lock_guard<std::mutex> lk(mu);
     dead_rank = rank;
     cv.notify_all();
@@ -415,7 +415,7 @@ TEST_F(NetTest, HeartbeatKeepsPeerAliveThenEofReportsDeath) {
   std::condition_variable cv;
   int dead_rank = -1;
   std::string why;
-  tp.a->set_death_callback([&](int rank, const std::string& w) {
+  tp.a->set_death_callback([&](int rank, const std::string& w, uint64_t) {
     std::lock_guard<std::mutex> lk(mu);
     dead_rank = rank;
     why = w;
@@ -977,6 +977,59 @@ TEST_F(NetTest, ClusterStaleTermCoordinatorIsFenced) {
 
   auto e1 = succ->RunEpoch();
   ASSERT_TRUE(e1.ok()) << e1.status().ToString();
+  EXPECT_EQ(clean.losses[1], e1.ValueOrDie().loss);
+  EXPECT_EQ(clean.digest, StateDigest(succ->model(), *succ->adam()));
+  succ->Shutdown();
+}
+
+TEST_F(NetTest, ClusterZombieExitDoesNotParkWorkers) {
+  // A superseded coordinator exiting closes connections that carried its
+  // old term. That is not the loss of the current coordinator: the workers
+  // must stay attached to the successor. Parking on it would start the
+  // coordinator lease, and with a short lease an idle successor would find
+  // its workers gone and respawn them.
+  const ClusterOutcome clean = RunCluster("uds", 2, 2);
+  ASSERT_TRUE(clean.ok) << clean.error;
+  static const Dataset& ds =
+      *new Dataset(LoadDatasetScaled("reddit", 0.04).MoveValueUnsafe());
+  net::ClusterConfig cc;
+  cc.transport = "uds";
+  cc.num_workers = 2;
+  cc.dataset = "reddit";
+  cc.dataset_scale = 0.04;
+  cc.dataset_seed = ds.load_seed;
+  cc.model_kind = GnnKind::kGcn;
+  cc.model_dims = {ds.feature_dim(), 16, ds.num_classes};
+  cc.model_seed = 2024;
+  cc.chunks_per_partition = 2;
+  cc.heartbeat_interval_s = 0.05;
+  cc.peer_timeout_s = 5.0;
+  cc.rpc_deadline_s = 5.0;
+  cc.epoch_deadline_s = 60.0;
+  cc.coord_lease_s = 1.0;
+  const std::string dir = FreshTempDir();
+  cc.runtime_dir = dir;
+  cc.checkpoint_dir = dir;
+  net::ClusterConfig cc2 = cc;
+  auto ar = net::ClusterCoordinator::Start(std::move(cc));
+  ASSERT_TRUE(ar.ok()) << ar.status().ToString();
+  auto old_coord = ar.MoveValueUnsafe();
+  auto e0 = old_coord->RunEpoch();
+  ASSERT_TRUE(e0.ok()) << e0.status().ToString();
+
+  cc2.resume = true;
+  auto br = net::ClusterCoordinator::Start(std::move(cc2));
+  ASSERT_TRUE(br.ok()) << br.status().ToString();
+  auto succ = br.MoveValueUnsafe();
+  ASSERT_EQ(2, succ->reattach_count());
+  old_coord->Crash();
+  old_coord.reset();
+
+  // Idle for longer than the lease before the successor's next command.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2500));
+  auto e1 = succ->RunEpoch();
+  ASSERT_TRUE(e1.ok()) << e1.status().ToString();
+  EXPECT_EQ(0, succ->respawn_count());
   EXPECT_EQ(clean.losses[1], e1.ValueOrDie().loss);
   EXPECT_EQ(clean.digest, StateDigest(succ->model(), *succ->adam()));
   succ->Shutdown();

@@ -1,8 +1,8 @@
 // Pipelined chunk executor tests. Two layers of coverage: the StagePipeline
 // runtime itself (ordering, depth bound, error poisoning — the TSan CI job
 // runs exactly this binary), and the end-to-end pin that the pipelined
-// epoch loop (pipeline_depth >= 2) matches the serial loop
-// (pipeline_depth = 0) on loss/accuracy/parameters for every layer type,
+// epoch loop (executor = pipeline, max_inflight >= 2) matches the serial
+// loop on loss/accuracy/parameters for every layer type,
 // dedup level, and chunk count, including the single-chunk degenerate case.
 
 #include <gtest/gtest.h>
@@ -202,13 +202,16 @@ Dataset SmallDataset(const char* name = "reddit", double scale = 0.15) {
   return r.MoveValueUnsafe();
 }
 
-HongTuOptions BaseOptions(DedupLevel level, int chunks, int depth) {
-  HongTuOptions o;
+/// depth 0 = the serial executor; depth d >= 2 = the pipeline with d
+/// batches in flight.
+EngineConfig BaseOptions(DedupLevel level, int chunks, int depth) {
+  EngineConfig o;
   o.num_devices = 4;
   o.device_capacity_bytes = kBig;
   o.chunks_per_partition = chunks;
   o.dedup = level;
-  o.pipeline_depth = depth;
+  o.executor = depth == 0 ? ExecutorKind::kSerial : ExecutorKind::kPipeline;
+  if (depth > 0) o.max_inflight = depth;
   return o;
 }
 
@@ -328,7 +331,7 @@ TEST(HongTuPipeline, FallsBackToSerialWhenPipelineDoesNotFit) {
   Dataset ds = SmallDataset("it-2004", 0.2);
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 32,
                                       ds.num_classes, 3, 1);
-  HongTuOptions o = BaseOptions(DedupLevel::kP2PReuse, 16, /*depth=*/4);
+  EngineConfig o = BaseOptions(DedupLevel::kP2PReuse, 16, /*depth=*/4);
   o.device_capacity_bytes = 6ll << 20;
   auto e = HongTuEngine::Create(&ds, cfg, o);
   ASSERT_TRUE(e.ok());

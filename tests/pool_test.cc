@@ -213,11 +213,12 @@ TEST_P(ZeroAllocTest, NoHeapAllocationsAfterFirstEpoch) {
   for (GnnKind kind : {GnnKind::kGcn, GnnKind::kGat}) {
     ModelConfig cfg =
         ModelConfig::Make(kind, ds.feature_dim(), 16, ds.num_classes, 2, 99);
-    HongTuOptions o;
+    EngineConfig o;
     o.num_devices = 4;
     o.chunks_per_partition = 4;
     o.device_capacity_bytes = kBig;
-    o.pipeline_depth = depth;
+    o.executor = depth == 0 ? ExecutorKind::kSerial : ExecutorKind::kPipeline;
+    if (depth > 0) o.max_inflight = depth;
     auto e = HongTuEngine::Create(&ds, cfg, o);
     ASSERT_TRUE(e.ok()) << e.status().ToString();
     // Epoch 1 may miss while buckets fill (pre-sized workspaces keep the
@@ -238,44 +239,6 @@ TEST_P(ZeroAllocTest, NoHeapAllocationsAfterFirstEpoch) {
 
 INSTANTIATE_TEST_SUITE_P(Depths, ZeroAllocTest, ::testing::Values(0, 2, 3));
 
-TEST(ZeroAllocTaskGraph, TaskGraphExecutorStaysNearlyAllocationFree) {
-  // The dataflow executor cycles every buffer slot through the token pool
-  // during epoch 1, so by steady state all S slot workspaces and both layer
-  // contexts are warm. Unlike the fixed-role stage pipeline, work stealing
-  // makes kernel-scratch concurrency nondeterministic: an epoch may
-  // transiently hold one more buffer of a size class than any earlier epoch
-  // did, so the steady state is *nearly* allocation-free — a residue bounded
-  // by the worker count (a worker can hold at most one scratch buffer per
-  // size class beyond the warm set), with pool hits doing the real serving.
-  ScopedPoolEnabled scope(true);
-  Dataset ds = PoolDataset();
-  for (GnnKind kind : {GnnKind::kGcn, GnnKind::kGat}) {
-    ModelConfig cfg =
-        ModelConfig::Make(kind, ds.feature_dim(), 16, ds.num_classes, 2, 99);
-    HongTuOptions o;
-    o.num_devices = 4;
-    o.chunks_per_partition = 4;
-    o.device_capacity_bytes = kBig;
-    o.executor = ExecutorKind::kTaskGraph;
-    o.max_inflight = 3;
-    auto e = HongTuEngine::Create(&ds, cfg, o);
-    ASSERT_TRUE(e.ok()) << e.status().ToString();
-    auto warm = e.ValueOrDie()->TrainEpoch();
-    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-    for (int epoch = 2; epoch <= 3; ++epoch) {
-      auto r = e.ValueOrDie()->TrainEpoch();
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      const int64_t residue_bound =
-          8 + 4 * static_cast<int64_t>(std::thread::hardware_concurrency());
-      EXPECT_LE(r.ValueOrDie().host_alloc_count, residue_bound)
-          << GnnKindName(kind) << " epoch=" << epoch;
-      EXPECT_GT(r.ValueOrDie().host_pool_hits,
-                r.ValueOrDie().host_alloc_count)
-          << GnnKindName(kind) << " epoch=" << epoch;
-    }
-  }
-}
-
 TEST(ZeroAllocCompressed, Bf16CommStaysAllocationFree) {
   // The mixed-precision wire reshapes the executor's transition buffers to
   // the packed width; steady-state epochs must stay off the heap exactly
@@ -285,11 +248,12 @@ TEST(ZeroAllocCompressed, Bf16CommStaysAllocationFree) {
   for (const int depth : {0, 3}) {
     ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
                                         ds.num_classes, 2, 99);
-    HongTuOptions o;
+    EngineConfig o;
     o.num_devices = 4;
     o.chunks_per_partition = 4;
     o.device_capacity_bytes = kBig;
-    o.pipeline_depth = depth;
+    o.executor = depth == 0 ? ExecutorKind::kSerial : ExecutorKind::kPipeline;
+    if (depth > 0) o.max_inflight = depth;
     o.comm_precision = kernels::CommPrecision::kBf16;
     auto e = HongTuEngine::Create(&ds, cfg, o);
     ASSERT_TRUE(e.ok()) << e.status().ToString();
@@ -314,7 +278,7 @@ TEST(ZeroAllocArmed, ArmedButUnfiredSitesKeepSteadyStateAllocationFree) {
   Dataset ds = PoolDataset();
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
                                       ds.num_classes, 2, 99);
-  HongTuOptions o;
+  EngineConfig o;
   o.num_devices = 4;
   o.chunks_per_partition = 4;
   o.device_capacity_bytes = kBig;
@@ -352,7 +316,7 @@ TEST(TensorPoolEngine, PooledMatchesUnpooledNumerics) {
                        GnnKind::kGat, GnnKind::kGgnn}) {
     ModelConfig cfg =
         ModelConfig::Make(kind, ds.feature_dim(), 16, ds.num_classes, 2, 7);
-    HongTuOptions o;
+    EngineConfig o;
     o.num_devices = 4;
     o.chunks_per_partition = 3;
     o.device_capacity_bytes = kBig;
@@ -389,7 +353,7 @@ TEST(TensorPoolEngine, EpochStatsExposePoolCounters) {
   Dataset ds = PoolDataset();
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
                                       ds.num_classes, 2, 5);
-  InMemoryOptions o;
+  EngineConfig o;
   o.num_devices = 1;
   o.device_capacity_bytes = kBig;
   auto e = InMemoryEngine::Create(&ds, cfg, o);
