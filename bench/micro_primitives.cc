@@ -6,7 +6,9 @@
 // last argument (0 = reference scalar loops, 1 = blocked SIMD). Running with
 // --kernels-report[=path] skips google-benchmark and instead emits a JSON
 // old-vs-new throughput comparison (default BENCH_kernels.json): blocked vs
-// reference GEMM at 512x256x256 plus GatherWeighted / ScatterWeighted on a
+// reference GEMM at 512x256x256 and at the engine's layer shapes (forward,
+// dX and dW GEMMs of 2048x64x64, 5000x64x32 and 5000x32x16 layers), plus
+// GatherWeighted / ScatterWeighted on a
 // power-law-skewed RMAT graph at dims {16, 64, 128, 256}, each measured at
 // two thread tiers — 1 and kMtThreads. The multi-thread tier is PINNED (not
 // "all cores") so the regression gate's (kernel, threads) keys are identical
@@ -31,6 +33,7 @@
 #include <functional>
 #include <numeric>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "hongtu/comm/dedup_plan.h"
@@ -328,6 +331,54 @@ int RunKernelsReport(const std::string& path) {
           },
           /*calls=*/24);
       results.push_back(r);
+    }
+
+    // The GEMMs a layer of the engine runs, at GNN widths: the triple is
+    // (rows, in, out). Forward is Gemm m=rows k=in n=out; dX is GemmTransB
+    // m=rows k=out n=in; dW is GemmTransAAccum over depth rows with
+    // m=in n=out. All of them take the blocked backend's narrow-N path.
+    for (const auto& [rows, in, out] :
+         {std::tuple<int64_t, int64_t, int64_t>{2048, 64, 64},
+          {5000, 64, 32},
+          {5000, 32, 16}}) {
+      const Tensor x = Tensor::Gaussian(rows, in, 1.0f, 17);
+      const Tensor w = Tensor::Gaussian(in, out, 1.0f, 18);
+      const Tensor wt = Tensor::Gaussian(out, in, 1.0f, 19);
+      const Tensor dy = Tensor::Gaussian(rows, out, 1.0f, 20);
+      Tensor y(rows, out), dx(rows, in), dw(in, out);
+      const std::string shape = std::to_string(rows) + "x" +
+                                std::to_string(in) + "x" +
+                                std::to_string(out);
+      const std::pair<std::string, std::function<void(kernels::Backend)>>
+          gemms[] = {
+              {"gemm_" + shape,
+               [&](kernels::Backend b) {
+                 kernels::Gemm(b, x.data(), w.data(), y.data(), rows, in,
+                               out);
+               }},
+              {"gemm_transb_" + shape,
+               [&](kernels::Backend b) {
+                 kernels::GemmTransB(b, dy.data(), wt.data(), dx.data(), rows,
+                                     out, in);
+               }},
+              {"gemm_transa_" + shape,
+               [&](kernels::Backend b) {
+                 kernels::GemmTransAAccum(b, x.data(), dy.data(), dw.data(),
+                                          rows, in, out);
+               }}};
+      for (const auto& [name, fn] : gemms) {
+        AbResult r;
+        r.kernel = name;
+        r.threads = threads;
+        r.work_per_call = 2.0 * rows * in * out;
+        const std::vector<double> t = TimeInterleaved(
+            {[&] { fn(kernels::Backend::kReference); },
+             [&] { fn(kernels::Backend::kBlocked); }},
+            /*calls=*/16);
+        r.ref_secs = t[0];
+        r.blocked_secs = t[1];
+        results.push_back(r);
+      }
     }
 
     // Gather/scatter on the full RMAT chunk, single-pass AND banded. The

@@ -48,11 +48,14 @@ void ParallelForChunked(int64_t begin, int64_t end, int64_t serial_below,
     fn(begin, end);
     return;
   }
-  const int nthreads = NumThreads();
-  const int64_t chunk = (n + nthreads - 1) / nthreads;
-#pragma omp parallel num_threads(nthreads)
+  // The slices come from the team size the region actually got: inside an
+  // enclosing parallel region (nested parallelism off) the team has one
+  // thread, and splitting by NumThreads() would then run only slice 0.
+#pragma omp parallel num_threads(NumThreads())
   {
+    const int nt = omp_get_num_threads();
     const int t = omp_get_thread_num();
+    const int64_t chunk = (n + nt - 1) / nt;
     const int64_t lo = begin + t * chunk;
     const int64_t hi = std::min(end, lo + chunk);
     if (lo < hi) fn(lo, hi);
@@ -105,13 +108,15 @@ void ParallelForBalanced(int64_t n, const int64_t* prefix,
   // found by binary search on item start weights, so the slices tile [0, n)
   // exactly (ties included) and a degree-skewed tail of zero-weight vertices
   // costs whichever thread owns that weight point nothing extra.
+  // As in ParallelForChunked, split by the team size the region got.
 #pragma omp parallel num_threads(nthreads)
   {
+    const int nt = omp_get_num_threads();
     const int t = omp_get_thread_num();
-    const int64_t w0 = prefix[0] + total * t / nthreads;
-    const int64_t w1 = prefix[0] + total * (t + 1) / nthreads;
+    const int64_t w0 = prefix[0] + total * t / nt;
+    const int64_t w1 = prefix[0] + total * (t + 1) / nt;
     const int64_t lo = std::lower_bound(prefix, prefix + n, w0) - prefix;
-    const int64_t hi = (t + 1 == nthreads)
+    const int64_t hi = (t + 1 == nt)
                            ? n
                            : std::lower_bound(prefix, prefix + n, w1) - prefix;
     if (lo < hi) fn(lo, hi);

@@ -1,9 +1,13 @@
 #include "hongtu/gnn/gat_layer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <type_traits>
+#include <utility>
 
 #include "hongtu/common/parallel.h"
 #include "hongtu/kernels/backend.h"
+#include "hongtu/kernels/simd.h"
 #include "hongtu/kernels/spmm.h"
 #include "hongtu/tensor/ops.h"
 
@@ -23,6 +27,158 @@ struct GatCtx : public LayerCtx {
            alpha.bytes() + o.bytes();
   }
 };
+
+// ---- Width-specialized edge loops. ------------------------------------------
+//
+// Every per-edge loop runs over one row of the layer width. WithWidth
+// instantiates the loop body for the widths models use (16, 32, 64) so rows
+// live in vector registers and the k loops unroll; kW == 0 is the
+// runtime-width fallback. All forms give identical bits: dot products keep
+// their k order (DotRows only runs sixteen of them side by side), and row
+// accumulators start from zero and add terms in edge order.
+
+template <int kW>
+using Width = std::integral_constant<int, kW>;
+
+template <typename Fn>
+void WithWidth(int64_t width, Fn&& fn) {
+  switch (width) {
+    case 16:
+      return fn(Width<16>{});
+    case 32:
+      return fn(Width<32>{});
+    case 64:
+      return fn(Width<64>{});
+    default:
+      return fn(Width<0>{});
+  }
+}
+
+/// Accumulates one output row. For kW > 0 the row lives in kW/16 vector
+/// registers; the kW == 0 fallback accumulates in `scratch`, which may be
+/// the output row itself.
+template <int kW>
+class RowAcc {
+ public:
+  RowAcc(float* /*scratch*/, int64_t /*width*/) {}
+  /// row += a * x.
+  void Axpy(float a, const float* x) {
+    for (int i = 0; i < kW / kernels::kV; ++i) {
+      kernels::V16 xv;
+      kernels::LoadV(xv, x + i * kernels::kV);
+      v_[i] += a * xv;
+    }
+  }
+  /// out = row.
+  void Store(float* out) const {
+    for (int i = 0; i < kW / kernels::kV; ++i) {
+      kernels::StoreV(out + i * kernels::kV, v_[i]);
+    }
+  }
+  /// out += row.
+  void AddTo(float* out) const {
+    for (int i = 0; i < kW / kernels::kV; ++i) {
+      kernels::V16 o;
+      kernels::LoadV(o, out + i * kernels::kV);
+      kernels::StoreV(out + i * kernels::kV, o + v_[i]);
+    }
+  }
+
+ private:
+  kernels::V16 v_[kW / kernels::kV] = {};
+};
+
+template <>
+class RowAcc<0> {
+ public:
+  RowAcc(float* scratch, int64_t width) : v_(scratch), w_(width) {
+    for (int64_t k = 0; k < w_; ++k) v_[k] = 0.0f;
+  }
+  void Axpy(float a, const float* x) {
+    for (int64_t k = 0; k < w_; ++k) v_[k] += a * x[k];
+  }
+  void Store(float* out) const {
+    if (out == v_) return;
+    for (int64_t k = 0; k < w_; ++k) out[k] = v_[k];
+  }
+  void AddTo(float* out) const {
+    for (int64_t k = 0; k < w_; ++k) out[k] += v_[k];
+  }
+
+ private:
+  float* v_;
+  int64_t w_;
+};
+
+/// Source lanes of one transpose stage over the pair (a, c): lane j of the
+/// low output takes a's lane j where bit b of j is clear, else c's lane
+/// j - b; the high output takes a's lane j + b, else c's lane j.
+constexpr int LoLane(int b, int j) { return (j & b) ? kernels::kV + j - b : j; }
+constexpr int HiLane(int b, int j) { return (j & b) ? kernels::kV + j : j + b; }
+
+/// One stage of Transpose16: swaps bit B between the row and the column
+/// index of every element.
+template <int B, int... Js>
+inline void TransposeStage(kernels::V16 (&r)[kernels::kV],
+                           std::integer_sequence<int, Js...>) {
+  for (int i = 0; i < kernels::kV; ++i) {
+    if (i & B) continue;
+    const kernels::V16 a = r[i], c = r[i + B];
+    r[i] = __builtin_shufflevector(a, c, LoLane(B, Js)...);
+    r[i + B] = __builtin_shufflevector(a, c, HiLane(B, Js)...);
+  }
+}
+
+/// Transposes the 16 x 16 block r in place: r[j][l] becomes r[l][j].
+inline void Transpose16(kernels::V16 (&r)[kernels::kV]) {
+  constexpr auto lanes = std::make_integer_sequence<int, kernels::kV>{};
+  TransposeStage<1>(r, lanes);
+  TransposeStage<2>(r, lanes);
+  TransposeStage<4>(r, lanes);
+  TransposeStage<8>(r, lanes);
+}
+
+/// Calls emit(i, x . row(i)) for i in [lo, hi), in order. The runtime-width
+/// form is the plain scalar loop. For kW > 0 each product is rounded on its
+/// own and the products are added in k order, which is what the compiler
+/// makes of that scalar loop at these widths (a vector multiply feeding an
+/// in-order reduction, no fused multiply-add). Sixteen rows run at once:
+/// their 16 x 16 product blocks are transposed, so one vector add advances
+/// all sixteen sums by one k.
+template <int kW, typename RowFn, typename EmitFn>
+void DotRows(const float* x, int64_t width, int64_t lo, int64_t hi,
+             RowFn&& row, EmitFn&& emit) {
+  if constexpr (kW > 0) {
+    using kernels::kV;
+    for (int64_t i = lo; i < hi; i += kV) {
+      const int n = static_cast<int>(std::min<int64_t>(kV, hi - i));
+      // Lanes past the range dot x with itself and are dropped.
+      const float* r[kV];
+      for (int l = 0; l < kV; ++l) r[l] = l < n ? row(i + l) : x;
+      kernels::V16 acc = {};
+      for (int k = 0; k < kW; k += kV) {
+        kernels::V16 xv, prod[kV];
+        kernels::LoadV(xv, x + k);
+        for (int l = 0; l < kV; ++l) {
+          kernels::LoadV(prod[l], r[l] + k);
+          prod[l] *= xv;
+        }
+        Transpose16(prod);
+        for (int j = 0; j < kV; ++j) acc += prod[j];
+      }
+      float out[kV];
+      kernels::StoreV(out, acc);
+      for (int l = 0; l < n; ++l) emit(i + l, out[l]);
+    }
+  } else {
+    for (int64_t i = lo; i < hi; ++i) {
+      const float* r = row(i);
+      float acc = 0.0f;
+      for (int64_t k = 0; k < width; ++k) acc += x[k] * r[k];
+      emit(i, acc);
+    }
+  }
+}
 
 }  // namespace
 
@@ -46,71 +202,69 @@ Status GatLayer::ForwardStore(const LocalGraph& g, const Tensor& src_h,
   ops::Matmul(src_h, w_, &c->p);
 
   c->s_src = Tensor::Uninitialized(g.num_src, 1);
-  {
-    const float* pa = a_src_.data();
-    ParallelForChunked(0, g.num_src, [&](int64_t lo, int64_t hi) {
-      for (int64_t s = lo; s < hi; ++s) {
-        const float* pp = c->p.row(s);
-        float acc = 0.0f;
-        for (int64_t k = 0; k < out_dim_; ++k) acc += pa[k] * pp[k];
-        c->s_src.at(s, 0) = acc;
-      }
-    });
-  }
   c->t_dst = Tensor::Uninitialized(g.num_dst, 1);
-  {
-    const float* pa = a_dst_.data();
-    ParallelForChunked(0, g.num_dst, [&](int64_t lo, int64_t hi) {
-      for (int64_t d = lo; d < hi; ++d) {
-        const int32_t s = g.self_idx[d];
-        float acc = 0.0f;
-        if (s >= 0) {
-          const float* pp = c->p.row(s);
-          for (int64_t k = 0; k < out_dim_; ++k) acc += pa[k] * pp[k];
-        }
-        c->t_dst.at(d, 0) = acc;
-      }
-    });
-  }
-
   c->pre = Tensor::Uninitialized(g.num_edges, 1);
   c->alpha = Tensor::Uninitialized(g.num_edges, 1);
   c->o = Tensor::Uninitialized(g.num_dst, out_dim_);
   dst_h->EnsureShape(g.num_dst, out_dim_);
 
-  // Edge-balanced split: the whole attention pipeline is O(edges), so a
-  // vertex split would leave threads idle behind power-law hubs.
-  ParallelForBalanced(g.num_dst, g.in_offsets, [&](int64_t lo, int64_t hi) {
-    for (int64_t d = lo; d < hi; ++d) {
-      const int64_t e0 = g.in_offsets[d], e1 = g.in_offsets[d + 1];
-      // Attention logits with LeakyReLU; neighbor-softmax (stable).
-      float mx = -1e30f;
-      for (int64_t e = e0; e < e1; ++e) {
-        const float raw = c->s_src.at(g.nbr_idx[e], 0) + c->t_dst.at(d, 0);
-        const float v = ops::LeakyRelu(raw, kLeakySlope);
-        c->pre.at(e, 0) = v;
-        mx = std::max(mx, v);
+  WithWidth(out_dim_, [&](auto width) {
+    constexpr int kW = decltype(width)::value;
+    const float* pasrc = a_src_.data();
+    const float* padst = a_dst_.data();
+    ParallelForChunked(0, g.num_src, [&](int64_t lo, int64_t hi) {
+      DotRows<kW>(
+          pasrc, out_dim_, lo, hi, [&](int64_t s) { return c->p.row(s); },
+          [&](int64_t s, float v) { c->s_src.at(s, 0) = v; });
+    });
+    // A destination without a self row scores 0; its lane dots a_dst with
+    // itself and is dropped.
+    ParallelForChunked(0, g.num_dst, [&](int64_t lo, int64_t hi) {
+      DotRows<kW>(
+          padst, out_dim_, lo, hi,
+          [&](int64_t d) {
+            const int32_t s = g.self_idx[d];
+            return s >= 0 ? c->p.row(s) : padst;
+          },
+          [&](int64_t d, float v) {
+            c->t_dst.at(d, 0) = g.self_idx[d] >= 0 ? v : 0.0f;
+          });
+    });
+
+    // Edge-balanced split: the whole attention pipeline is O(edges), so a
+    // vertex split would leave threads idle behind power-law hubs.
+    ParallelForBalanced(g.num_dst, g.in_offsets, [&](int64_t lo, int64_t hi) {
+      for (int64_t d = lo; d < hi; ++d) {
+        const int64_t e0 = g.in_offsets[d], e1 = g.in_offsets[d + 1];
+        // Attention logits with LeakyReLU; neighbor-softmax (stable).
+        float mx = -1e30f;
+        for (int64_t e = e0; e < e1; ++e) {
+          const float raw = c->s_src.at(g.nbr_idx[e], 0) + c->t_dst.at(d, 0);
+          const float v = ops::LeakyRelu(raw, kLeakySlope);
+          c->pre.at(e, 0) = v;
+          mx = std::max(mx, v);
+        }
+        float denom = 0.0f;
+        for (int64_t e = e0; e < e1; ++e) {
+          const float ex = std::exp(c->pre.at(e, 0) - mx);
+          c->alpha.at(e, 0) = ex;
+          denom += ex;
+        }
+        const float inv = denom > 0 ? 1.0f / denom : 0.0f;
+        float* po = c->o.row(d);
+        RowAcc<kW> acc(po, out_dim_);
+        for (int64_t e = e0; e < e1; ++e) {
+          const float a = c->alpha.at(e, 0) * inv;
+          c->alpha.at(e, 0) = a;
+          acc.Axpy(a, c->p.row(g.nbr_idx[e]));
+        }
+        acc.Store(po);
+        float* ph = dst_h->row(d);
+        for (int64_t k = 0; k < out_dim_; ++k) {
+          ph[k] = relu_ ? (po[k] > 0 ? po[k] : 0.0f) : po[k];
+        }
       }
-      float denom = 0.0f;
-      for (int64_t e = e0; e < e1; ++e) {
-        const float ex = std::exp(c->pre.at(e, 0) - mx);
-        c->alpha.at(e, 0) = ex;
-        denom += ex;
-      }
-      const float inv = denom > 0 ? 1.0f / denom : 0.0f;
-      float* po = c->o.row(d);
-      for (int64_t k = 0; k < out_dim_; ++k) po[k] = 0.0f;
-      for (int64_t e = e0; e < e1; ++e) {
-        const float a = c->alpha.at(e, 0) * inv;
-        c->alpha.at(e, 0) = a;
-        const float* pp = c->p.row(g.nbr_idx[e]);
-        for (int64_t k = 0; k < out_dim_; ++k) po[k] += a * pp[k];
-      }
-      float* ph = dst_h->row(d);
-      for (int64_t k = 0; k < out_dim_; ++k) {
-        ph[k] = relu_ ? (po[k] > 0 ? po[k] : 0.0f) : po[k];
-      }
-    }
+    });
   });
 
   *ctx = std::move(c);
@@ -139,57 +293,76 @@ Status GatLayer::BackwardStored(const LocalGraph& g, const LayerCtx& ctx,
     HT_RETURN_IF_ERROR(dout.CopyFrom(d_dst));
   }
 
-  // Destination-major phase: softmax + LeakyReLU backward per edge. Every
-  // edge/destination entry is written in the loop, so both buffers skip the
-  // zero fill.
+  // Every dp row is stored whole: by its first banded run (or zeroed below
+  // for edgeless sources), or by the single-pass loop.
+  Tensor dp = Tensor::Uninitialized(g.num_src, out_dim_);
+  Tensor ds_src = Tensor::Uninitialized(g.num_src, 1);
+  // Every edge/destination entry is written in the destination-major loop.
   Tensor dlin = Tensor::Uninitialized(g.num_edges, 1);
   Tensor dt_dst = Tensor::Uninitialized(g.num_dst, 1);
-  ParallelForBalanced(g.num_dst, g.in_offsets, [&](int64_t lo, int64_t hi) {
-    for (int64_t d = lo; d < hi; ++d) {
-      const int64_t e0 = g.in_offsets[d], e1 = g.in_offsets[d + 1];
-      const float* pdo = dout.row(d);
-      float sumterm = 0.0f;
-      for (int64_t e = e0; e < e1; ++e) {
-        const float* pp = c.p.row(g.nbr_idx[e]);
-        float da = 0.0f;
-        for (int64_t k = 0; k < out_dim_; ++k) da += pdo[k] * pp[k];
-        dlin.at(e, 0) = da;  // stash d_alpha temporarily
-        sumterm += c.alpha.at(e, 0) * da;
-      }
-      float dt = 0.0f;
-      for (int64_t e = e0; e < e1; ++e) {
-        const float dpre = c.alpha.at(e, 0) * (dlin.at(e, 0) - sumterm);
-        const float mask = c.pre.at(e, 0) > 0 ? 1.0f : kLeakySlope;
-        dlin.at(e, 0) = dpre * mask;
-        dt += dlin.at(e, 0);
-      }
-      dt_dst.at(d, 0) = dt;
-    }
-  });
-
-  // Source-major phase: dP and ds_src (race-free via the CSR mirror). This
-  // walk has the same random-read shape the scatter schedule fixes for the
-  // SpMM primitives (per-source loop, random dout rows), so when the chunk
-  // carries a compiled schedule whose heuristic accepts the width, the
-  // phase runs the propagation-blocked sweep: (band over destinations,
-  // shard over sources) bucket order keeps the dout slice L2-resident,
-  // shards own disjoint source rows (conflict-free parallel), and per-run
-  // register accumulation touches each dp row once per (row, band). The
-  // per-edge alpha/dlin lookups stay indexed through edge_perm — they are
-  // 4-byte streams, not the latency-bound part.
-  const kernels::EdgeSchedule* ss = g.scatter_sched;
-  const bool banded = kernels::ActiveBackend() == kernels::Backend::kBlocked &&
-                      ss != nullptr && ss->num_out() == g.num_src &&
-                      ss->num_edges() == g.num_edges &&
-                      ss->ShouldUse(out_dim_, /*accumulate=*/true);
-  // On the banded path every dp row is stored by its first run (or zeroed
-  // below for edgeless sources), so the up-front zero fill is skipped; the
-  // single-pass loop keeps the zeroed accumulator semantics.
-  Tensor dp = banded ? Tensor::Uninitialized(g.num_src, out_dim_)
-                     : Tensor(g.num_src, out_dim_);
-  Tensor ds_src = Tensor::Uninitialized(g.num_src, 1);
   const float* pasrc = a_src_.data();
-  if (banded) {
+
+  WithWidth(out_dim_, [&](auto width) {
+    constexpr int kW = decltype(width)::value;
+    // Destination-major phase: softmax + LeakyReLU backward per edge.
+    ParallelForBalanced(g.num_dst, g.in_offsets, [&](int64_t lo, int64_t hi) {
+      for (int64_t d = lo; d < hi; ++d) {
+        const int64_t e0 = g.in_offsets[d], e1 = g.in_offsets[d + 1];
+        // Stash d_alpha = dout[d] . P[u] in dlin first.
+        float sumterm = 0.0f;
+        DotRows<kW>(
+            dout.row(d), out_dim_, e0, e1,
+            [&](int64_t e) { return c.p.row(g.nbr_idx[e]); },
+            [&](int64_t e, float da) {
+              dlin.at(e, 0) = da;
+              sumterm += c.alpha.at(e, 0) * da;
+            });
+        float dt = 0.0f;
+        for (int64_t e = e0; e < e1; ++e) {
+          const float dpre = c.alpha.at(e, 0) * (dlin.at(e, 0) - sumterm);
+          const float mask = c.pre.at(e, 0) > 0 ? 1.0f : kLeakySlope;
+          dlin.at(e, 0) = dpre * mask;
+          dt += dlin.at(e, 0);
+        }
+        dt_dst.at(d, 0) = dt;
+      }
+    });
+
+    // Source-major phase: dP and ds_src (race-free via the CSR mirror). This
+    // walk has the same random-read shape the scatter schedule fixes for the
+    // SpMM primitives (per-source loop, random dout rows), so when the chunk
+    // carries a compiled schedule whose heuristic accepts the width, the
+    // phase runs the propagation-blocked sweep: (band over destinations,
+    // shard over sources) bucket order keeps the dout slice L2-resident,
+    // shards own disjoint source rows (conflict-free parallel), and per-run
+    // register accumulation touches each dp row once per (row, band). The
+    // per-edge alpha/dlin lookups stay indexed through edge_perm — they are
+    // 4-byte streams, not the latency-bound part.
+    const kernels::EdgeSchedule* ss = g.scatter_sched;
+    const bool banded =
+        kernels::ActiveBackend() == kernels::Backend::kBlocked &&
+        ss != nullptr && ss->num_out() == g.num_src &&
+        ss->num_edges() == g.num_edges &&
+        ss->ShouldUse(out_dim_, /*accumulate=*/true);
+    if (!banded) {
+      ParallelForBalanced(g.num_src, g.src_offsets,
+                          [&](int64_t lo, int64_t hi) {
+        for (int64_t s = lo; s < hi; ++s) {
+          float* pdp = dp.row(s);
+          RowAcc<kW> acc(pdp, out_dim_);
+          float ds = 0.0f;
+          for (int64_t e = g.src_offsets[s]; e < g.src_offsets[s + 1]; ++e) {
+            const int32_t ce = g.src_edge_idx[e];
+            ds += dlin.at(ce, 0);
+            acc.Axpy(c.alpha.at(ce, 0), dout.row(g.dst_idx[e]));
+          }
+          ds_src.at(s, 0) = ds;
+          acc.Axpy(ds, pasrc);
+          acc.Store(pdp);
+        }
+      });
+      return;
+    }
     const int32_t* zr = ss->zero_rows();
     ParallelForChunked(0, ss->num_zero_rows(), [&](int64_t lo, int64_t hi) {
       for (int64_t z = lo; z < hi; ++z) {
@@ -206,7 +379,7 @@ Status GatLayer::BackwardStored(const LocalGraph& g, const LayerCtx& ctx,
     ParallelForBalanced(
         ss->num_shards(), ss->shard_edge_prefix(), kParallelSerialThreshold,
         [&](int64_t t_lo, int64_t t_hi) {
-          float acc[256];  // ShouldUse caps the width at 256
+          float scratch[256];  // ShouldUse caps the width at 256
           for (int b = 0; b < B; ++b) {
             for (int64_t t = t_lo; t < t_hi; ++t) {
               const int64_t bid = t * B + b;
@@ -217,24 +390,20 @@ Status GatLayer::BackwardStored(const LocalGraph& g, const LayerCtx& ctx,
                 const int32_t s = ov & kernels::EdgeSchedule::kRowMask;
                 const bool first = ov < 0;
                 float ds = 0.0f;
-                for (int64_t j = 0; j < out_dim_; ++j) acc[j] = 0.0f;
+                RowAcc<kW> acc(scratch, out_dim_);
                 // Continuation edges of a run are never flagged, so the raw
                 // packed value compares equal to the masked row id.
                 do {
-                  const int32_t d = rnd[k];
                   const int32_t ce = g.src_edge_idx[ep[k]];
                   ds += dlin.at(ce, 0);
-                  const float a = c.alpha.at(ce, 0);
-                  const float* pdo = dout.row(d);
-                  for (int64_t j = 0; j < out_dim_; ++j) acc[j] += a * pdo[j];
+                  acc.Axpy(c.alpha.at(ce, 0), dout.row(rnd[k]));
                   ++k;
                 } while (k < e1 && op[k] == s);
-                float* pdp = dp.row(s);
                 if (first) {
-                  for (int64_t j = 0; j < out_dim_; ++j) pdp[j] = acc[j];
+                  acc.Store(dp.row(s));
                   ds_src.at(s, 0) = ds;
                 } else {
-                  for (int64_t j = 0; j < out_dim_; ++j) pdp[j] += acc[j];
+                  acc.AddTo(dp.row(s));
                   ds_src.at(s, 0) += ds;
                 }
               }
@@ -251,24 +420,7 @@ Status GatLayer::BackwardStored(const LocalGraph& g, const LayerCtx& ctx,
         for (int64_t k = 0; k < out_dim_; ++k) pdp[k] += ds * pasrc[k];
       }
     });
-  } else {
-    ParallelForBalanced(g.num_src, g.src_offsets, [&](int64_t lo, int64_t hi) {
-      for (int64_t s = lo; s < hi; ++s) {
-        float* pdp = dp.row(s);
-        float ds = 0.0f;
-        for (int64_t e = g.src_offsets[s]; e < g.src_offsets[s + 1]; ++e) {
-          const int32_t d = g.dst_idx[e];
-          const int32_t ce = g.src_edge_idx[e];
-          ds += dlin.at(ce, 0);
-          const float a = c.alpha.at(ce, 0);
-          const float* pdo = dout.row(d);
-          for (int64_t k = 0; k < out_dim_; ++k) pdp[k] += a * pdo[k];
-        }
-        ds_src.at(s, 0) = ds;
-        for (int64_t k = 0; k < out_dim_; ++k) pdp[k] += ds * pasrc[k];
-      }
-    });
-  }
+  });
   // Destination self contribution (self_idx is injective over destinations).
   const float* padst = a_dst_.data();
   ParallelForChunked(0, g.num_dst, [&](int64_t lo, int64_t hi) {
@@ -292,9 +444,7 @@ Status GatLayer::BackwardStored(const LocalGraph& g, const LayerCtx& ctx,
 
   // Weight gradient and input gradient.
   ops::MatmulTransAAccum(src_h, dp, &dw_);
-  Tensor dx = Tensor::Uninitialized(g.num_src, in_dim_);
-  ops::MatmulTransB(dp, w_, &dx);
-  ops::AddInPlace(dx, d_src);
+  ops::MatmulTransBAccum(dp, w_, d_src);
   return Status::OK();
 }
 

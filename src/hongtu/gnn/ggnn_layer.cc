@@ -167,13 +167,8 @@ Status GgnnLayer::BackwardImpl(const LocalGraph& g, const Tensor& agg,
   ops::MatmulTransAAccum(m, dpre_r, &dur_);
   ops::MatmulTransAAccum(s, dpre_r, &dvr_);
   ops::ColumnSumAccum(dpre_r, &dbr_);
-  {
-    Tensor t = Tensor::Uninitialized(nd, out_dim_);
-    ops::MatmulTransB(dpre_r, ur_, &t);
-    ops::AddInPlace(t, &dm);
-    ops::MatmulTransB(dpre_r, vr_, &t);
-    ops::AddInPlace(t, &ds);
-  }
+  ops::MatmulTransBAccum(dpre_r, ur_, &dm);
+  ops::MatmulTransBAccum(dpre_r, vr_, &ds);
   // z = sigmoid(pre_z).
   Tensor dpre_z = Tensor::Uninitialized(nd, out_dim_);
   for (int64_t i = 0; i < dz.size(); ++i) {
@@ -182,13 +177,8 @@ Status GgnnLayer::BackwardImpl(const LocalGraph& g, const Tensor& agg,
   ops::MatmulTransAAccum(m, dpre_z, &duz_);
   ops::MatmulTransAAccum(s, dpre_z, &dvz_);
   ops::ColumnSumAccum(dpre_z, &dbz_);
-  {
-    Tensor t = Tensor::Uninitialized(nd, out_dim_);
-    ops::MatmulTransB(dpre_z, uz_, &t);
-    ops::AddInPlace(t, &dm);
-    ops::MatmulTransB(dpre_z, vz_, &t);
-    ops::AddInPlace(t, &ds);
-  }
+  ops::MatmulTransBAccum(dpre_z, uz_, &dm);
+  ops::MatmulTransBAccum(dpre_z, vz_, &ds);
 
   // Input projections.
   ops::MatmulTransAAccum(agg, dm, &dwm_);

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "hongtu/common/parallel.h"
+#include "hongtu/kernels/simd.h"
 #include "hongtu/tensor/pool.h"
 
 namespace hongtu {
@@ -84,7 +85,7 @@ void ReferenceGemmTransAAccum(const float* a, const float* b, float* c,
 }
 
 void ReferenceGemmTransB(const float* a, const float* b, float* c, int64_t m,
-                         int64_t k, int64_t n) {
+                         int64_t k, int64_t n, bool accumulate) {
   ParallelForChunked(0, m, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
       const float* pa = a + i * k;
@@ -93,7 +94,7 @@ void ReferenceGemmTransB(const float* a, const float* b, float* c, int64_t m,
         const float* pbrow = b + j * k;
         float s = 0.0f;
         for (int64_t p = 0; p < k; ++p) s += pa[p] * pbrow[p];
-        pc[j] = s;
+        pc[j] = accumulate ? pc[j] + s : s;
       }
     }
   });
@@ -171,9 +172,115 @@ void StoreTile(const float acc[kMr][kNr], float* c, int64_t ldc, int mr,
   }
 }
 
+// ---- Narrow-N path: GNN layer widths (n = 16..64, k <= kKc). ---------------
+//
+// With n at most four vectors wide, B (k x n, row-major) is small enough to
+// stay in L1/L2 as it is, so there is no PackB. An R x NV block of vector
+// accumulators stays in registers across the whole depth loop; R is chosen
+// per width so R * NV fills most of the 32 AVX-512 registers while leaving
+// room for the NV B vectors and the A broadcast. Every output element is
+// still summed in depth order from zero and stored by StoreTile's rules, so
+// the results are bitwise identical to the packed path.
+
+/// True when the narrow path handles an n-wide output.
+bool NarrowWidth(int64_t n) {
+  return n == 16 || n == 32 || n == 48 || n == 64;
+}
+
+/// Accumulates an (R x NV*16) tile over kc depth steps and stores it into c
+/// (row stride NV*16). A element (r, p) is a[r * ars + p * ads], so one
+/// kernel serves both A (ars = lda, ads = 1) and A^T (ars = 1, ads = lda).
+/// The store follows StoreTile for a single (final) depth block.
+template <int R, int NV>
+inline void NarrowTile(const float* a, int64_t ars, int64_t ads,
+                       const float* b, int64_t kc, float* c, bool overwrite,
+                       const float* bias, Epilogue ep) {
+  constexpr int64_t n = NV * kV;
+  V16 acc[R][NV] = {};
+  for (int64_t p = 0; p < kc; ++p) {
+    V16 bv[NV];
+#pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v) LoadV(bv[v], b + p * n + v * kV);
+    const float* ap = a + p * ads;
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r) {
+      const float av = ap[r * ars];
+#pragma GCC unroll 4
+      for (int v = 0; v < NV; ++v) acc[r][v] += av * bv[v];
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      float* cp = c + r * n + v * kV;
+      V16 old = {};
+      if (!overwrite) LoadV(old, cp);
+      if (ep == Epilogue::kNone) {
+        StoreV(cp, overwrite ? acc[r][v] : old + acc[r][v]);
+        continue;
+      }
+      V16 bv;
+      LoadV(bv, bias + v * kV);
+      V16 x = old + acc[r][v] + bv;
+      // Same lanes as Activate's `v > 0 ? v : 0`, including NaN -> 0.
+      if (ep == Epilogue::kBiasRelu) x = x > 0.0f ? x : V16{};
+      StoreV(cp, x);
+      if (ep == Epilogue::kBiasSigmoid || ep == Epilogue::kBiasTanh) {
+        for (int j = 0; j < kV; ++j) cp[j] = Activate(cp[j], ep);
+      }
+    }
+  }
+}
+
+/// c (m x n) [+]= A (m x kc) * b (kc x n) over R-row tiles, threads
+/// splitting the tiles; a leftover m % R rows run one row at a time.
+template <int R, int NV>
+void NarrowGemm(const float* a, int64_t ars, int64_t ads, const float* b,
+                float* c, int64_t m, int64_t kc, bool overwrite,
+                const float* bias, Epilogue ep) {
+  constexpr int64_t n = NV * kV;
+  const int64_t mtiles = (m + R - 1) / R;
+  ParallelForChunked(0, mtiles, /*serial_below=*/256 / R,
+                     [&](int64_t tlo, int64_t thi) {
+    for (int64_t t = tlo; t < thi; ++t) {
+      const int64_t i0 = t * R;
+      if (i0 + R <= m) {
+        NarrowTile<R, NV>(a + i0 * ars, ars, ads, b, kc, c + i0 * n,
+                          overwrite, bias, ep);
+        continue;
+      }
+      for (int64_t i = i0; i < m; ++i) {
+        NarrowTile<1, NV>(a + i * ars, ars, ads, b, kc, c + i * n, overwrite,
+                          bias, ep);
+      }
+    }
+  });
+}
+
+/// Dispatches NarrowGemm on the width; n must satisfy NarrowWidth.
+void NarrowGemmDispatch(const float* a, int64_t ars, int64_t ads,
+                        const float* b, float* c, int64_t m, int64_t kc,
+                        int64_t n, bool overwrite, const float* bias,
+                        Epilogue ep) {
+  switch (n) {
+    case 16:
+      return NarrowGemm<16, 1>(a, ars, ads, b, c, m, kc, overwrite, bias, ep);
+    case 32:
+      return NarrowGemm<12, 2>(a, ars, ads, b, c, m, kc, overwrite, bias, ep);
+    case 48:
+      return NarrowGemm<8, 3>(a, ars, ads, b, c, m, kc, overwrite, bias, ep);
+    default:
+      return NarrowGemm<6, 4>(a, ars, ads, b, c, m, kc, overwrite, bias, ep);
+  }
+}
+
 void BlockedGemm(const float* a, const float* b, float* c, int64_t m,
                  int64_t k, int64_t n, bool accumulate, const float* bias,
                  Epilogue ep) {
+  if (NarrowWidth(n) && k <= kKc) {
+    NarrowGemmDispatch(a, /*ars=*/k, /*ads=*/1, b, c, m, k, n, !accumulate,
+                       bias, ep);
+    return;
+  }
   // Pool-backed packing panel: GEMM runs once per chunk per layer, so a heap
   // allocation here would defeat the zero-allocation steady state.
   PoolBuffer bpack(static_cast<int64_t>(kKc) *
@@ -225,6 +332,11 @@ void BlockedGemmTransAAccum(const float* a, const float* b, float* c,
     const int64_t kc = std::min(kDepthBlock, k - pc);
     const float* ablk = a + pc * m;
     const float* bblk = b + pc * n;
+    if (NarrowWidth(n)) {
+      NarrowGemmDispatch(ablk, /*ars=*/1, /*ads=*/m, bblk, c, m, kc, n,
+                         /*overwrite=*/false, nullptr, Epilogue::kNone);
+      continue;
+    }
     ParallelForChunked(0, mtiles, /*serial_below=*/256 / kMr,
                        [&](int64_t tlo, int64_t thi) {
       float acc[kMr][kNr];
@@ -267,7 +379,7 @@ void BlockedGemmTransAAccum(const float* a, const float* b, float* c,
 }
 
 void BlockedGemmTransB(const float* a, const float* b, float* c, int64_t m,
-                       int64_t k, int64_t n) {
+                       int64_t k, int64_t n, bool accumulate) {
   // b is an (n x k) weight matrix — small. Transposing it once into (k x n)
   // turns the whole call into a plain blocked GEMM with packed B.
   PoolBuffer bt(k * n);
@@ -275,8 +387,7 @@ void BlockedGemmTransB(const float* a, const float* b, float* c, int64_t m,
     const float* brow = b + j * k;
     for (int64_t p = 0; p < k; ++p) bt.data()[p * n + j] = brow[p];
   }
-  BlockedGemm(a, bt.data(), c, m, k, n, /*accumulate=*/false, nullptr,
-              Epilogue::kNone);
+  BlockedGemm(a, bt.data(), c, m, k, n, accumulate, nullptr, Epilogue::kNone);
 }
 
 }  // namespace
@@ -303,13 +414,13 @@ void GemmTransAAccum(Backend backend, const float* a, const float* b,
 }
 
 void GemmTransB(Backend backend, const float* a, const float* b, float* c,
-                int64_t m, int64_t k, int64_t n) {
+                int64_t m, int64_t k, int64_t n, bool accumulate) {
   if (m <= 0 || n <= 0) return;
   if (backend == Backend::kReference || m * n * k < kSmallGemmFlops) {
-    ReferenceGemmTransB(a, b, c, m, k, n);
+    ReferenceGemmTransB(a, b, c, m, k, n, accumulate);
     return;
   }
-  BlockedGemmTransB(a, b, c, m, k, n);
+  BlockedGemmTransB(a, b, c, m, k, n, accumulate);
 }
 
 void ColumnSumAccum(Backend backend, const float* x, int64_t rows,

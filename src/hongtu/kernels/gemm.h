@@ -12,6 +12,11 @@
 /// a (kMr x kNr) accumulator tile in registers. The epilogue (bias add +
 /// activation) is fused into the final-k-block store, so UPDATE stages write
 /// their output in a single pass over C.
+///
+/// GNN layer widths take a narrow-N path instead: for n in {16, 32, 48, 64}
+/// (and k <= 256 for Gemm/GemmTransB) B is read unpacked and an R x n tile
+/// of accumulators stays in registers over the whole depth loop. Both paths
+/// give bitwise-identical results.
 
 #pragma once
 
@@ -43,9 +48,10 @@ void Gemm(Backend backend, const float* a, const float* b, float* c,
 void GemmTransAAccum(Backend backend, const float* a, const float* b,
                      float* c, int64_t k, int64_t m, int64_t n);
 
-/// c (m x n) = a (m x k) * b^T, with b (n x k). The dX kernel.
+/// c (m x n) = [c +] a (m x k) * b^T, with b (n x k). The dX kernel.
+/// `accumulate` adds into the existing contents of c instead of overwriting.
 void GemmTransB(Backend backend, const float* a, const float* b, float* c,
-                int64_t m, int64_t k, int64_t n);
+                int64_t m, int64_t k, int64_t n, bool accumulate = false);
 
 /// out (1 x cols) += column sums of x (rows x cols). The db kernel; threads
 /// split the column blocks, so the per-column add order stays row-major and

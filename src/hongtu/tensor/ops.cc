@@ -60,6 +60,13 @@ void MatmulTransB(const Tensor& a, const Tensor& b, Tensor* c) {
                       a.rows(), a.cols(), b.rows());
 }
 
+void MatmulTransBAccum(const Tensor& a, const Tensor& b, Tensor* c) {
+  assert(a.cols() == b.cols());
+  assert(c->rows() == a.rows() && c->cols() == b.rows());
+  kernels::GemmTransB(kernels::ActiveBackend(), a.data(), b.data(), c->data(),
+                      a.rows(), a.cols(), b.rows(), /*accumulate=*/true);
+}
+
 void ColumnSumAccum(const Tensor& x, Tensor* bias_grad) {
   assert(bias_grad->cols() == x.cols());
   kernels::ColumnSumAccum(kernels::ActiveBackend(), x.data(), x.rows(),

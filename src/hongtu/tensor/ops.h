@@ -38,6 +38,10 @@ void MatmulTransAAccum(const Tensor& a, const Tensor& b, Tensor* c);
 /// C = A * B^T. Shapes: (m x k) * (n x k)^T -> (m x n). Used for dX.
 void MatmulTransB(const Tensor& a, const Tensor& b, Tensor* c);
 
+/// C += A * B^T. Shapes as MatmulTransB. Adds dX into a gradient buffer in
+/// the GEMM's store instead of a separate pass.
+void MatmulTransBAccum(const Tensor& a, const Tensor& b, Tensor* c);
+
 /// bias_grad (1 x n) += column sums of X (m x n). Used for db.
 void ColumnSumAccum(const Tensor& x, Tensor* bias_grad);
 

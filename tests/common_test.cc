@@ -173,6 +173,40 @@ TEST(Parallel, ChunkedCoversAllIndicesOnce) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(Parallel, HelpersInsideParallelRegionCoverEveryIndexOnce) {
+  // Called from inside an enclosing parallel region, a helper's own region
+  // gets a one-thread team (nested parallelism is off). It must slice the
+  // range by that team, not by NumThreads(), or only slice 0 runs.
+  constexpr int64_t kN = 5000;
+  constexpr int kOuter = 2;
+  std::vector<int64_t> prefix(kN + 1, 0);
+  for (int64_t i = 0; i < kN; ++i) prefix[i + 1] = prefix[i] + 1 + i % 7;
+  const int saved = NumThreads();
+  for (int t = 1; t <= 8; ++t) {
+    SetNumThreads(t);
+    std::vector<std::atomic<int>> chunked(kOuter * kN);
+    std::vector<std::atomic<int>> balanced(kOuter * kN);
+    int team = 0;
+#pragma omp parallel num_threads(kOuter)
+    {
+      const int o = omp_get_thread_num();
+#pragma omp single
+      team = omp_get_num_threads();
+      ParallelForChunked(0, kN, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) chunked[o * kN + i].fetch_add(1);
+      });
+      ParallelForBalanced(kN, prefix.data(), [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) balanced[o * kN + i].fetch_add(1);
+      });
+    }
+    for (int64_t i = 0; i < team * kN; ++i) {
+      ASSERT_EQ(chunked[i].load(), 1) << "threads=" << t << " item " << i;
+      ASSERT_EQ(balanced[i].load(), 1) << "threads=" << t << " item " << i;
+    }
+  }
+  SetNumThreads(saved);
+}
+
 TEST(Parallel, EmptyRangeIsNoop) {
   bool called = false;
   ParallelForChunked(5, 5, [&](int64_t, int64_t) { called = true; });

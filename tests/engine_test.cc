@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
+#include <vector>
 
+#include "hongtu/common/parallel.h"
 #include "hongtu/engine/cpu_cluster_engine.h"
 #include "hongtu/engine/hongtu_engine.h"
 #include "hongtu/engine/inmemory_engine.h"
@@ -232,6 +235,48 @@ TEST(HongTuEngine, EdgeSchedulesAreMeteredAndOptional) {
     ASSERT_TRUE(ra.ok() && rb.ok());
     EXPECT_NEAR(ra.ValueOrDie().loss, rb.ValueOrDie().loss, 1e-3);
   }
+}
+
+TEST(HongTuEngine, WeightsAreBitwiseIdenticalAtEveryThreadCount) {
+  // Engine set-up builds the edge schedules inside a parallel region, and
+  // every kernel sums each output in a fixed order whatever the thread
+  // split. So the weights after two epochs must not depend on the thread
+  // count in a single bit.
+  Dataset ds = SmallDataset("friendster", 0.1);
+  const int saved = NumThreads();
+  for (const GnnKind kind : {GnnKind::kGcn, GnnKind::kGat, GnnKind::kSage}) {
+    ModelConfig cfg = ModelConfig::Make(kind, ds.feature_dim(), 16,
+                                        ds.num_classes, 2, 91);
+    std::vector<float> serial;
+    for (int threads = 1; threads <= 8; ++threads) {
+      SetNumThreads(threads);
+      EngineConfig o;
+      o.num_devices = 2;
+      o.chunks_per_partition = 3;
+      o.device_capacity_bytes = kBig;
+      ASSERT_TRUE(o.edge_schedules);
+      auto e = HongTuEngine::Create(&ds, cfg, o);
+      ASSERT_TRUE(e.ok()) << e.status().ToString();
+      for (int epoch = 0; epoch < 2; ++epoch) {
+        auto r = e.ValueOrDie()->TrainEpoch();
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+      }
+      std::vector<float> weights;
+      for (const Tensor* p : e.ValueOrDie()->model()->AllParams()) {
+        weights.insert(weights.end(), p->data(), p->data() + p->size());
+      }
+      if (threads == 1) {
+        serial = std::move(weights);
+        continue;
+      }
+      ASSERT_EQ(weights.size(), serial.size());
+      EXPECT_EQ(std::memcmp(weights.data(), serial.data(),
+                            weights.size() * sizeof(float)),
+                0)
+          << GnnKindName(kind) << " at " << threads << " threads";
+    }
+  }
+  SetNumThreads(saved);
 }
 
 TEST(HongTuEngine, ReorganizeKeepsNumericsChangesVolume) {

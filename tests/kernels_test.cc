@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -108,6 +110,106 @@ TEST_F(KernelsTest, GemmTransBMatchesReference) {
                         c_ref.data(), m, k, n);
     kernels::GemmTransB(kernels::Backend::kBlocked, a.data(), b.data(),
                         c_blk.data(), m, k, n);
+    EXPECT_LE(Tensor::MaxAbsDiff(c_ref, c_blk), kTol) << "m=" << m;
+  }
+}
+
+// The narrow-N path: n in {16, 32, 48, 64} with k <= 256 (Gemm, TransB),
+// or any depth (TransAAccum). m = 1037 is above the small-GEMM cutoff for
+// every k here and leaves a remainder for each tile height (16, 12, 8, 6);
+// k = 257 crosses back to the packed path.
+constexpr int64_t kNarrowM = 1037;
+constexpr int64_t kNarrowWidths[] = {16, 32, 48, 64};
+constexpr int64_t kNarrowDepths[] = {1, 16, 64, 256, 257};
+constexpr kernels::Epilogue kAllEpilogues[] = {
+    kernels::Epilogue::kNone, kernels::Epilogue::kBias,
+    kernels::Epilogue::kBiasRelu, kernels::Epilogue::kBiasSigmoid,
+    kernels::Epilogue::kBiasTanh};
+
+TEST_F(KernelsTest, GemmNarrowPathMatchesReference) {
+  for (const int64_t n : kNarrowWidths) {
+    for (const int64_t k : kNarrowDepths) {
+      for (const auto ep : kAllEpilogues) {
+        CheckGemmShape(kNarrowM, k, n, /*accumulate=*/false, ep);
+        CheckGemmShape(kNarrowM, k, n, /*accumulate=*/true, ep);
+      }
+    }
+  }
+}
+
+TEST_F(KernelsTest, GemmNarrowPathIsBitwiseEqualToPackedPath) {
+  // An (n + 1)-wide GEMM takes the packed path; its first n columns are the
+  // same sums in the same order as the n-wide narrow GEMM, so they must
+  // agree bit for bit, epilogue and accumulate included.
+  for (const int64_t n : kNarrowWidths) {
+    for (const int64_t k : {int64_t{1}, int64_t{64}, int64_t{256}}) {
+      for (const auto ep : kAllEpilogues) {
+        for (const bool accumulate : {false, true}) {
+          const Tensor a = Tensor::Gaussian(kNarrowM, k, 0.5f, 3 * k + n);
+          const Tensor bw = Tensor::Gaussian(k, n + 1, 0.5f, 5 * n + k);
+          const Tensor biasw = Tensor::Gaussian(1, n + 1, 0.5f, 11 + n);
+          const Tensor cw0 = Tensor::Gaussian(kNarrowM, n + 1, 0.3f, 29);
+          Tensor b(k, n), bias(1, n), c(kNarrowM, n);
+          for (int64_t p = 0; p < k; ++p) {
+            std::copy(bw.row(p), bw.row(p) + n, b.row(p));
+          }
+          std::copy(biasw.data(), biasw.data() + n, bias.data());
+          for (int64_t i = 0; i < kNarrowM; ++i) {
+            std::copy(cw0.row(i), cw0.row(i) + n, c.row(i));
+          }
+          Tensor cw = cw0.Clone();
+          kernels::Gemm(kernels::Backend::kBlocked, a.data(), bw.data(),
+                        cw.data(), kNarrowM, k, n + 1, accumulate,
+                        biasw.data(), ep);
+          kernels::Gemm(kernels::Backend::kBlocked, a.data(), b.data(),
+                        c.data(), kNarrowM, k, n, accumulate, bias.data(),
+                        ep);
+          for (int64_t i = 0; i < kNarrowM; ++i) {
+            ASSERT_EQ(std::memcmp(c.row(i), cw.row(i), n * sizeof(float)), 0)
+                << "n=" << n << " k=" << k << " row " << i
+                << " accum=" << accumulate;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelsTest, GemmTransAAccumNarrowPathMatchesReference) {
+  // Depth 2500 spans three 1024-row depth blocks; m = 1 is the attention
+  // vector gradient's shape.
+  for (const int64_t n : kNarrowWidths) {
+    for (const int64_t m : {int64_t{1}, int64_t{7}, int64_t{37}}) {
+      for (const int64_t k : {int64_t{1000}, int64_t{2500}}) {
+        const Tensor a = Tensor::Gaussian(k, m, 0.5f, 31 + m);
+        const Tensor b = Tensor::Gaussian(k, n, 0.5f, 37 + n);
+        Tensor c_ref = Tensor::Gaussian(m, n, 0.3f, 41);
+        Tensor c_blk = c_ref.Clone();
+        kernels::GemmTransAAccum(kernels::Backend::kReference, a.data(),
+                                 b.data(), c_ref.data(), k, m, n);
+        kernels::GemmTransAAccum(kernels::Backend::kBlocked, a.data(),
+                                 b.data(), c_blk.data(), k, m, n);
+        EXPECT_LE(Tensor::MaxAbsDiff(c_ref, c_blk), 1e-3)
+            << "k=" << k << " m=" << m << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST_F(KernelsTest, GemmTransBAccumulateMatchesReference) {
+  const int64_t shapes[][3] = {
+      {kNarrowM, 32, 64}, {kNarrowM, 16, 16}, {kNarrowM, 64, 48},
+      {400, 300, 32},     {33, 17, 129},      {5, 3, 2}};
+  for (const auto& s : shapes) {
+    const int64_t m = s[0], k = s[1], n = s[2];
+    const Tensor a = Tensor::Gaussian(m, k, 0.5f, 43);
+    const Tensor b = Tensor::Gaussian(n, k, 0.5f, 47);
+    Tensor c_ref = Tensor::Gaussian(m, n, 0.3f, 53);
+    Tensor c_blk = c_ref.Clone();
+    kernels::GemmTransB(kernels::Backend::kReference, a.data(), b.data(),
+                        c_ref.data(), m, k, n, /*accumulate=*/true);
+    kernels::GemmTransB(kernels::Backend::kBlocked, a.data(), b.data(),
+                        c_blk.data(), m, k, n, /*accumulate=*/true);
     EXPECT_LE(Tensor::MaxAbsDiff(c_ref, c_blk), kTol) << "m=" << m;
   }
 }
