@@ -8,7 +8,7 @@ namespace hongtu {
 
 namespace {
 
-/// Slice-by-8 tables for the Castagnoli polynomial (reflected 0x82F63B42),
+/// Slice-by-8 tables for the Castagnoli polynomial (reflected 0x82F63B78),
 /// generated once at first use. Table generation is the textbook bitwise
 /// loop; the hot path processes 8 bytes per iteration.
 struct Crc32cTables {
@@ -18,7 +18,7 @@ struct Crc32cTables {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? (0x82F63B42u ^ (c >> 1)) : (c >> 1);
+        c = (c & 1) ? (0x82F63B78u ^ (c >> 1)) : (c >> 1);
       }
       t[0][i] = c;
     }
@@ -30,8 +30,14 @@ struct Crc32cTables {
   }
 };
 
-uint32_t Crc32cSoftware(const uint8_t* p, size_t n, uint32_t crc) {
+}  // namespace
+
+namespace internal {
+
+uint32_t Crc32cSoftware(const void* data, size_t n, uint32_t seed) {
   static const Crc32cTables tables;
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint32_t crc = ~seed;
   const auto& t = tables.t;
   while (n >= 8) {
     const uint32_t lo = crc ^ (static_cast<uint32_t>(p[0]) |
@@ -44,15 +50,15 @@ uint32_t Crc32cSoftware(const uint8_t* p, size_t n, uint32_t crc) {
     n -= 8;
   }
   while (n-- > 0) crc = (crc >> 8) ^ t[0][(crc ^ *p++) & 0xff];
-  return crc;
+  return ~crc;
 }
 
-}  // namespace
+}  // namespace internal
 
 uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
+#if defined(__SSE4_2__)
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t crc = ~seed;
-#if defined(__SSE4_2__)
   while (n >= 8) {
     uint64_t v;
     __builtin_memcpy(&v, p, 8);
@@ -61,10 +67,10 @@ uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
     n -= 8;
   }
   while (n-- > 0) crc = _mm_crc32_u8(crc, *p++);
-#else
-  crc = Crc32cSoftware(p, n, crc);
-#endif
   return ~crc;
+#else
+  return internal::Crc32cSoftware(data, n, seed);
+#endif
 }
 
 }  // namespace hongtu

@@ -36,4 +36,13 @@ inline uint32_t UnmaskCrc32c(uint32_t masked) {
   return (rot << 15) | (rot >> 17);
 }
 
+namespace internal {
+
+/// The slice-by-8 table path with Crc32c's interface. Crc32c calls it when
+/// the build does not target SSE4.2; it is declared here so native builds
+/// can test it against the hardware instruction.
+uint32_t Crc32cSoftware(const void* data, size_t n, uint32_t seed = 0);
+
+}  // namespace internal
+
 }  // namespace hongtu

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 #include "hongtu/common/random.h"
 
@@ -20,6 +19,64 @@ struct WorkGraph {
   int64_t total_vwgt = 0;
 };
 
+/// Fills a symmetric WorkGraph's rows by transposition. The caller visits
+/// source rows u in ascending order and calls Add(x, u, w) for every entry
+/// (x, w) of u's unmerged adjacency. Because the graph is symmetric, row x
+/// then receives exactly its own neighbors, in ascending order and with the
+/// parallel entries of one neighbor adjacent, so merging them is a check of
+/// the row's tail: no hashing and no per-row sort. Rows are staged at
+/// capacities `cap` (an upper bound on each row's Add calls) and compacted
+/// by Finish().
+class TransposedRows {
+ public:
+  TransposedRows(WorkGraph* w, const std::vector<int64_t>& cap) : w_(w) {
+    w_->offsets.assign(cap.size() + 1, 0);
+    for (size_t x = 0; x < cap.size(); ++x) {
+      w_->offsets[x + 1] = w_->offsets[x] + cap[x];
+    }
+    end_.assign(w_->offsets.begin(), w_->offsets.end() - 1);
+    w_->nbrs.resize(static_cast<size_t>(w_->offsets.back()));
+    w_->ewgt.resize(static_cast<size_t>(w_->offsets.back()));
+  }
+
+  void Add(int32_t x, int32_t u, int64_t weight) {
+    int64_t& end = end_[x];
+    if (end > w_->offsets[x] && w_->nbrs[end - 1] == u) {
+      w_->ewgt[end - 1] += weight;
+    } else {
+      w_->nbrs[end] = u;
+      w_->ewgt[end] = weight;
+      ++end;
+    }
+  }
+
+  /// Packs the rows to their merged lengths. Rows only move left, so the
+  /// compaction is in place.
+  void Finish() {
+    int64_t out = 0;
+    for (size_t x = 0; x < end_.size(); ++x) {
+      const int64_t begin = w_->offsets[x];
+      if (out != begin) {
+        std::copy(w_->nbrs.begin() + begin, w_->nbrs.begin() + end_[x],
+                  w_->nbrs.begin() + out);
+        std::copy(w_->ewgt.begin() + begin, w_->ewgt.begin() + end_[x],
+                  w_->ewgt.begin() + out);
+      }
+      w_->offsets[x] = out;
+      out += end_[x] - begin;
+    }
+    w_->offsets.back() = out;
+    w_->nbrs.resize(static_cast<size_t>(out));
+    w_->nbrs.shrink_to_fit();
+    w_->ewgt.resize(static_cast<size_t>(out));
+    w_->ewgt.shrink_to_fit();
+  }
+
+ private:
+  WorkGraph* w_;
+  std::vector<int64_t> end_;
+};
+
 /// Builds the undirected working graph from the directed input, merging
 /// parallel edges (weight = multiplicity) and dropping self-loops.
 WorkGraph BuildWorkGraph(const Graph& g) {
@@ -28,8 +85,8 @@ WorkGraph BuildWorkGraph(const Graph& g) {
   w.vwgt.assign(static_cast<size_t>(w.n), 1);
   w.total_vwgt = w.n;
 
-  // Degree count over both directions (excluding self-loops), then merge
-  // duplicates per-vertex with sort+unique.
+  // Row x collects u once per edge u->x and once per edge x->u, so its
+  // length before merging is x's non-self degree over both directions.
   std::vector<int64_t> deg(static_cast<size_t>(w.n), 0);
   for (int64_t v = 0; v < w.n; ++v) {
     for (EdgeId e = g.out_offsets()[v]; e < g.out_offsets()[v + 1]; ++e) {
@@ -39,58 +96,19 @@ WorkGraph BuildWorkGraph(const Graph& g) {
       if (g.in_neighbors()[e] != v) ++deg[v];
     }
   }
-  w.offsets.assign(static_cast<size_t>(w.n) + 1, 0);
-  for (int64_t v = 0; v < w.n; ++v) w.offsets[v + 1] = w.offsets[v] + deg[v];
-  std::vector<int32_t> tmp(static_cast<size_t>(w.offsets[w.n]));
-  {
-    std::vector<int64_t> cur(w.offsets.begin(), w.offsets.end() - 1);
-    for (int64_t v = 0; v < w.n; ++v) {
-      for (EdgeId e = g.out_offsets()[v]; e < g.out_offsets()[v + 1]; ++e) {
-        const VertexId u = g.out_neighbors()[e];
-        if (u != v) tmp[cur[v]++] = u;
-      }
-      for (EdgeId e = g.in_offsets()[v]; e < g.in_offsets()[v + 1]; ++e) {
-        const VertexId u = g.in_neighbors()[e];
-        if (u != v) tmp[cur[v]++] = u;
-      }
-    }
-  }
-  // Merge duplicates.
-  std::vector<int64_t> new_offsets(static_cast<size_t>(w.n) + 1, 0);
+  TransposedRows rows(&w, deg);
   for (int64_t v = 0; v < w.n; ++v) {
-    auto b = tmp.begin() + w.offsets[v];
-    auto e = tmp.begin() + w.offsets[v + 1];
-    std::sort(b, e);
-    int64_t uniq = 0;
-    for (auto it = b; it != e;) {
-      auto jt = it;
-      while (jt != e && *jt == *it) ++jt;
-      ++uniq;
-      it = jt;
+    const int32_t u = static_cast<int32_t>(v);
+    for (EdgeId e = g.out_offsets()[v]; e < g.out_offsets()[v + 1]; ++e) {
+      const VertexId x = g.out_neighbors()[e];
+      if (x != u) rows.Add(x, u, 1);
     }
-    new_offsets[v + 1] = uniq;
-  }
-  for (int64_t v = 0; v < w.n; ++v) new_offsets[v + 1] += new_offsets[v];
-  w.nbrs.resize(static_cast<size_t>(new_offsets[w.n]));
-  w.ewgt.resize(static_cast<size_t>(new_offsets[w.n]));
-  for (int64_t v = 0; v < w.n; ++v) {
-    auto b = tmp.begin() + w.offsets[v];
-    auto e = tmp.begin() + w.offsets[v + 1];
-    int64_t out = new_offsets[v];
-    for (auto it = b; it != e;) {
-      auto jt = it;
-      int64_t mult = 0;
-      while (jt != e && *jt == *it) {
-        ++mult;
-        ++jt;
-      }
-      w.nbrs[out] = *it;
-      w.ewgt[out] = mult;
-      ++out;
-      it = jt;
+    for (EdgeId e = g.in_offsets()[v]; e < g.in_offsets()[v + 1]; ++e) {
+      const VertexId x = g.in_neighbors()[e];
+      if (x != u) rows.Add(x, u, 1);
     }
   }
-  w.offsets = std::move(new_offsets);
+  rows.Finish();
   return w;
 }
 
@@ -142,50 +160,33 @@ WorkGraph Contract(const WorkGraph& g, const std::vector<int32_t>& coarse_of,
   WorkGraph c;
   c.n = nc;
   c.vwgt.assign(static_cast<size_t>(nc), 0);
-  for (int64_t v = 0; v < g.n; ++v) c.vwgt[coarse_of[v]] += g.vwgt[v];
+  // A coarse row receives at most its fine members' row lengths.
+  std::vector<int64_t> cap(static_cast<size_t>(nc), 0);
+  for (int64_t v = 0; v < g.n; ++v) {
+    c.vwgt[coarse_of[v]] += g.vwgt[v];
+    cap[coarse_of[v]] += g.offsets[v + 1] - g.offsets[v];
+  }
   c.total_vwgt = g.total_vwgt;
 
-  // Aggregate coarse adjacency with a per-coarse-vertex hash map.
-  std::vector<std::vector<std::pair<int32_t, int64_t>>> adj(
-      static_cast<size_t>(nc));
-  {
-    std::unordered_map<int32_t, int64_t> acc;
-    // Group fine vertices by coarse id.
-    std::vector<int32_t> head(static_cast<size_t>(nc), -1);
-    std::vector<int32_t> next(static_cast<size_t>(g.n), -1);
-    for (int64_t v = g.n - 1; v >= 0; --v) {
-      const int32_t cv = coarse_of[v];
-      next[v] = head[cv];
-      head[cv] = static_cast<int32_t>(v);
-    }
-    for (int64_t cv = 0; cv < nc; ++cv) {
-      acc.clear();
-      for (int32_t v = head[cv]; v != -1; v = next[v]) {
-        for (int64_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
-          const int32_t cu = coarse_of[g.nbrs[e]];
-          if (cu == cv) continue;
-          acc[cu] += g.ewgt[e];
-        }
+  // Group fine vertices by coarse id.
+  std::vector<int32_t> head(static_cast<size_t>(nc), -1);
+  std::vector<int32_t> next(static_cast<size_t>(g.n), -1);
+  for (int64_t v = g.n - 1; v >= 0; --v) {
+    const int32_t cv = coarse_of[v];
+    next[v] = head[cv];
+    head[cv] = static_cast<int32_t>(v);
+  }
+  TransposedRows rows(&c, cap);
+  for (int64_t cu = 0; cu < nc; ++cu) {
+    const int32_t u = static_cast<int32_t>(cu);
+    for (int32_t v = head[cu]; v != -1; v = next[v]) {
+      for (int64_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
+        const int32_t cx = coarse_of[g.nbrs[e]];
+        if (cx != u) rows.Add(cx, u, g.ewgt[e]);
       }
-      auto& out = adj[cv];
-      out.assign(acc.begin(), acc.end());
-      std::sort(out.begin(), out.end());
     }
   }
-  c.offsets.assign(static_cast<size_t>(nc) + 1, 0);
-  for (int64_t v = 0; v < nc; ++v) {
-    c.offsets[v + 1] = c.offsets[v] + static_cast<int64_t>(adj[v].size());
-  }
-  c.nbrs.resize(static_cast<size_t>(c.offsets[nc]));
-  c.ewgt.resize(static_cast<size_t>(c.offsets[nc]));
-  for (int64_t v = 0; v < nc; ++v) {
-    int64_t o = c.offsets[v];
-    for (const auto& [u, w] : adj[v]) {
-      c.nbrs[o] = u;
-      c.ewgt[o] = w;
-      ++o;
-    }
-  }
+  rows.Finish();
   return c;
 }
 

@@ -34,7 +34,9 @@ struct PartitionResult {
   /// part_of[v] in [0, num_parts).
   std::vector<int32_t> part_of;
   int num_parts = 0;
-  /// Number of cut edges (undirected, each counted once).
+  /// Number of cut edges: directed, non-self-loop input edges whose
+  /// endpoints lie in different parts. A reciprocal pair u->v, v->u that
+  /// is cut counts twice.
   int64_t edge_cut = 0;
 };
 
@@ -42,7 +44,8 @@ struct PartitionResult {
 Result<PartitionResult> MetisLitePartition(const Graph& g, int num_parts,
                                            const MetisLiteOptions& opts = {});
 
-/// Computes the undirected edge cut of an assignment (for tests/benches).
+/// Computes the edge cut of an assignment as PartitionResult::edge_cut
+/// counts it: directed edges, each counted once (for tests/benches).
 int64_t ComputeEdgeCut(const Graph& g, const std::vector<int32_t>& part_of);
 
 }  // namespace hongtu

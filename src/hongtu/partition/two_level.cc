@@ -1,7 +1,6 @@
 #include "hongtu/partition/two_level.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace hongtu {
 
@@ -14,31 +13,35 @@ double TwoLevelPartition::ReplicationFactor(int64_t num_vertices) const {
   return static_cast<double>(total) / static_cast<double>(num_vertices);
 }
 
+namespace internal {
+
 Chunk ExtractChunk(const Graph& g, std::vector<VertexId> dst_vertices,
-                   int partition_id, int chunk_id) {
+                   int partition_id, int chunk_id,
+                   std::vector<int32_t>* local_of) {
+  std::vector<int32_t>& local = *local_of;
   Chunk c;
   c.partition_id = partition_id;
   c.chunk_id = chunk_id;
   std::sort(dst_vertices.begin(), dst_vertices.end());
   c.dst_vertices = std::move(dst_vertices);
 
-  // Collect the unique neighbor set N_ij.
-  c.neighbors.reserve(c.dst_vertices.size() * 4);
+  // Collect the unique neighbor set N_ij through the map (0 marks "seen"
+  // until the sorted positions are known), then sort only the unique ids.
   for (VertexId v : c.dst_vertices) {
     for (EdgeId e = g.in_offsets()[v]; e < g.in_offsets()[v + 1]; ++e) {
-      c.neighbors.push_back(g.in_neighbors()[e]);
+      const VertexId u = g.in_neighbors()[e];
+      if (local[u] == -1) {
+        local[u] = 0;
+        c.neighbors.push_back(u);
+      }
     }
   }
   std::sort(c.neighbors.begin(), c.neighbors.end());
-  c.neighbors.erase(std::unique(c.neighbors.begin(), c.neighbors.end()),
-                    c.neighbors.end());
+  for (size_t s = 0; s < c.neighbors.size(); ++s) {
+    local[c.neighbors[s]] = static_cast<int32_t>(s);
+  }
 
   // Local CSC with edges referencing neighbor-set positions.
-  auto local_of = [&](VertexId u) -> int32_t {
-    const auto it =
-        std::lower_bound(c.neighbors.begin(), c.neighbors.end(), u);
-    return static_cast<int32_t>(it - c.neighbors.begin());
-  };
   c.in_offsets.assign(c.dst_vertices.size() + 1, 0);
   for (size_t d = 0; d < c.dst_vertices.size(); ++d) {
     const VertexId v = c.dst_vertices[d];
@@ -51,21 +54,18 @@ Chunk ExtractChunk(const Graph& g, std::vector<VertexId> dst_vertices,
     const VertexId v = c.dst_vertices[d];
     int64_t o = c.in_offsets[d];
     for (EdgeId e = g.in_offsets()[v]; e < g.in_offsets()[v + 1]; ++e, ++o) {
-      c.nbr_idx[o] = local_of(g.in_neighbors()[e]);
+      c.nbr_idx[o] = local[g.in_neighbors()[e]];
       c.in_weights[o] = g.in_weights()[e];
     }
   }
 
-  // self_idx: destination's own position in the neighbor space.
+  // self_idx: destination's own position in the neighbor space; the map
+  // still holds -1 for a destination that is not its own neighbor.
   c.self_idx.resize(c.dst_vertices.size());
   for (size_t d = 0; d < c.dst_vertices.size(); ++d) {
-    const VertexId v = c.dst_vertices[d];
-    const auto it =
-        std::lower_bound(c.neighbors.begin(), c.neighbors.end(), v);
-    c.self_idx[d] = (it != c.neighbors.end() && *it == v)
-                        ? static_cast<int32_t>(it - c.neighbors.begin())
-                        : -1;
+    c.self_idx[d] = local[c.dst_vertices[d]];
   }
+  for (VertexId u : c.neighbors) local[u] = -1;
 
   // Local CSR mirror (source-major) for parallel scatter.
   c.src_offsets.assign(c.neighbors.size() + 1, 0);
@@ -91,6 +91,15 @@ Chunk ExtractChunk(const Graph& g, std::vector<VertexId> dst_vertices,
   return c;
 }
 
+}  // namespace internal
+
+Chunk ExtractChunk(const Graph& g, std::vector<VertexId> dst_vertices,
+                   int partition_id, int chunk_id) {
+  std::vector<int32_t> local_of(static_cast<size_t>(g.num_vertices()), -1);
+  return internal::ExtractChunk(g, std::move(dst_vertices), partition_id,
+                                chunk_id, &local_of);
+}
+
 Result<TwoLevelPartition> BuildTwoLevelPartition(const Graph& g, int m, int n,
                                                  const TwoLevelOptions& opts) {
   if (m <= 0 || n <= 0) {
@@ -104,16 +113,28 @@ Result<TwoLevelPartition> BuildTwoLevelPartition(const Graph& g, int m, int n,
                       MetisLitePartition(g, m, opts.metis));
   tl.partition_of = std::move(metis.part_of);
 
+  // Bucket the vertices by partition in one counting pass; each bucket is
+  // ascending (range-based order, Fig. 2/5).
+  const int64_t nv = g.num_vertices();
+  std::vector<int64_t> bucket(static_cast<size_t>(m) + 1, 0);
+  for (int32_t p : tl.partition_of) ++bucket[p + 1];
+  for (int i = 0; i < m; ++i) bucket[i + 1] += bucket[i];
+  std::vector<VertexId> by_part(static_cast<size_t>(nv));
+  {
+    std::vector<int64_t> cur(bucket.begin(), bucket.end() - 1);
+    for (int64_t v = 0; v < nv; ++v) {
+      by_part[cur[tl.partition_of[v]]++] = static_cast<VertexId>(v);
+    }
+  }
+
+  std::vector<int32_t> local_of(static_cast<size_t>(nv), -1);
   tl.chunks.resize(static_cast<size_t>(m));
   for (int i = 0; i < m; ++i) {
-    // Vertices of partition i, ascending (range-based order, Fig. 2/5).
-    std::vector<VertexId> verts;
-    for (int64_t v = 0; v < g.num_vertices(); ++v) {
-      if (tl.partition_of[v] == i) verts.push_back(static_cast<VertexId>(v));
-    }
+    const VertexId* verts = by_part.data() + bucket[i];
+    const size_t num_verts = static_cast<size_t>(bucket[i + 1] - bucket[i]);
     // Split into n chunks balanced by in-edge count (computation balance).
     int64_t total_edges = 0;
-    for (VertexId v : verts) total_edges += g.in_degree(v);
+    for (size_t k = 0; k < num_verts; ++k) total_edges += g.in_degree(verts[k]);
     const double target = static_cast<double>(total_edges) / n;
 
     tl.chunks[i].reserve(static_cast<size_t>(n));
@@ -122,8 +143,8 @@ Result<TwoLevelPartition> BuildTwoLevelPartition(const Graph& g, int m, int n,
       std::vector<VertexId> dst;
       int64_t acc = 0;
       const bool last_chunk = (j == n - 1);
-      while (pos < verts.size()) {
-        const size_t remaining_v = verts.size() - pos;
+      while (pos < num_verts) {
+        const size_t remaining_v = num_verts - pos;
         const size_t later_chunks = static_cast<size_t>(n - 1 - j);
         // Leave at least one vertex for every later chunk when possible.
         if (!dst.empty() && remaining_v <= later_chunks) break;
@@ -131,7 +152,8 @@ Result<TwoLevelPartition> BuildTwoLevelPartition(const Graph& g, int m, int n,
         dst.push_back(verts[pos++]);
         acc += g.in_degree(dst.back());
       }
-      tl.chunks[i].push_back(ExtractChunk(g, std::move(dst), i, j));
+      tl.chunks[i].push_back(
+          internal::ExtractChunk(g, std::move(dst), i, j, &local_of));
     }
   }
   return tl;

@@ -86,4 +86,15 @@ Result<TwoLevelPartition> BuildTwoLevelPartition(const Graph& g, int m, int n,
 Chunk ExtractChunk(const Graph& g, std::vector<VertexId> dst_vertices,
                    int partition_id, int chunk_id);
 
+namespace internal {
+
+/// ExtractChunk with a caller-owned global->local map, so a caller that
+/// extracts many chunks allocates it once. `local_of` has one entry per
+/// vertex of `g`, all -1 on entry; they are all -1 again on return.
+Chunk ExtractChunk(const Graph& g, std::vector<VertexId> dst_vertices,
+                   int partition_id, int chunk_id,
+                   std::vector<int32_t>* local_of);
+
+}  // namespace internal
+
 }  // namespace hongtu

@@ -18,6 +18,7 @@
 
 #include "hongtu/common/crc32c.h"
 #include "hongtu/common/fault.h"
+#include "hongtu/common/random.h"
 #include "hongtu/engine/checkpoint.h"
 #include "hongtu/engine/hongtu_engine.h"
 #include "hongtu/engine/trainer.h"
@@ -630,6 +631,34 @@ TEST_F(FaultTest, Crc32cKnownAnswersAndChaining) {
   std::memcpy(buf, s, 9);
   buf[4] ^= 1;
   EXPECT_NE(Crc32c(buf, 9), Crc32c(s, 9));
+}
+
+// The table path runs in every build that does not target SSE4.2; testing it
+// directly keeps it honest in native builds too.
+TEST_F(FaultTest, Crc32cSoftwarePathMatches) {
+  unsigned char zeros[32] = {0};
+  EXPECT_EQ(internal::Crc32cSoftware(zeros, sizeof(zeros)), 0x8a9136aau);
+  const char* s = "123456789";
+  EXPECT_EQ(internal::Crc32cSoftware(s, 9), 0xe3069283u);
+  EXPECT_EQ(internal::Crc32cSoftware(s + 4, 5, internal::Crc32cSoftware(s, 4)),
+            0xe3069283u);
+
+  // Every length 0..100 at every alignment offset 0..7, so both the 8-byte
+  // body and the byte tail are compared against Crc32c.
+  Rng rng(11);
+  std::vector<unsigned char> buf(108);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.NextInt(256));
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t n = 0; n <= 100; ++n) {
+      const uint32_t seed = static_cast<uint32_t>(n * 2654435761u);
+      ASSERT_EQ(internal::Crc32cSoftware(buf.data() + off, n),
+                Crc32c(buf.data() + off, n))
+          << "offset " << off << " length " << n;
+      ASSERT_EQ(internal::Crc32cSoftware(buf.data() + off, n, seed),
+                Crc32c(buf.data() + off, n, seed))
+          << "offset " << off << " length " << n << " seeded";
+    }
+  }
 }
 
 }  // namespace

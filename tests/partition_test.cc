@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <string>
 #include <tuple>
 
+#include "hongtu/common/crc32c.h"
+#include "hongtu/common/random.h"
 #include "hongtu/graph/builder.h"
 #include "hongtu/graph/datasets.h"
 #include "hongtu/partition/metis_lite.h"
@@ -90,6 +93,116 @@ TEST(MetisLite, DeterministicForFixedSeed) {
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.ValueOrDie().part_of, b.ValueOrDie().part_of);
   EXPECT_EQ(a.ValueOrDie().edge_cut, b.ValueOrDie().edge_cut);
+}
+
+template <typename T>
+uint32_t CrcOf(const std::vector<T>& v, uint32_t crc = 0) {
+  return Crc32c(v.data(), v.size() * sizeof(T), crc);
+}
+
+// A multigraph: every edge is repeated one to three times, some repeats run
+// both ways, some vertices carry explicit self-loops and every 13th vertex
+// is isolated. Coarsening therefore merges parallel edges of weight > 1,
+// which the deduplicated datasets never produce.
+Graph Multigraph() {
+  constexpr int64_t kN = 3000;
+  Rng rng(5);
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (int64_t v = 0; v < kN; ++v) {
+    if (v % 13 == 0) continue;
+    for (int k = 0; k < 4; ++k) {
+      const int64_t u = (v + 1 + static_cast<int64_t>(rng.NextInt(40))) % kN;
+      if (u % 13 == 0) continue;
+      const int copies = 1 + static_cast<int>(rng.NextInt(3));
+      const auto a = static_cast<VertexId>(v);
+      const auto b = static_cast<VertexId>(u);
+      for (int c = 0; c < copies; ++c) {
+        if (rng.NextInt(2) == 0) {
+          edges.emplace_back(a, b);
+        } else {
+          edges.emplace_back(b, a);
+        }
+      }
+    }
+    if (v % 7 == 0) {
+      edges.emplace_back(static_cast<VertexId>(v), static_cast<VertexId>(v));
+    }
+  }
+  GraphBuilderOptions o;
+  o.deduplicate = false;
+  o.add_self_loops = false;
+  auto r = GraphBuilder(o).Build(kN, std::move(edges));
+  EXPECT_TRUE(r.ok());
+  return r.MoveValueUnsafe();
+}
+
+TEST(MetisLite, MultigraphPartitionIsPinned) {
+  const Graph g = Multigraph();
+  ASSERT_GT(g.num_edges(), 0);
+  // Pinned part_of words: any change to coarsening, matching or refinement
+  // order shows up here.
+  const std::vector<std::pair<int, uint32_t>> pinned = {{2, 0x5fcf3b65u},
+                                                        {4, 0xc12574b7u}};
+  for (const auto& [k, want] : pinned) {
+    auto r = MetisLitePartition(g, k);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const PartitionResult& pr = r.ValueOrDie();
+    std::vector<int64_t> count(k, 0);
+    for (int32_t p : pr.part_of) count[p]++;
+    for (int64_t c : count) EXPECT_GT(c, 0);
+    EXPECT_EQ(CrcOf(pr.part_of), want) << "k=" << k;
+  }
+}
+
+struct GoldenCase {
+  const char* dataset;
+  double scale;
+  uint64_t seed;
+  int m;
+  int n;
+  uint32_t part_of_crc;
+  uint32_t structure_crc;
+};
+
+// The 2-level partition is the input to every digest downstream (dedup
+// plans, schedules, trained weights). These words pin it bitwise: the
+// METIS assignment, then that word chained over every integer array of
+// every chunk in [i][j] order. Float weights are copied straight from the
+// graph and left out.
+TEST(TwoLevel, GoldenPartitionCrcs) {
+  const GoldenCase cases[] = {
+      {"reddit", 1.0, 1, 4, 4, 0xbdf71870u, 0x3fcf7358u},
+      {"reddit", 1.0, 2, 4, 4, 0x8447c7d3u, 0x9287ec54u},
+      {"friendster", 0.1, 1, 4, 8, 0x3a1b80abu, 0xb859e235u},
+      {"friendster", 0.1, 2, 4, 8, 0x450861e2u, 0xa1224b97u},
+      {"it-2004", 0.1, 1, 1, 4, 0x6fb0f5f1u, 0x8ec7a7c8u},
+      {"it-2004", 0.1, 2, 1, 4, 0x6fb0f5f1u, 0x3944fae0u},
+  };
+  for (const GoldenCase& gc : cases) {
+    SCOPED_TRACE(std::string(gc.dataset) + " seed " + std::to_string(gc.seed));
+    auto dsr = LoadDatasetScaled(gc.dataset, gc.scale, gc.seed);
+    ASSERT_TRUE(dsr.ok());
+    TwoLevelOptions opts;
+    opts.metis.seed = 7;
+    auto r = BuildTwoLevelPartition(dsr.ValueOrDie().graph, gc.m, gc.n, opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const TwoLevelPartition& tl = r.ValueOrDie();
+    uint32_t structure = CrcOf(tl.partition_of);
+    for (const auto& row : tl.chunks) {
+      for (const Chunk& c : row) {
+        structure = CrcOf(c.dst_vertices, structure);
+        structure = CrcOf(c.neighbors, structure);
+        structure = CrcOf(c.in_offsets, structure);
+        structure = CrcOf(c.nbr_idx, structure);
+        structure = CrcOf(c.src_offsets, structure);
+        structure = CrcOf(c.dst_idx, structure);
+        structure = CrcOf(c.src_edge_idx, structure);
+        structure = CrcOf(c.self_idx, structure);
+      }
+    }
+    EXPECT_EQ(CrcOf(tl.partition_of), gc.part_of_crc);
+    EXPECT_EQ(structure, gc.structure_crc);
+  }
 }
 
 TEST(MetisLite, MoreRefinementNeverWorsensCut) {
@@ -219,6 +332,141 @@ TEST(ReplicationFactor, GrowsWithPartitionCount) {
     prev_soc = as;
   }
   EXPECT_GT(prev_soc, prev_web);  // friendster-like >> it-2004-like
+}
+
+// Naive chunk extraction: sort every in-edge source, then binary-search each
+// edge's position. The production path must agree with it exactly.
+Chunk ReferenceChunk(const Graph& g, std::vector<VertexId> dst) {
+  Chunk c;
+  std::sort(dst.begin(), dst.end());
+  c.dst_vertices = dst;
+  for (VertexId v : dst) {
+    for (EdgeId e = g.in_offsets()[v]; e < g.in_offsets()[v + 1]; ++e) {
+      c.neighbors.push_back(g.in_neighbors()[e]);
+    }
+  }
+  std::sort(c.neighbors.begin(), c.neighbors.end());
+  c.neighbors.erase(std::unique(c.neighbors.begin(), c.neighbors.end()),
+                    c.neighbors.end());
+  const auto find = [&](VertexId u) {
+    const auto it = std::lower_bound(c.neighbors.begin(), c.neighbors.end(), u);
+    return (it != c.neighbors.end() && *it == u)
+               ? static_cast<int32_t>(it - c.neighbors.begin())
+               : -1;
+  };
+  c.in_offsets.push_back(0);
+  for (VertexId v : dst) {
+    for (EdgeId e = g.in_offsets()[v]; e < g.in_offsets()[v + 1]; ++e) {
+      c.nbr_idx.push_back(find(g.in_neighbors()[e]));
+      c.in_weights.push_back(g.in_weights()[e]);
+    }
+    c.in_offsets.push_back(static_cast<int64_t>(c.nbr_idx.size()));
+    c.self_idx.push_back(find(v));
+  }
+  // Source-major mirror: stable by destination, then by CSC position.
+  c.src_offsets.assign(c.neighbors.size() + 1, 0);
+  for (size_t s = 0; s < c.neighbors.size(); ++s) {
+    for (size_t d = 0; d < dst.size(); ++d) {
+      for (int64_t e = c.in_offsets[d]; e < c.in_offsets[d + 1]; ++e) {
+        if (c.nbr_idx[e] != static_cast<int32_t>(s)) continue;
+        c.dst_idx.push_back(static_cast<int32_t>(d));
+        c.src_weights.push_back(c.in_weights[e]);
+        c.src_edge_idx.push_back(static_cast<int32_t>(e));
+      }
+    }
+    c.src_offsets[s + 1] = static_cast<int64_t>(c.dst_idx.size());
+  }
+  return c;
+}
+
+void ExpectSameChunk(const Chunk& got, const Chunk& want) {
+  EXPECT_EQ(got.dst_vertices, want.dst_vertices);
+  EXPECT_EQ(got.neighbors, want.neighbors);
+  EXPECT_EQ(got.in_offsets, want.in_offsets);
+  EXPECT_EQ(got.nbr_idx, want.nbr_idx);
+  EXPECT_EQ(got.in_weights, want.in_weights);
+  EXPECT_EQ(got.src_offsets, want.src_offsets);
+  EXPECT_EQ(got.dst_idx, want.dst_idx);
+  EXPECT_EQ(got.src_weights, want.src_weights);
+  EXPECT_EQ(got.src_edge_idx, want.src_edge_idx);
+  EXPECT_EQ(got.self_idx, want.self_idx);
+}
+
+// Random graph on two halves [0, n/2) and [n/2, n) with no edge between
+// them, so destination sets drawn from different halves have disjoint
+// neighbor sets.
+Graph TwoHalves(int64_t n, bool self_loops, Rng* rng) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  const int64_t half = n / 2;
+  for (int64_t k = 0; k < 3 * n; ++k) {
+    const int64_t base = rng->NextInt(2) == 0 ? 0 : half;
+    const int64_t span = base == 0 ? half : n - half;
+    edges.emplace_back(static_cast<VertexId>(base + rng->NextInt(span)),
+                       static_cast<VertexId>(base + rng->NextInt(span)));
+  }
+  GraphBuilderOptions o;
+  o.add_self_loops = self_loops;
+  auto r = GraphBuilder(o).Build(n, std::move(edges));
+  EXPECT_TRUE(r.ok());
+  return r.MoveValueUnsafe();
+}
+
+std::vector<VertexId> RandomSubset(int64_t lo, int64_t hi, Rng* rng) {
+  std::vector<VertexId> out;
+  for (int64_t v = hi - 1; v >= lo; --v) {  // unsorted on purpose
+    if (rng->NextInt(3) == 0) out.push_back(static_cast<VertexId>(v));
+  }
+  return out;
+}
+
+TEST(ExtractChunk, MatchesReferenceOnRandomGraphs) {
+  Rng rng(3);
+  for (bool self_loops : {true, false}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      SCOPED_TRACE(std::string(self_loops ? "self-loops" : "no self-loops") +
+                   " trial " + std::to_string(trial));
+      const int64_t n = 20 + static_cast<int64_t>(rng.NextInt(60));
+      const Graph g = TwoHalves(n, self_loops, &rng);
+      const int64_t half = n / 2;
+      // Successive extractions through one shared map: whole graph, each
+      // half (disjoint neighbor sets), random overlapping subsets, and an
+      // empty set. Each must equal both the reference and a fresh
+      // extraction, so a stale map entry from an earlier chunk shows.
+      std::vector<std::vector<VertexId>> dsts;
+      std::vector<VertexId> all(static_cast<size_t>(n));
+      std::iota(all.begin(), all.end(), 0);
+      dsts.push_back(all);
+      dsts.push_back(RandomSubset(0, half, &rng));
+      dsts.push_back(RandomSubset(half, n, &rng));
+      dsts.push_back(RandomSubset(0, n, &rng));
+      dsts.push_back(RandomSubset(0, n, &rng));
+      dsts.push_back({});
+      dsts.push_back(RandomSubset(half / 2, n, &rng));
+      std::vector<int32_t> local_of(static_cast<size_t>(n), -1);
+      int64_t absent_self = 0;
+      for (size_t k = 0; k < dsts.size(); ++k) {
+        SCOPED_TRACE("extraction " + std::to_string(k));
+        const Chunk want = ReferenceChunk(g, dsts[k]);
+        const Chunk shared =
+            internal::ExtractChunk(g, dsts[k], 1, 2, &local_of);
+        EXPECT_EQ(shared.partition_id, 1);
+        EXPECT_EQ(shared.chunk_id, 2);
+        ExpectSameChunk(shared, want);
+        absent_self += std::count(shared.self_idx.begin(),
+                                  shared.self_idx.end(), -1);
+        ExpectSameChunk(ExtractChunk(g, dsts[k], 1, 2), want);
+        EXPECT_EQ(std::count(local_of.begin(), local_of.end(), -1), n)
+            << "map not reset";
+      }
+      // Without self-loops some destinations are not their own neighbors,
+      // so the self_idx = -1 case is exercised.
+      if (self_loops) {
+        EXPECT_EQ(absent_self, 0);
+      } else {
+        EXPECT_GT(absent_self, 0);
+      }
+    }
+  }
 }
 
 TEST(ExtractChunk, EmptyDestinationSet) {
