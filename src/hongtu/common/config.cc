@@ -1,5 +1,7 @@
 #include "hongtu/common/config.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -11,6 +13,19 @@ namespace hongtu {
 namespace {
 
 const char* Env(const char* name) { return std::getenv(name); }
+
+/// Reads the boolean knob `name` into *out when it is exactly "0" or "1";
+/// anything else warns and keeps *out.
+void ParseBoolEnv(const char* name, bool* out) {
+  const char* s = Env(name);
+  if (s == nullptr) return;
+  if (std::strcmp(s, "0") == 0 || std::strcmp(s, "1") == 0) {
+    *out = s[0] == '1';
+  } else {
+    HT_LOG(WARNING) << name << "=" << s
+                    << " not recognized (want 0|1); keeping " << (*out ? 1 : 0);
+  }
+}
 
 }  // namespace
 
@@ -59,12 +74,10 @@ RuntimeConfig RuntimeConfig::FromEnv() {
                       << kernels::CommPrecisionName(c.comm_precision);
     }
   }
-  if (const char* s = Env("HONGTU_WIRE_INTEGRITY")) {
-    c.wire_integrity = std::string(s) != "0";
-  }
-  if (const char* s = Env("HONGTU_DISABLE_POOL")) {
-    c.pool_enabled = !(s[0] != '\0' && s[0] != '0');
-  }
+  ParseBoolEnv("HONGTU_WIRE_INTEGRITY", &c.wire_integrity);
+  bool disable_pool = !c.pool_enabled;
+  ParseBoolEnv("HONGTU_DISABLE_POOL", &disable_pool);
+  c.pool_enabled = !disable_pool;
   if (const char* s = Env("HONGTU_FAULT_SPEC")) c.fault_spec = s;
   if (const char* s = Env("HONGTU_RETRY_SPEC")) c.retry_spec = s;
   if (const char* s = Env("HONGTU_EXECUTOR")) {
@@ -75,9 +88,11 @@ RuntimeConfig RuntimeConfig::FromEnv() {
     }
   }
   if (const char* s = Env("HONGTU_MAX_INFLIGHT")) {
-    const int v = std::atoi(s);
-    if (v >= 1) {
-      c.max_inflight = v;
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(s, &end, 10);
+    if (end != s && *end == '\0' && errno == 0 && v >= 1 && v <= INT_MAX) {
+      c.max_inflight = static_cast<int>(v);
     } else {
       HT_LOG(WARNING) << "HONGTU_MAX_INFLIGHT=" << s
                       << " not a positive integer; keeping " << c.max_inflight;

@@ -27,6 +27,10 @@
 /// | executor        | HONGTU_EXECUTOR        | pipeline   |
 /// | max_inflight    | HONGTU_MAX_INFLIGHT    | 2          |
 /// | cluster         | HONGTU_CLUSTER         | (off)      |
+///
+/// Parsing is strict: the two booleans accept exactly `0` or `1`, and
+/// HONGTU_MAX_INFLIGHT a whole positive decimal integer. Any other value
+/// (including an unknown enum name) logs a warning and keeps the default.
 
 #pragma once
 

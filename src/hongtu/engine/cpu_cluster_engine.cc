@@ -152,7 +152,8 @@ Result<EpochStats> CpuClusterEngine::EstimateEpoch() const {
     model_.layer(l)->ForwardCost(lg, &f, &b);
     flops += f;
     bytes += b;
-    model_.layer(l)->BackwardCost(lg, /*cached=*/false, &f, &b);
+    model_.layer(l)->BackwardCost(lg, /*cached=*/false, /*input_grad=*/l > 0,
+                                  &f, &b);
     flops += f;
     bytes += b;
   }

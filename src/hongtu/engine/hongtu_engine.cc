@@ -145,7 +145,8 @@ Result<std::unique_ptr<HongTuEngine>> HongTuEngine::Create(
       &engine->tl_, &engine->plan_, engine->platform_.get(),
       &engine->degrade_);
 
-  // ---- Host buffers (Algorithm 1 line 3): h^l and grad h^l for all layers,
+  // ---- Host buffers (Algorithm 1 line 3): h^l for all layers and grad h^l
+  // for l >= 1 (layer 0 forms no input gradient, so grad_[0] stays empty),
   // plus AGGREGATE checkpoints for cacheable layers under the hybrid policy.
   const int64_t nv = dataset->graph.num_vertices();
   const int L = engine->model_.num_layers();
@@ -153,7 +154,7 @@ Result<std::unique_ptr<HongTuEngine>> HongTuEngine::Create(
   engine->grad_.reserve(L + 1);
   for (int l = 0; l <= L; ++l) {
     engine->h_.emplace_back(nv, model_config.dims[l]);
-    engine->grad_.emplace_back(nv, model_config.dims[l]);
+    engine->grad_.emplace_back(l > 0 ? nv : 0, model_config.dims[l]);
   }
   HT_RETURN_IF_ERROR(engine->h_[0].CopyFrom(dataset->features));
   engine->cache_.resize(L);
@@ -237,12 +238,14 @@ void HongTuEngine::PresizeWorkspaces() {
   const int m = options_.num_devices;
   const int n = options_.chunks_per_partition;
   const int L = model_.num_layers();
-  int64_t max_in = 0, max_out = 0, max_agg = 0;
+  int64_t max_in = 0, max_out = 0, max_agg = 0, max_grad_in = 0;
   for (int l = 0; l < L; ++l) {
     const Layer* layer = model_.layer(l);
     max_in = std::max<int64_t>(max_in, layer->in_dim());
     max_out = std::max<int64_t>(max_out, layer->out_dim());
     max_agg = std::max<int64_t>(max_agg, layer->agg_dim());
+    // Layer 0 forms no input gradient, so its width never sizes d_src.
+    if (l > 0) max_grad_in = std::max<int64_t>(max_grad_in, layer->in_dim());
   }
   ws_.resize(static_cast<size_t>(std::max(1, EffectiveDepth())));
   for (SlotWorkspace& ws : ws_) {
@@ -261,7 +264,7 @@ void HongTuEngine::PresizeWorkspaces() {
       ws.agg[i].EnsureShape(max_dst, max_agg);
       ws.d_dst[i].EnsureShape(max_dst, max_out);
       ws.dst_rows[i].EnsureShape(max_dst, max_in);
-      ws.d_src[i].EnsureShape(max_nbr, max_in);
+      ws.d_src[i].EnsureShape(max_nbr, max_grad_in);
     }
   }
 }
@@ -527,10 +530,11 @@ Status HongTuEngine::BackwardLayerSerial(int l) {
   const int n = options_.chunks_per_partition;
   Layer* layer = model_.layer(l);
   const bool cached = use_cache_[l];
+  const bool input_grad = l > 0;
   SlotWorkspace& slot = ws_[0];
   const kernels::CommPrecision wire = options_.comm_precision;
   const int64_t eb = kernels::CommElemBytes(wire);
-  grad_[l].Zero();
+  if (input_grad) grad_[l].Zero();
   HT_RETURN_IF_ERROR(executor_->BeginLayer(layer->in_dim(), 1, wire,
                                            options_.wire_integrity));
   for (int j = 0; j < n; ++j) {
@@ -541,9 +545,9 @@ Status HongTuEngine::BackwardLayerSerial(int l) {
     }
     for (int i = 0; i < m; ++i) {
       const Chunk& chunk = tl_.chunks[i][j];
-      Tensor& d_src = slot.d_src[i];
+      Tensor* d_src = input_grad ? &slot.d_src[i] : nullptr;
       if (chunk.num_dst() == 0) {
-        d_src.EnsureShape(0, layer->in_dim());
+        if (input_grad) d_src->EnsureShape(0, layer->in_dim());
         continue;
       }
       const LocalGraph lg = LocalGraph::FromChunk(chunk, chunk_schedules(i, j));
@@ -559,7 +563,9 @@ Status HongTuEngine::BackwardLayerSerial(int l) {
                                     wire, &degrade_));
       platform_->AddH2D(i, chunk.num_dst() * layer->out_dim() * eb);
 
-      d_src.EnsureShapeZeroed(chunk.num_neighbors(), layer->in_dim());
+      if (input_grad) {
+        d_src->EnsureShapeZeroed(chunk.num_neighbors(), layer->in_dim());
+      }
 
       if (cached) {
         // Hybrid path (Fig. 4c): reload the AGGREGATE checkpoint, skip
@@ -577,19 +583,21 @@ Status HongTuEngine::BackwardLayerSerial(int l) {
           dst_rows.EnsureShape(0, 0);
         }
         HT_RETURN_IF_ERROR(
-            layer->BackwardCached(lg, agg, dst_rows, d_dst, &d_src));
+            layer->BackwardCached(lg, agg, dst_rows, d_dst, d_src));
       } else {
         HT_RETURN_IF_ERROR(layer->BackwardRecompute(
-            lg, executor_->slot_buffers(0)[i], d_dst, &d_src));
+            lg, executor_->slot_buffers(0)[i], d_dst, d_src));
       }
       double flops = 0, bytes = 0;
-      layer->BackwardCost(lg, cached, &flops, &bytes);
+      layer->BackwardCost(lg, cached, input_grad, &flops, &bytes);
       platform_->AddGpuCompute(i, flops, bytes);
     }
     platform_->Synchronize();
     // Deduplicated gradient write-back (Alg. 1 line 19 / Alg. 3).
-    HT_RETURN_IF_ERROR(
-        executor_->BackwardAccumulate(j, slot.d_src, &grad_[l]));
+    if (input_grad) {
+      HT_RETURN_IF_ERROR(
+          executor_->BackwardAccumulate(j, slot.d_src, &grad_[l]));
+    }
   }
   executor_->EndLayer();
   return Status::OK();
@@ -600,9 +608,10 @@ Status HongTuEngine::BackwardLayerPipelined(int l) {
   const int d = EffectiveDepth();
   Layer* layer = model_.layer(l);
   const bool cached = use_cache_[l];
+  const bool input_grad = l > 0;
   const kernels::CommPrecision wire = options_.comm_precision;
   const int64_t eb = kernels::CommElemBytes(wire);
-  grad_[l].Zero();
+  if (input_grad) grad_[l].Zero();
 
   // Per-(slot, device) gather/gradient buffers come from the pre-sized slot
   // workspaces; the depth bound keeps the three lanes off each other's slot.
@@ -648,22 +657,24 @@ Status HongTuEngine::BackwardLayerPipelined(int l) {
         cached ? nullptr : &executor_->slot_buffers(s);
     for (int i = 0; i < m; ++i) {
       const Chunk& chunk = tl_.chunks[i][j];
-      Tensor& ds = ws_[s].d_src[i];
+      Tensor* ds = input_grad ? &ws_[s].d_src[i] : nullptr;
       if (chunk.num_dst() == 0) {
-        ds.EnsureShape(0, layer->in_dim());
+        if (input_grad) ds->EnsureShape(0, layer->in_dim());
         continue;
       }
       const LocalGraph lg = LocalGraph::FromChunk(chunk, chunk_schedules(i, static_cast<int>(j)));
-      ds.EnsureShapeZeroed(chunk.num_neighbors(), layer->in_dim());
+      if (input_grad) {
+        ds->EnsureShapeZeroed(chunk.num_neighbors(), layer->in_dim());
+      }
       if (cached) {
         HT_RETURN_IF_ERROR(layer->BackwardCached(
-            lg, ws_[s].agg[i], ws_[s].dst_rows[i], ws_[s].d_dst[i], &ds));
+            lg, ws_[s].agg[i], ws_[s].dst_rows[i], ws_[s].d_dst[i], ds));
       } else {
         HT_RETURN_IF_ERROR(
-            layer->BackwardRecompute(lg, (*nbr)[i], ws_[s].d_dst[i], &ds));
+            layer->BackwardRecompute(lg, (*nbr)[i], ws_[s].d_dst[i], ds));
       }
       double flops = 0, bytes = 0;
-      layer->BackwardCost(lg, cached, &flops, &bytes);
+      layer->BackwardCost(lg, cached, input_grad, &flops, &bytes);
       platform_->AddGpuCompute(i, flops, bytes);
     }
     platform_->Synchronize();
@@ -671,9 +682,11 @@ Status HongTuEngine::BackwardLayerPipelined(int l) {
   };
   // Stage C: deduplicated gradient write-back for batch j (Alg. 3). Runs
   // strictly in batch order, so transition-gradient slot reuse and the
-  // host-side accumulation order match the serial path exactly.
+  // host-side accumulation order match the serial path exactly. Layer 0
+  // forms no input gradient, so it has nothing to push.
   auto store = [&, l](int64_t j) -> Status {
     SimPlatform::SetLane(2);
+    if (!input_grad) return Status::OK();
     return executor_->BackwardAccumulate(
         static_cast<int>(j), ws_[static_cast<size_t>(j % d)].d_src,
         &grad_[l]);

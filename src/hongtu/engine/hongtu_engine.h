@@ -67,7 +67,8 @@ class HongTuEngine : public Engine {
 
   /// Forward over all layers/batches; fills h^l buffers (and caches).
   Status ForwardPass();
-  /// Backward from the loss gradient in grad_[L] down to layer 0.
+  /// Backward from the loss gradient in grad_[L] down to layer 0, which
+  /// forms parameter gradients only (no grad h^0 and no gradient push).
   Status BackwardPass();
   Status AllReduceAndStep();
 
@@ -145,7 +146,7 @@ class HongTuEngine : public Engine {
   std::unique_ptr<CommExecutor> executor_;
 
   std::vector<Tensor> h_;      ///< h^l, l = 0..L (host)
-  std::vector<Tensor> grad_;   ///< grad h^l, l = 0..L (host)
+  std::vector<Tensor> grad_;   ///< grad h^l, l = 1..L (host); [0] is empty
   std::vector<Tensor> cache_;  ///< AGGREGATE checkpoints per layer (host)
   std::vector<bool> use_cache_;  ///< per layer: hybrid cache active
   std::vector<SlotWorkspace> ws_;  ///< per-slot reusable chunk workspaces

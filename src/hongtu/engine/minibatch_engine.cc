@@ -229,11 +229,14 @@ Result<EpochStats> MiniBatchEngine::TrainEpoch() {
     for (int l = L - 1; l >= 0; --l) {
       Layer* layer = model_.layer(l);
       const LocalGraph lg = LocalGraph::FromChunk(blocks[l]);
-      Tensor d_src(lg.num_src, layer->in_dim());
-      HT_RETURN_IF_ERROR(
-          layer->BackwardStored(lg, *ctx[l], hb[l], d_next, &d_src));
+      // Layer 0 forms no input (feature) gradient.
+      const bool input_grad = l > 0;
+      Tensor d_src =
+          input_grad ? Tensor(lg.num_src, layer->in_dim()) : Tensor();
+      HT_RETURN_IF_ERROR(layer->BackwardStored(lg, *ctx[l], hb[l], d_next,
+                                               input_grad ? &d_src : nullptr));
       double flops = 0, bytes = 0;
-      layer->BackwardCost(lg, /*cached=*/true, &flops, &bytes);
+      layer->BackwardCost(lg, /*cached=*/true, input_grad, &flops, &bytes);
       platform_->AddGpuCompute(dev, flops, bytes);
       d_next = std::move(d_src);
     }

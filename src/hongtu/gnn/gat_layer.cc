@@ -442,9 +442,9 @@ Status GatLayer::BackwardStored(const LocalGraph& g, const LayerCtx& ctx,
     ops::MatmulTransAAccum(dt_dst, p_self, &da_dst_);
   }
 
-  // Weight gradient and input gradient.
+  // Weight gradient and (unless skipped) the input gradient.
   ops::MatmulTransAAccum(src_h, dp, &dw_);
-  ops::MatmulTransBAccum(dp, w_, d_src);
+  if (d_src != nullptr) ops::MatmulTransBAccum(dp, w_, d_src);
   return Status::OK();
 }
 
@@ -463,14 +463,20 @@ void GatLayer::ForwardCost(const LocalGraph& g, double* flops,
            nd * out_dim_ * 8.0;
 }
 
-void GatLayer::BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                            double* bytes) const {
+void GatLayer::BackwardCost(const LocalGraph& g, bool cached, bool input_grad,
+                            double* flops, double* bytes) const {
   (void)cached;  // GAT always recomputes.
   double ff, fb;
   ForwardCost(g, &ff, &fb);
   // Backward roughly mirrors forward twice (dP accumulation + scatter).
   *flops = 2.0 * ff;
   *bytes = 2.0 * fb;
+  if (!input_grad) {
+    // Without the input gradient the dP * W^T GEMM goes.
+    const double ns = static_cast<double>(g.num_src);
+    *flops -= 2.0 * ns * in_dim_ * out_dim_;
+    *bytes -= ns * in_dim_ * 4.0;
+  }
 }
 
 }  // namespace hongtu

@@ -37,8 +37,8 @@ class GatLayer : public Layer {
 
   void ForwardCost(const LocalGraph& g, double* flops,
                    double* bytes) const override;
-  void BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                    double* bytes) const override;
+  void BackwardCost(const LocalGraph& g, bool cached, bool input_grad,
+                    double* flops, double* bytes) const override;
 
   static constexpr float kLeakySlope = 0.2f;
 

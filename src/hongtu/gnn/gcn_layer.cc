@@ -76,6 +76,7 @@ Status GcnLayer::BackwardFromAgg(const LocalGraph& g, const Tensor& agg,
   // Param grads.
   ops::MatmulTransAAccum(agg, dz, &dw_);
   ops::ColumnSumAccum(dz, &db_);
+  if (d_src == nullptr) return Status::OK();  // no input gradient wanted
   // d_agg = dz * W^T, then scatter along edges to sources.
   Tensor dagg = Tensor::Uninitialized(g.num_dst, in_dim_);
   ops::MatmulTransB(dz, w_, &dagg);
@@ -96,6 +97,7 @@ Status GcnLayer::BackwardStored(const LocalGraph& g, const LayerCtx& ctx,
   }
   ops::MatmulTransAAccum(c.agg, dz, &dw_);
   ops::ColumnSumAccum(dz, &db_);
+  if (d_src == nullptr) return Status::OK();
   Tensor dagg = Tensor::Uninitialized(g.num_dst, in_dim_);
   ops::MatmulTransB(dz, w_, &dagg);
   ScatterWeightedAccum(g, dagg, d_src);
@@ -117,14 +119,18 @@ void GcnLayer::ForwardCost(const LocalGraph& g, double* flops,
   *bytes = (e + nd) * in_dim_ * 4.0 + nd * out_dim_ * 8.0;
 }
 
-void GcnLayer::BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                            double* bytes) const {
+void GcnLayer::BackwardCost(const LocalGraph& g, bool cached, bool input_grad,
+                            double* flops, double* bytes) const {
   const double e = static_cast<double>(g.num_edges);
   const double nd = static_cast<double>(g.num_dst);
   const double ns = static_cast<double>(g.num_src);
-  // UPDATE re-forward + dW + dagg + scatter.
-  *flops = 6.0 * nd * in_dim_ * out_dim_ + 2.0 * e * in_dim_;
-  *bytes = (e + nd + ns) * in_dim_ * 4.0 + nd * out_dim_ * 12.0;
+  // UPDATE re-forward + dW; the input gradient adds dagg + scatter.
+  *flops = 4.0 * nd * in_dim_ * out_dim_;
+  *bytes = nd * in_dim_ * 4.0 + nd * out_dim_ * 12.0;
+  if (input_grad) {
+    *flops += 2.0 * nd * in_dim_ * out_dim_ + 2.0 * e * in_dim_;
+    *bytes += (e + ns) * in_dim_ * 4.0;
+  }
   if (!cached) {
     // Full recomputation repeats the AGGREGATE as well.
     *flops += 2.0 * e * in_dim_;

@@ -36,8 +36,8 @@ class GcnLayer : public Layer {
 
   void ForwardCost(const LocalGraph& g, double* flops,
                    double* bytes) const override;
-  void BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                    double* bytes) const override;
+  void BackwardCost(const LocalGraph& g, bool cached, bool input_grad,
+                    double* flops, double* bytes) const override;
 
  private:
   /// Shared backward tail given the (cached or stored) aggregate output.

@@ -183,6 +183,7 @@ Status GgnnLayer::BackwardImpl(const LocalGraph& g, const Tensor& agg,
   // Input projections.
   ops::MatmulTransAAccum(agg, dm, &dwm_);
   ops::MatmulTransAAccum(dst_h, ds, &dws_);
+  if (d_src == nullptr) return Status::OK();  // no input gradient wanted
   Tensor dagg = Tensor::Uninitialized(nd, in_dim_);
   ops::MatmulTransB(dm, wm_, &dagg);
   ScatterSumAccum(g, dagg, d_src);
@@ -217,12 +218,21 @@ void GgnnLayer::ForwardCost(const LocalGraph& g, double* flops,
   *bytes = (e + 2.0 * nd) * in_dim_ * 4.0 + nd * out_dim_ * 40.0;
 }
 
-void GgnnLayer::BackwardCost(const LocalGraph& g, bool cached, double* flops,
+void GgnnLayer::BackwardCost(const LocalGraph& g, bool cached,
+                             bool input_grad, double* flops,
                              double* bytes) const {
   double ff = 0, fb = 0;
   ForwardCost(g, &ff, &fb);
   *flops = 2.2 * ff;
   *bytes = 2.2 * fb;
+  if (!input_grad) {
+    // Without the input gradient the dagg/dself GEMMs and scatters go.
+    const double e = static_cast<double>(g.num_edges);
+    const double nd = static_cast<double>(g.num_dst);
+    const double ns = static_cast<double>(g.num_src);
+    *flops -= 4.0 * nd * in_dim_ * out_dim_ + 2.0 * e * in_dim_;
+    *bytes -= (e + ns) * in_dim_ * 4.0;
+  }
   if (!cached) {
     *flops += 2.0 * static_cast<double>(g.num_edges) * in_dim_;
     *bytes += static_cast<double>(g.num_edges) * in_dim_ * 4.0;

@@ -51,8 +51,8 @@ class GgnnLayer : public Layer {
 
   void ForwardCost(const LocalGraph& g, double* flops,
                    double* bytes) const override;
-  void BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                    double* bytes) const override;
+  void BackwardCost(const LocalGraph& g, bool cached, bool input_grad,
+                    double* flops, double* bytes) const override;
 
  private:
   Status BackwardImpl(const LocalGraph& g, const Tensor& agg,

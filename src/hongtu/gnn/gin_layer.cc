@@ -123,6 +123,7 @@ Status GinLayer::BackwardImpl(const LocalGraph& g, const Tensor& agg,
   ops::MatmulTransB(dz, w_, &dcomb);
   // eps gradient: sum(dcomb . dst_h).
   deps_.at(0, 0) += static_cast<float>(ops::Dot(dcomb, dst_h));
+  if (d_src == nullptr) return Status::OK();  // no input gradient wanted
   // Neighbor path (unweighted sum) and self path.
   ScatterSumAccum(g, dcomb, d_src);
   kernels::ScatterRowsAccum(kernels::ActiveBackend(), g.self_idx, g.num_dst,
@@ -154,14 +155,19 @@ void GinLayer::ForwardCost(const LocalGraph& g, double* flops,
   *bytes = (e + 2.0 * nd) * in_dim_ * 4.0 + nd * out_dim_ * 8.0;
 }
 
-void GinLayer::BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                            double* bytes) const {
+void GinLayer::BackwardCost(const LocalGraph& g, bool cached, bool input_grad,
+                            double* flops, double* bytes) const {
   const double e = static_cast<double>(g.num_edges);
   const double nd = static_cast<double>(g.num_dst);
   const double ns = static_cast<double>(g.num_src);
-  *flops = 6.0 * nd * in_dim_ * out_dim_ + 2.0 * e * in_dim_ +
-           4.0 * nd * in_dim_;
-  *bytes = (e + 2.0 * nd + ns) * in_dim_ * 4.0 + nd * out_dim_ * 12.0;
+  // UPDATE re-forward + dW + dcomb (the eps gradient reads it) + combine and
+  // eps dot; the input gradient adds the neighbor and self scatters.
+  *flops = 6.0 * nd * in_dim_ * out_dim_ + 2.0 * nd * in_dim_;
+  *bytes = 2.0 * nd * in_dim_ * 4.0 + nd * out_dim_ * 12.0;
+  if (input_grad) {
+    *flops += 2.0 * e * in_dim_ + 2.0 * nd * in_dim_;
+    *bytes += (e + ns) * in_dim_ * 4.0;
+  }
   if (!cached) {
     *flops += 2.0 * e * in_dim_;
     *bytes += e * in_dim_ * 4.0;

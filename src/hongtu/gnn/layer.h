@@ -13,6 +13,13 @@
 ///                        AGGREGATE output (the recomputation-caching hybrid,
 ///                        Fig. 4c; models with arithmetic-only aggregation).
 /// `cacheable()` says whether BackwardCached is available (§4.2).
+///
+/// Input-gradient contract: every backward takes `d_src == nullptr` to mean
+/// "form no input gradient". Parameter gradients are accumulated exactly as
+/// with a real `d_src` (bit for bit); only the work that feeds `d_src` alone
+/// (the input-side GEMMs and edge scatters) is skipped. Engines pass null at
+/// layer 0, whose input gradient is the gradient of the input features,
+/// which nothing reads.
 
 #pragma once
 
@@ -121,7 +128,8 @@ class Layer {
   /// Backward from stored intermediates. `src_h` are the same neighbor
   /// representations the forward consumed (resident in in-memory engines,
   /// reloaded in the recompute path). `d_src` must be pre-zeroed with shape
-  /// (num_src x in_dim); param grads are accumulated.
+  /// (num_src x in_dim), or null to skip the input gradient (see the file
+  /// comment); param grads are accumulated.
   virtual Status BackwardStored(const LocalGraph& g, const LayerCtx& ctx,
                                 const Tensor& src_h, const Tensor& d_dst,
                                 Tensor* d_src) = 0;
@@ -140,9 +148,11 @@ class Layer {
   /// Roofline cost of Forward on `g` (simulated-GPU time accounting).
   virtual void ForwardCost(const LocalGraph& g, double* flops,
                            double* bytes) const = 0;
-  /// Cost of the backward pass; `cached` selects the hybrid path.
-  virtual void BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                            double* bytes) const = 0;
+  /// Cost of the backward pass; `cached` selects the hybrid path and
+  /// `input_grad` says whether the input gradient is formed (false when the
+  /// engine passes `d_src == nullptr`).
+  virtual void BackwardCost(const LocalGraph& g, bool cached, bool input_grad,
+                            double* flops, double* bytes) const = 0;
 };
 
 // ---- Shared sparse kernels (the cuSparse stand-ins). -----------------------

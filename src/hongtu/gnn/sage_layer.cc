@@ -100,6 +100,7 @@ Status SageLayer::BackwardImpl(const LocalGraph& g, const Tensor& agg,
   ops::MatmulTransAAccum(dst_h, dz, &dw_self_);
   ops::MatmulTransAAccum(agg, dz, &dw_nbr_);
   ops::ColumnSumAccum(dz, &db_);
+  if (d_src == nullptr) return Status::OK();  // no input gradient wanted
   // Neighbor path: d_agg scattered with mean weights.
   Tensor dagg = Tensor::Uninitialized(g.num_dst, in_dim_);
   ops::MatmulTransB(dz, w_nbr_, &dagg);
@@ -134,13 +135,20 @@ void SageLayer::ForwardCost(const LocalGraph& g, double* flops,
   *bytes = (e + 2.0 * nd) * in_dim_ * 4.0 + nd * out_dim_ * 8.0;
 }
 
-void SageLayer::BackwardCost(const LocalGraph& g, bool cached, double* flops,
+void SageLayer::BackwardCost(const LocalGraph& g, bool cached,
+                             bool input_grad, double* flops,
                              double* bytes) const {
   const double e = static_cast<double>(g.num_edges);
   const double nd = static_cast<double>(g.num_dst);
   const double ns = static_cast<double>(g.num_src);
-  *flops = 12.0 * nd * in_dim_ * out_dim_ + 2.0 * e * in_dim_;
-  *bytes = (e + 2.0 * nd + ns) * in_dim_ * 4.0 + nd * out_dim_ * 12.0;
+  // UPDATE re-forward + both dW; the input gradient adds the d_agg and
+  // d_self GEMMs + their scatters.
+  *flops = 8.0 * nd * in_dim_ * out_dim_;
+  *bytes = 2.0 * nd * in_dim_ * 4.0 + nd * out_dim_ * 12.0;
+  if (input_grad) {
+    *flops += 4.0 * nd * in_dim_ * out_dim_ + 2.0 * e * in_dim_;
+    *bytes += (e + ns) * in_dim_ * 4.0;
+  }
   if (!cached) {
     *flops += 2.0 * e * in_dim_;
     *bytes += e * in_dim_ * 4.0;

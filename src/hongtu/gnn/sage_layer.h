@@ -37,8 +37,8 @@ class SageLayer : public Layer {
 
   void ForwardCost(const LocalGraph& g, double* flops,
                    double* bytes) const override;
-  void BackwardCost(const LocalGraph& g, bool cached, double* flops,
-                    double* bytes) const override;
+  void BackwardCost(const LocalGraph& g, bool cached, bool input_grad,
+                    double* flops, double* bytes) const override;
 
  private:
   /// `stored_h` is the activated forward output when available (stored

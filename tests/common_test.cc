@@ -254,23 +254,82 @@ TEST(RuntimeConfig, ExecutorKindsAreSerialAndPipelineOnly) {
   EXPECT_EQ(k, ExecutorKind::kSerial);
 }
 
-TEST(RuntimeConfig, UnknownExecutorEnvKeepsDefaultWithWarning) {
-  const char* prev = std::getenv("HONGTU_EXECUTOR");
+/// RuntimeConfig::FromEnv() with `name` set to `value`, capturing what it
+/// logs into *err; the variable's previous state is restored afterwards.
+RuntimeConfig FromEnvWith(const char* name, const char* value,
+                          std::string* err) {
+  const char* prev = std::getenv(name);
   const std::string saved = prev != nullptr ? prev : "";
-  setenv("HONGTU_EXECUTOR", "taskgraph", 1);
+  setenv(name, value, 1);
   testing::internal::CaptureStderr();
   const RuntimeConfig c = RuntimeConfig::FromEnv();
-  const std::string err = testing::internal::GetCapturedStderr();
+  *err = testing::internal::GetCapturedStderr();
   if (prev != nullptr) {
-    setenv("HONGTU_EXECUTOR", saved.c_str(), 1);
+    setenv(name, saved.c_str(), 1);
   } else {
-    unsetenv("HONGTU_EXECUTOR");
+    unsetenv(name);
   }
+  return c;
+}
+
+TEST(RuntimeConfig, UnknownExecutorEnvKeepsDefaultWithWarning) {
+  std::string err;
+  const RuntimeConfig c = FromEnvWith("HONGTU_EXECUTOR", "taskgraph", &err);
   EXPECT_EQ(c.executor, RuntimeConfig::Defaults().executor);
   EXPECT_EQ(c.executor, ExecutorKind::kPipeline);
   EXPECT_NE(err.find("HONGTU_EXECUTOR=taskgraph not recognized"),
             std::string::npos)
       << err;
+}
+
+TEST(RuntimeConfig, BooleanEnvAcceptsExactlyZeroOrOne) {
+  const RuntimeConfig def = RuntimeConfig::Defaults();
+  ASSERT_TRUE(def.wire_integrity);
+  ASSERT_TRUE(def.pool_enabled);
+  std::string err;
+  EXPECT_FALSE(FromEnvWith("HONGTU_WIRE_INTEGRITY", "0", &err).wire_integrity);
+  EXPECT_EQ(err.find("not recognized"), std::string::npos) << err;
+  EXPECT_TRUE(FromEnvWith("HONGTU_WIRE_INTEGRITY", "1", &err).wire_integrity);
+  EXPECT_EQ(err.find("not recognized"), std::string::npos) << err;
+  EXPECT_FALSE(FromEnvWith("HONGTU_DISABLE_POOL", "1", &err).pool_enabled);
+  EXPECT_EQ(err.find("not recognized"), std::string::npos) << err;
+  EXPECT_TRUE(FromEnvWith("HONGTU_DISABLE_POOL", "0", &err).pool_enabled);
+  EXPECT_EQ(err.find("not recognized"), std::string::npos) << err;
+  // Words, padded digits and empty strings are not booleans: they warn and
+  // keep the default instead of being read by their first character.
+  for (const char* bad : {"off", "false", "no", "00", " 1", ""}) {
+    EXPECT_TRUE(
+        FromEnvWith("HONGTU_WIRE_INTEGRITY", bad, &err).wire_integrity)
+        << "'" << bad << "'";
+    EXPECT_NE(err.find("HONGTU_WIRE_INTEGRITY=" + std::string(bad) +
+                       " not recognized"),
+              std::string::npos)
+        << err;
+  }
+  for (const char* bad : {"false", "true", "yes", "2", ""}) {
+    EXPECT_TRUE(FromEnvWith("HONGTU_DISABLE_POOL", bad, &err).pool_enabled)
+        << "'" << bad << "'";
+    EXPECT_NE(err.find("HONGTU_DISABLE_POOL=" + std::string(bad) +
+                       " not recognized"),
+              std::string::npos)
+        << err;
+  }
+}
+
+TEST(RuntimeConfig, MaxInflightEnvIsAWholePositiveInteger) {
+  std::string err;
+  EXPECT_EQ(FromEnvWith("HONGTU_MAX_INFLIGHT", "3", &err).max_inflight, 3);
+  EXPECT_EQ(err.find("HONGTU_MAX_INFLIGHT"), std::string::npos) << err;
+  const int def = RuntimeConfig::Defaults().max_inflight;
+  for (const char* bad :
+       {"3abc", "abc", "", "0", "-2", "2.5", "99999999999999999999"}) {
+    EXPECT_EQ(FromEnvWith("HONGTU_MAX_INFLIGHT", bad, &err).max_inflight, def)
+        << "'" << bad << "'";
+    EXPECT_NE(err.find("HONGTU_MAX_INFLIGHT=" + std::string(bad) +
+                       " not a positive integer"),
+              std::string::npos)
+        << err;
+  }
 }
 
 }  // namespace

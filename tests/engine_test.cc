@@ -210,6 +210,42 @@ TEST(HongTuEngine, HybridCacheOffMatchesOn) {
   EXPECT_LT(ra.ValueOrDie().bytes.h2d, rb.ValueOrDie().bytes.h2d);
 }
 
+TEST(HongTuEngine, LayerZeroPushesNoGradient) {
+  // Layer 0's input gradient would be the gradient of the input features,
+  // which nothing reads: its backward forms parameter gradients only and
+  // pushes nothing through the Alg. 3 gradient path. A one-layer GCN under
+  // the hybrid cache also reloads no neighbors in backward, so a training
+  // epoch's D2D traffic is exactly its forward pass's plus the ring
+  // all-reduce of the parameter gradients.
+  Dataset ds = SmallDataset();
+  ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
+                                      ds.num_classes, /*layers=*/1, 41);
+  for (const ExecutorKind ex :
+       {ExecutorKind::kSerial, ExecutorKind::kPipeline}) {
+    EngineConfig o;
+    o.num_devices = 4;
+    o.chunks_per_partition = 3;
+    o.device_capacity_bytes = kBig;
+    o.hybrid_cache = true;
+    o.executor = ex;
+    auto er = HongTuEngine::Create(&ds, cfg, o);
+    ASSERT_TRUE(er.ok()) << er.status().ToString();
+    HongTuEngine& e = *er.ValueOrDie();
+    SimPlatform* platform = e.platform();
+    platform->ResetEpoch();
+    ASSERT_TRUE(e.EvaluateAccuracy(SplitRole::kVal).ok());
+    const int64_t forward_d2d = platform->bytes().d2d;
+    ASSERT_GT(forward_d2d, 0);
+    auto r = e.TrainEpoch();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const int m = o.num_devices;
+    const int64_t allreduce =
+        m * (2 * e.model()->ParamBytes() * (m - 1) / m);
+    EXPECT_EQ(r.ValueOrDie().bytes.d2d, forward_d2d + allreduce)
+        << ExecutorKindName(ex);
+  }
+}
+
 TEST(HongTuEngine, EdgeSchedulesAreMeteredAndOptional) {
   Dataset ds = SmallDataset("friendster", 0.1);
   ModelConfig cfg =

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "hongtu/gnn/gat_layer.h"
@@ -238,6 +239,73 @@ TEST(BackwardRecompute, MatchesStoredForAllKinds) {
     auto gb = layer->grads();
     for (size_t p = 0; p < gb.size(); ++p) {
       EXPECT_LT(Tensor::MaxAbsDiff(ga[p], *gb[p]), 1e-6) << layer->name();
+    }
+  }
+}
+
+/// The input-gradient contract of layer.h: `d_src == nullptr` forms no input
+/// gradient and leaves every parameter gradient bitwise equal to a call with
+/// a zeroed `d_src`, in all three backward modes.
+TEST(NullInputGradient, ParamGradsBitwiseEqualInEveryBackwardMode) {
+  Graph g = SmallGraph(40, 200, 50);
+  const Chunk chunk = FullChunk(g);
+  const LocalGraph lg = LocalGraph::FromChunk(chunk);
+  constexpr int kIn = 8, kOut = 16;  // 16 takes GAT's width-specialized loops
+  std::vector<std::unique_ptr<Layer>> layers;
+  layers.push_back(std::make_unique<GcnLayer>(kIn, kOut, true, 51));
+  layers.push_back(std::make_unique<SageLayer>(kIn, kOut, true, 52));
+  layers.push_back(std::make_unique<GinLayer>(kIn, kOut, true, 53));
+  layers.push_back(std::make_unique<GatLayer>(kIn, kOut, true, 54));
+  layers.push_back(std::make_unique<GgnnLayer>(kIn, kOut, false, 55));
+  enum class Mode { kStored, kRecompute, kCached };
+  for (auto& layer : layers) {
+    Tensor src_h = Tensor::Gaussian(lg.num_src, kIn, 0.5f, 56);
+    Tensor d_dst = Tensor::Gaussian(lg.num_dst, kOut, 0.5f, 57);
+    Tensor dst_h, agg;
+    std::unique_ptr<LayerCtx> ctx;
+    ASSERT_TRUE(layer->ForwardStore(lg, src_h, &dst_h, &ctx).ok());
+    if (layer->cacheable()) {
+      ASSERT_TRUE(layer->Forward(lg, src_h, &dst_h, &agg).ok());
+    }
+    // Parameter gradients of one backward call from zeroed accumulators.
+    const auto grads_of = [&](Mode mode, Tensor* d_src) {
+      layer->ZeroGrads();
+      Status st;
+      switch (mode) {
+        case Mode::kStored:
+          st = layer->BackwardStored(lg, *ctx, src_h, d_dst, d_src);
+          break;
+        case Mode::kRecompute:
+          st = layer->BackwardRecompute(lg, src_h, d_dst, d_src);
+          break;
+        case Mode::kCached:
+          // Identity chunk: the destinations' own rows are src_h's rows.
+          st = layer->BackwardCached(lg, agg, src_h, d_dst, d_src);
+          break;
+      }
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      std::vector<Tensor> out;
+      for (Tensor* t : layer->grads()) out.push_back(t->Clone());
+      return out;
+    };
+    std::vector<Mode> modes = {Mode::kStored, Mode::kRecompute};
+    if (layer->cacheable()) modes.push_back(Mode::kCached);
+    for (const Mode mode : modes) {
+      Tensor zeroed(lg.num_src, kIn);
+      const std::vector<Tensor> with = grads_of(mode, &zeroed);
+      const std::vector<Tensor> without = grads_of(mode, nullptr);
+      ASSERT_EQ(with.size(), without.size());
+      for (size_t p = 0; p < with.size(); ++p) {
+        ASSERT_EQ(with[p].size(), without[p].size());
+        EXPECT_EQ(std::memcmp(with[p].data(), without[p].data(),
+                              with[p].size() * sizeof(float)),
+                  0)
+            << layer->name() << " mode " << static_cast<int>(mode)
+            << " param " << p;
+      }
+      // The real call did form an input gradient.
+      EXPECT_GT(Tensor::MaxAbsDiff(zeroed, Tensor(lg.num_src, kIn)), 0.0)
+          << layer->name();
     }
   }
 }
