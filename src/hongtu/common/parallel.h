@@ -1,9 +1,14 @@
 /// \file parallel.h
-/// \brief Shared-memory parallel helpers backed by OpenMP.
+/// \brief Shared-memory parallel helpers backed by OpenMP, and the worker
+/// group that runs the simulated devices concurrently.
 ///
 /// Simulated-GPU kernels in HongTu execute as real float32 computation on the
 /// host CPU. Inner loops (SpMM rows, GEMM rows) are parallelized with these
-/// helpers; outer device loops stay sequential so results are deterministic.
+/// helpers. The outer device loop of a pipelined batch runs on a WorkerGroup:
+/// one host thread per device, each with its share of the thread budget.
+/// Results stay deterministic: every kernel sums each output in a fixed order
+/// whatever the thread split, and each device accumulates into its own
+/// gradient replica, reduced in device order (engine/hongtu_engine.h).
 ///
 /// The chunked/balanced helpers are templates over the callable, so the hot
 /// kernels (SpMM aggregation, GEMM tiles) invoke the body directly — no
@@ -14,19 +19,29 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <mutex>
+#include <thread>
 #include <type_traits>
+#include <vector>
+
+#include "hongtu/common/status.h"
 
 namespace hongtu {
 
 /// Below this many items, parallel regions run serially.
 inline constexpr int64_t kParallelSerialThreshold = 256;
 
-/// Number of worker threads used by ParallelFor (OpenMP max threads).
+/// Thread budget of the parallel regions the calling thread starts: the
+/// process-wide budget (SetNumThreads; initially the OpenMP default, i.e.
+/// OMP_NUM_THREADS), or the thread's share while it runs a WorkerGroup task.
 int NumThreads();
 
-/// Limits the number of threads used by subsequent parallel regions.
+/// Sets the process-wide thread budget for subsequent parallel regions. It
+/// reaches every thread, including std::threads started before or after the
+/// call (omp_set_num_threads would only set the calling thread's own value).
 void SetNumThreads(int n);
 
 /// Runs `fn(i)` for i in [begin, end) across threads. Iterations must be
@@ -136,5 +151,41 @@ void ParallelForBalanced(int64_t n, const int64_t* prefix, Fn&& fn) {
   ParallelForBalanced(n, prefix, kParallelSerialThreshold,
                       std::forward<Fn>(fn));
 }
+
+/// Runs one task per index concurrently: index 0 on the calling thread, the
+/// rest on `size - 1` persistent threads that block on a condition variable
+/// between runs, so idle workers never take cycles from other threads. Each
+/// task's parallel regions get max(1, NumThreads() / size) threads: the
+/// group never runs more threads than the budget. One Run at a time.
+class WorkerGroup {
+ public:
+  using Task = std::function<Status(int index)>;
+
+  explicit WorkerGroup(int size);
+  /// Joins the workers.
+  ~WorkerGroup();
+
+  WorkerGroup(const WorkerGroup&) = delete;
+  WorkerGroup& operator=(const WorkerGroup&) = delete;
+
+  /// Runs task(i) for every i in [0, size) and waits for all of them.
+  /// Returns the first non-OK status in index order.
+  Status Run(const Task& task);
+
+ private:
+  void WorkerLoop(int index);
+
+  const int size_;
+  std::mutex mu_;
+  std::condition_variable start_cv_;
+  std::condition_variable done_cv_;
+  const Task* task_ = nullptr;  ///< the current run's task
+  int budget_ = 1;              ///< the current run's threads per task
+  uint64_t generation_ = 0;     ///< bumped by every Run
+  int pending_ = 0;             ///< worker tasks of this run still going
+  bool stopping_ = false;
+  std::vector<Status> status_;  ///< per index, the current run's result
+  std::vector<std::thread> workers_;
+};
 
 }  // namespace hongtu

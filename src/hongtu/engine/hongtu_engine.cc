@@ -8,6 +8,8 @@
 #include "hongtu/common/parallel.h"
 #include "hongtu/common/pipeline.h"
 #include "hongtu/kernels/backend.h"
+#include "hongtu/tensor/ops.h"
+#include "hongtu/tensor/pool.h"
 
 namespace hongtu {
 
@@ -117,6 +119,12 @@ Result<std::unique_ptr<HongTuEngine>> HongTuEngine::Create(
   engine->ds_ = dataset;
   engine->options_ = options;
   HT_ASSIGN_OR_RETURN(engine->model_, GnnModel::Create(model_config));
+  for (int i = 1; i < options.num_devices; ++i) {
+    HT_ASSIGN_OR_RETURN(GnnModel replica, GnnModel::Create(model_config));
+    engine->replicas_.push_back(std::move(replica));
+  }
+  engine->device_workers_ =
+      std::make_unique<WorkerGroup>(std::max(1, options.num_devices));
   engine->adam_ = Adam(options.adam);
   for (Tensor* p : engine->model_.AllParams()) engine->adam_.Register(p);
 
@@ -278,7 +286,29 @@ int HongTuEngine::EffectiveDepth() const {
   return d >= 2 ? d : 0;
 }
 
+Status HongTuEngine::SyncReplicas() {
+  const std::vector<Tensor*> src = model_.AllParams();
+  for (GnnModel& replica : replicas_) {
+    const std::vector<Tensor*> dst = replica.AllParams();
+    for (size_t k = 0; k < src.size(); ++k) {
+      HT_RETURN_IF_ERROR(dst[k]->CopyFrom(*src[k]));
+    }
+  }
+  return Status::OK();
+}
+
+Status HongTuEngine::RunDevices(const std::function<Status(int)>& fn) {
+  return device_workers_->Run([&fn](int i) -> Status {
+    SimPlatform::SetLane(1);
+    TensorPool::SetThreadArena(i);
+    return fn(i);
+  });
+}
+
 Status HongTuEngine::ForwardPass() {
+  // The replicas pick up whatever changed model_ since the last pass: the
+  // Adam step, a checkpoint restore, or an edit made through model().
+  HT_RETURN_IF_ERROR(SyncReplicas());
   const int L = model_.num_layers();
   for (int l = 0; l < L; ++l) {
     if (EffectiveDepth() > 0) {
@@ -341,7 +371,7 @@ Status HongTuEngine::ForwardLayerSerial(int l) {
 
       Tensor& dst_h = slot.out[i];
       Tensor& agg = slot.agg[i];
-      HT_RETURN_IF_ERROR(layer->Forward(
+      HT_RETURN_IF_ERROR(DeviceLayer(i, l)->Forward(
           lg, nbr_bufs[i], &dst_h, use_cache_[l] ? &agg : nullptr));
 
       // Copy the new representations back to host (Alg. 1 line 9).
@@ -459,22 +489,23 @@ Status HongTuEngine::ForwardLayerPipelined(int l) {
     return executor_->ForwardLoadSlot(static_cast<int>(j),
                                       static_cast<int>(j % d), h_[l]);
   };
-  // Stage B: GNN kernels for batch j on every device.
+  // Stage B: GNN kernels for batch j, all devices at once.
   auto compute = [&, l](int64_t j) -> Status {
     SimPlatform::SetLane(1);
     const int s = static_cast<int>(j % d);
     std::vector<Tensor>& nbr = executor_->slot_buffers(s);
-    for (int i = 0; i < m; ++i) {
+    HT_RETURN_IF_ERROR(RunDevices([&](int i) -> Status {
       const Chunk& chunk = tl_.chunks[i][j];
-      if (chunk.num_dst() == 0) continue;
+      if (chunk.num_dst() == 0) return Status::OK();
       const LocalGraph lg = LocalGraph::FromChunk(chunk, chunk_schedules(i, static_cast<int>(j)));
-      HT_RETURN_IF_ERROR(layer->Forward(
+      HT_RETURN_IF_ERROR(DeviceLayer(i, l)->Forward(
           lg, nbr[i], &ws_[s].out[i],
           use_cache_[l] ? &ws_[s].agg[i] : nullptr));
       double flops = 0, bytes = 0;
       layer->ForwardCost(lg, &flops, &bytes);
       platform_->AddGpuCompute(i, flops, bytes);
-    }
+      return Status::OK();
+    }));
     platform_->Synchronize();
     return Status::OK();
   };
@@ -515,10 +546,13 @@ Status HongTuEngine::BackwardPass() {
                                                  std::to_string(l)));
       // Serial replay: BackwardLayerSerial starts from grad_[l].Zero() and
       // BeginLayer re-zeroes the transition-gradient accumulators. Layer l's
-      // parameter gradients were still zero when the pipelined attempt
-      // began (only layer l's own backward writes them, once per epoch), so
-      // re-zeroing them erases the poisoned attempt's partial accumulation.
-      model_.layer(l)->ZeroGrads();
+      // parameter gradients were still zero on every device when the
+      // pipelined attempt began (only layer l's own backward writes them,
+      // once per epoch), so re-zeroing them erases the poisoned attempt's
+      // partial accumulation.
+      for (int i = 0; i < options_.num_devices; ++i) {
+        DeviceLayer(i, l)->ZeroGrads();
+      }
     }
     HT_RETURN_IF_ERROR(BackwardLayerSerial(l));
   }
@@ -583,9 +617,9 @@ Status HongTuEngine::BackwardLayerSerial(int l) {
           dst_rows.EnsureShape(0, 0);
         }
         HT_RETURN_IF_ERROR(
-            layer->BackwardCached(lg, agg, dst_rows, d_dst, d_src));
+            DeviceLayer(i, l)->BackwardCached(lg, agg, dst_rows, d_dst, d_src));
       } else {
-        HT_RETURN_IF_ERROR(layer->BackwardRecompute(
+        HT_RETURN_IF_ERROR(DeviceLayer(i, l)->BackwardRecompute(
             lg, executor_->slot_buffers(0)[i], d_dst, d_src));
       }
       double flops = 0, bytes = 0;
@@ -647,36 +681,39 @@ Status HongTuEngine::BackwardLayerPipelined(int l) {
     platform_->Synchronize();
     return Status::OK();
   };
-  // Stage B: backward kernels for batch j. The neighbor slot only exists
-  // on the recompute path (the hybrid path never loads neighbors, and its
-  // BeginLayer registers a single comm slot).
+  // Stage B: backward kernels for batch j, all devices at once, each
+  // accumulating into its own replica's parameter gradients. The neighbor
+  // slot only exists on the recompute path (the hybrid path never loads
+  // neighbors, and its BeginLayer registers a single comm slot).
   auto compute = [&, l](int64_t j) -> Status {
     SimPlatform::SetLane(1);
     const int s = static_cast<int>(j % d);
     std::vector<Tensor>* nbr =
         cached ? nullptr : &executor_->slot_buffers(s);
-    for (int i = 0; i < m; ++i) {
+    HT_RETURN_IF_ERROR(RunDevices([&](int i) -> Status {
       const Chunk& chunk = tl_.chunks[i][j];
       Tensor* ds = input_grad ? &ws_[s].d_src[i] : nullptr;
       if (chunk.num_dst() == 0) {
         if (input_grad) ds->EnsureShape(0, layer->in_dim());
-        continue;
+        return Status::OK();
       }
       const LocalGraph lg = LocalGraph::FromChunk(chunk, chunk_schedules(i, static_cast<int>(j)));
       if (input_grad) {
         ds->EnsureShapeZeroed(chunk.num_neighbors(), layer->in_dim());
       }
+      Layer* dl = DeviceLayer(i, l);
       if (cached) {
-        HT_RETURN_IF_ERROR(layer->BackwardCached(
+        HT_RETURN_IF_ERROR(dl->BackwardCached(
             lg, ws_[s].agg[i], ws_[s].dst_rows[i], ws_[s].d_dst[i], ds));
       } else {
         HT_RETURN_IF_ERROR(
-            layer->BackwardRecompute(lg, (*nbr)[i], ws_[s].d_dst[i], ds));
+            dl->BackwardRecompute(lg, (*nbr)[i], ws_[s].d_dst[i], ds));
       }
       double flops = 0, bytes = 0;
       layer->BackwardCost(lg, cached, input_grad, &flops, &bytes);
       platform_->AddGpuCompute(i, flops, bytes);
-    }
+      return Status::OK();
+    }));
     platform_->Synchronize();
     return Status::OK();
   };
@@ -701,18 +738,24 @@ Status HongTuEngine::BackwardLayerPipelined(int l) {
 }
 
 Status HongTuEngine::AllReduceAndStep() {
-  // Parameters are replicated across devices; gradients are synchronized
-  // with a ring all-reduce (Alg. 1 line 21). In this single-process engine
-  // the gradient tensors are already global sums, so only traffic is added.
+  // Parameters are replicated across devices and every device accumulated
+  // its chunks' gradients into its own replica; the all-reduce (Alg. 1 line
+  // 21) is metered as a ring. The sum itself adds replicas 1..m-1 into
+  // model_ (device 0's) in device order — the rank order the cluster
+  // coordinator reduces in — so the result never depends on which device
+  // finished first.
   const int m = options_.num_devices;
   const int64_t param_bytes = model_.ParamBytes();
   for (int i = 0; i < m; ++i) {
     platform_->AddD2D(i, 2 * param_bytes * (m - 1) / std::max(1, m));
   }
   platform_->Synchronize();
-  std::vector<const Tensor*> grads;
-  for (Tensor* g : model_.AllGrads()) grads.push_back(g);
-  return adam_.Step(grads);
+  const std::vector<Tensor*> grads = model_.AllGrads();
+  for (GnnModel& replica : replicas_) {
+    const std::vector<Tensor*> g = replica.AllGrads();
+    for (size_t k = 0; k < grads.size(); ++k) ops::AddInPlace(*g[k], grads[k]);
+  }
+  return adam_.Step(std::vector<const Tensor*>(grads.begin(), grads.end()));
 }
 
 Result<EpochStats> HongTuEngine::TrainEpoch() {
@@ -721,6 +764,7 @@ Result<EpochStats> HongTuEngine::TrainEpoch() {
   platform_->ResetPeaks();
   degrade_.ResetEpoch();
   model_.ZeroGrads();
+  for (GnnModel& replica : replicas_) replica.ZeroGrads();
 
   HT_RETURN_IF_ERROR(ForwardPass());
 

@@ -7,6 +7,16 @@
 /// layers, the AGGREGATE checkpoints) live in host memory; each batch loads
 /// one chunk per device through the deduplicated communication framework,
 /// computes on the simulated GPU, and streams results back.
+///
+/// Devices run concurrently, as the m GPUs do: the pipelined compute stage
+/// runs every device's chunk kernels at once on a WorkerGroup (device 0 on
+/// the stage's own thread, device i >= 1 on worker i, which allocates from
+/// pool arena i). Each device holds its own parameter replica — device 0's
+/// is model_, devices 1..m-1 have copies refreshed at every forward pass —
+/// and accumulates its own gradients; the all-reduce sums them into model_
+/// in device order, so weights do not depend on thread timing, and the
+/// serial executor (the same replicas, devices one after another) gives
+/// bitwise the same weights.
 
 #pragma once
 
@@ -15,6 +25,7 @@
 #include <vector>
 
 #include "hongtu/comm/dedup_plan.h"
+#include "hongtu/common/parallel.h"
 #include "hongtu/common/pipeline.h"
 #include "hongtu/comm/executor.h"
 #include "hongtu/comm/reorganize.h"
@@ -70,7 +81,21 @@ class HongTuEngine : public Engine {
   /// Backward from the loss gradient in grad_[L] down to layer 0, which
   /// forms parameter gradients only (no grad h^0 and no gradient push).
   Status BackwardPass();
+  /// Sums the device replicas' gradients into model_ in device order, then
+  /// takes the Adam step on model_.
   Status AllReduceAndStep();
+
+  /// Layer l of device i's parameter replica (model_ for device 0).
+  Layer* DeviceLayer(int i, int l) {
+    return i == 0 ? model_.layer(l)
+                  : replicas_[static_cast<size_t>(i - 1)].layer(l);
+  }
+  /// Copies model_'s parameters into every replica.
+  Status SyncReplicas();
+  /// Runs `fn(i)` for every device i at once on device_workers_, bound to
+  /// the compute lane and to pool arena i. Returns the first error in
+  /// device order.
+  Status RunDevices(const std::function<Status(int)>& fn);
 
   /// Classifies a failed pipelined layer: OOM and transient causes are
   /// recorded as degradation events and return OK (caller runs the serial
@@ -135,7 +160,9 @@ class HongTuEngine : public Engine {
 
   const Dataset* ds_ = nullptr;
   EngineConfig options_;
-  GnnModel model_;
+  GnnModel model_;  ///< device 0's replica; the one Adam and checkpoints use
+  std::vector<GnnModel> replicas_;  ///< devices 1..m-1
+  std::unique_ptr<WorkerGroup> device_workers_;  ///< one task per device
   Adam adam_;
   /// Counted record of every graceful degradation (shared with executor_).
   fault::DegradationPolicy degrade_;

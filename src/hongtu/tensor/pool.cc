@@ -24,6 +24,9 @@ float* AlignedNew(int64_t floats) {
 
 void AlignedDelete(float* p) { ::operator delete(p, kAlign); }
 
+/// The calling thread's free-list arena; see TensorPool::SetThreadArena.
+thread_local int t_arena = 0;
+
 int64_t BitWidth(int64_t v) {
   int64_t w = 0;
   while (v > 0) {
@@ -37,8 +40,9 @@ int64_t BitWidth(int64_t v) {
 
 struct TensorPool::Impl {
   mutable std::mutex mu;
-  /// Free lists keyed by bucket capacity in floats.
-  std::unordered_map<int64_t, std::vector<float*>> free;
+  /// Per arena (grown on first release), free lists keyed by bucket
+  /// capacity in floats.
+  std::vector<std::unordered_map<int64_t, std::vector<float*>>> free;
   PoolStats stats;
   /// Atomic so the Tensor fast paths (EnsureShape, Uninitialized) can read
   /// it without taking the pool lock.
@@ -85,9 +89,10 @@ float* TensorPool::Acquire(int64_t floats, int64_t* capacity_floats) {
   *capacity_floats = cap;
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
-    if (impl_->enabled) {
-      auto it = impl_->free.find(cap);
-      if (it != impl_->free.end() && !it->second.empty()) {
+    if (impl_->enabled && t_arena < static_cast<int>(impl_->free.size())) {
+      auto& lists = impl_->free[static_cast<size_t>(t_arena)];
+      auto it = lists.find(cap);
+      if (it != lists.end() && !it->second.empty()) {
         float* p = it->second.back();
         it->second.pop_back();
         ++impl_->stats.hits;
@@ -115,7 +120,11 @@ void TensorPool::Release(float* data, int64_t capacity_floats) {
     std::lock_guard<std::mutex> lock(impl_->mu);
     impl_->stats.live_bytes -= bytes;
     if (impl_->enabled) {
-      impl_->free[capacity_floats].push_back(data);
+      if (t_arena >= static_cast<int>(impl_->free.size())) {
+        impl_->free.resize(static_cast<size_t>(t_arena) + 1);
+      }
+      impl_->free[static_cast<size_t>(t_arena)][capacity_floats].push_back(
+          data);
       impl_->stats.cached_bytes += bytes;
       return;
     }
@@ -125,15 +134,18 @@ void TensorPool::Release(float* data, int64_t capacity_floats) {
 
 void TensorPool::Trim() {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  for (auto& [cap, bucket] : impl_->free) {
-    for (float* p : bucket) AlignedDelete(p);
-    impl_->stats.cached_bytes -=
-        static_cast<int64_t>(bucket.size()) * cap *
-        static_cast<int64_t>(sizeof(float));
-    bucket.clear();
+  for (auto& lists : impl_->free) {
+    for (auto& [cap, bucket] : lists) {
+      for (float* p : bucket) AlignedDelete(p);
+      impl_->stats.cached_bytes -=
+          static_cast<int64_t>(bucket.size()) * cap *
+          static_cast<int64_t>(sizeof(float));
+    }
+    lists.clear();
   }
-  impl_->free.clear();
 }
+
+void TensorPool::SetThreadArena(int arena) { t_arena = std::max(0, arena); }
 
 PoolStats TensorPool::stats() const {
   std::lock_guard<std::mutex> lock(impl_->mu);

@@ -17,6 +17,13 @@
 /// Thread safety: all methods are safe to call concurrently (the pipelined
 /// executor's three stage lanes allocate and release from worker threads).
 ///
+/// Arenas: the free lists are keyed by (bucket, arena), where the arena is a
+/// per-thread tag (SetThreadArena, 0 by default). The engine's device
+/// workers each use their own arena, so the temporaries of concurrently
+/// running devices never interleave in one free list in an order that
+/// changes from epoch to epoch; each arena then reaches its own steady
+/// state. A buffer goes back to the arena of the thread that releases it.
+///
 /// Escape hatch: HONGTU_DISABLE_POOL=1 restores the pre-pool allocation
 /// behavior for A/B comparison — every acquire hits the heap, every release
 /// frees immediately, Tensor::Uninitialized zero-fills like the old
@@ -58,6 +65,10 @@ class TensorPool {
   /// Returns a buffer obtained from Acquire. `capacity_floats` must be the
   /// value Acquire reported for it.
   void Release(float* data, int64_t capacity_floats);
+
+  /// Binds the calling thread's acquires and releases to free-list arena
+  /// `arena` (>= 0). Threads start in the shared arena 0.
+  static void SetThreadArena(int arena);
 
   /// Frees every cached slab (buckets empty; live buffers unaffected).
   void Trim();

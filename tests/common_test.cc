@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "hongtu/common/config.h"
 #include "hongtu/common/format.h"
@@ -217,6 +219,53 @@ TEST(Parallel, SmallRangeRunsSerially) {
   std::vector<int> hits(10, 0);
   ParallelFor(0, 10, [&](int64_t i) { hits[i]++; });
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(Parallel, ThreadBudgetReachesNewThreads) {
+  // omp_set_num_threads only sets the calling thread's value, and a new
+  // std::thread starts from OMP_NUM_THREADS. The budget must reach the stage
+  // lanes and device workers all the same.
+  const int saved = NumThreads();
+  SetNumThreads(3);
+  int seen = 0;
+  std::thread([&] { seen = NumThreads(); }).join();
+  EXPECT_EQ(seen, 3);
+  SetNumThreads(saved);
+}
+
+TEST(WorkerGroup, RunsEveryIndexOnceWithItsShareOfTheBudget) {
+  const int saved = NumThreads();
+  SetNumThreads(8);
+  WorkerGroup group(3);
+  for (int run = 0; run < 4; ++run) {
+    std::vector<std::atomic<int>> hits(3);
+    std::vector<int> budget(3, 0);
+    const Status st = group.Run([&](int i) {
+      hits[static_cast<size_t>(i)].fetch_add(1);
+      budget[static_cast<size_t>(i)] = NumThreads();
+      return Status::OK();
+    });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
+      EXPECT_EQ(budget[static_cast<size_t>(i)], 8 / 3) << "index " << i;
+    }
+    // The caller runs index 0 and gets its whole budget back afterwards.
+    EXPECT_EQ(NumThreads(), 8);
+  }
+  SetNumThreads(saved);
+}
+
+TEST(WorkerGroup, ReturnsTheFirstErrorInIndexOrder) {
+  WorkerGroup group(4);
+  const Status st = group.Run([](int i) {
+    return i >= 2 ? Status::Invalid("index " + std::to_string(i))
+                  : Status::OK();
+  });
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("index 2"), std::string::npos) << st.ToString();
+  // The group stays usable after a failed run.
+  EXPECT_TRUE(group.Run([](int) { return Status::OK(); }).ok());
 }
 
 TEST(Format, Bytes) {

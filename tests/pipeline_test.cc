@@ -2,12 +2,13 @@
 // runtime itself (ordering, depth bound, error poisoning — the TSan CI job
 // runs exactly this binary), and the end-to-end pin that the pipelined
 // epoch loop (executor = pipeline, max_inflight >= 2) matches the serial
-// loop on loss/accuracy/parameters for every layer type,
+// loop on loss/accuracy and bit for bit on parameters for every layer type,
 // dedup level, and chunk count, including the single-chunk degenerate case.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <tuple>
 #include <vector>
@@ -228,16 +229,23 @@ TEST_P(PipelineEquivalenceTest, PipelinedMatchesSerial) {
       HongTuEngine::Create(&ds, cfg, BaseOptions(level, chunks, /*depth=*/0));
   auto piped =
       HongTuEngine::Create(&ds, cfg, BaseOptions(level, chunks, /*depth=*/2));
+  // A second pipelined run: concurrent devices must not make the weights
+  // depend on thread timing.
+  auto again =
+      HongTuEngine::Create(&ds, cfg, BaseOptions(level, chunks, /*depth=*/2));
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_TRUE(piped.ok()) << piped.status().ToString();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
   auto& se = *serial.ValueOrDie();
   auto& pe = *piped.ValueOrDie();
+  auto& re = *again.ValueOrDie();
 
   for (int epoch = 0; epoch < 2; ++epoch) {
     auto a = se.TrainEpoch();
     auto b = pe.TrainEpoch();
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
+    ASSERT_TRUE(re.TrainEpoch().ok());
     EXPECT_NEAR(a.ValueOrDie().loss, b.ValueOrDie().loss, 1e-4)
         << "epoch " << epoch;
     EXPECT_NEAR(a.ValueOrDie().train_accuracy, b.ValueOrDie().train_accuracy,
@@ -249,11 +257,22 @@ TEST_P(PipelineEquivalenceTest, PipelinedMatchesSerial) {
   ASSERT_TRUE(aa.ok() && bb.ok());
   EXPECT_NEAR(aa.ValueOrDie(), bb.ValueOrDie(), 1e-4);
 
+  // Serial, pipelined and the repeated pipelined run agree bit for bit:
+  // every device accumulates its chunks in batch order into its own
+  // replica, and the replicas are reduced in device order.
   auto pa = se.model()->AllParams();
   auto pb = pe.model()->AllParams();
+  auto pr = re.model()->AllParams();
   ASSERT_EQ(pa.size(), pb.size());
+  ASSERT_EQ(pa.size(), pr.size());
   for (size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_LE(Tensor::MaxAbsDiff(*pa[i], *pb[i]), 1e-4) << "param " << i;
+    ASSERT_EQ(pa[i]->size(), pb[i]->size());
+    ASSERT_EQ(pa[i]->size(), pr[i]->size());
+    const size_t bytes = static_cast<size_t>(pa[i]->bytes());
+    EXPECT_EQ(std::memcmp(pa[i]->data(), pb[i]->data(), bytes), 0)
+        << "param " << i << ": pipelined differs from serial";
+    EXPECT_EQ(std::memcmp(pb[i]->data(), pr[i]->data(), bytes), 0)
+        << "param " << i << ": repeated pipelined run differs";
   }
 }
 
@@ -265,6 +284,39 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(DedupLevel::kNone, DedupLevel::kP2P,
                                          DedupLevel::kP2PReuse),
                        ::testing::Values(1, 3, 8)));
+
+TEST(HongTuPipeline, TwoDevicesAreBitwiseAcrossExecutorsAndRuns) {
+  // The equivalence suite above runs 4 devices; 2 devices split the thread
+  // budget differently and reduce a single replica into model().
+  Dataset ds = SmallDataset();
+  for (GnnKind kind : {GnnKind::kGcn, GnnKind::kSage, GnnKind::kGin,
+                       GnnKind::kGat, GnnKind::kGgnn}) {
+    ModelConfig cfg =
+        ModelConfig::Make(kind, ds.feature_dim(), 16, ds.num_classes, 2, 21);
+    std::vector<std::vector<float>> weights;
+    for (int depth : {0, 2, 2}) {
+      EngineConfig o = BaseOptions(DedupLevel::kP2PReuse, 4, depth);
+      o.num_devices = 2;
+      auto e = HongTuEngine::Create(&ds, cfg, o);
+      ASSERT_TRUE(e.ok()) << e.status().ToString();
+      for (int epoch = 0; epoch < 2; ++epoch) {
+        ASSERT_TRUE(e.ValueOrDie()->TrainEpoch().ok());
+      }
+      std::vector<float> w;
+      for (const Tensor* p : e.ValueOrDie()->model()->AllParams()) {
+        w.insert(w.end(), p->data(), p->data() + p->size());
+      }
+      weights.push_back(std::move(w));
+    }
+    for (size_t r = 1; r < weights.size(); ++r) {
+      ASSERT_EQ(weights[r].size(), weights[0].size());
+      EXPECT_EQ(std::memcmp(weights[r].data(), weights[0].data(),
+                            weights[0].size() * sizeof(float)),
+                0)
+          << GnnKindName(kind) << " run " << r;
+    }
+  }
+}
 
 TEST(HongTuPipeline, DeeperPipelineStillMatches) {
   Dataset ds = SmallDataset();

@@ -239,6 +239,31 @@ TEST_P(ZeroAllocTest, NoHeapAllocationsAfterFirstEpoch) {
 
 INSTANTIATE_TEST_SUITE_P(Depths, ZeroAllocTest, ::testing::Values(0, 2, 3));
 
+TEST(ZeroAllocConcurrentDevices, GatFourDevicesEightChunks) {
+  // gat-friendster's layout: four devices run each batch's kernels at once
+  // on the engine's device workers. Each worker draws from its own pool
+  // arena, so the concurrent temporaries settle into a steady state and
+  // stay there, epoch after epoch.
+  ScopedPoolEnabled scope(true);
+  Dataset ds = PoolDataset();
+  ModelConfig cfg = ModelConfig::Make(GnnKind::kGat, ds.feature_dim(), 16,
+                                      ds.num_classes, 2, 99);
+  EngineConfig o;
+  o.num_devices = 4;
+  o.chunks_per_partition = 8;
+  o.device_capacity_bytes = kBig;
+  o.executor = ExecutorKind::kPipeline;
+  auto e = HongTuEngine::Create(&ds, cfg, o);
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  ASSERT_TRUE(e.ValueOrDie()->TrainEpoch().ok());
+  for (int epoch = 2; epoch <= 6; ++epoch) {
+    auto r = e.ValueOrDie()->TrainEpoch();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.ValueOrDie().host_alloc_count, 0) << "epoch " << epoch;
+    EXPECT_GT(r.ValueOrDie().host_pool_hits, 0);
+  }
+}
+
 TEST(ZeroAllocCompressed, Bf16CommStaysAllocationFree) {
   // The mixed-precision wire reshapes the executor's transition buffers to
   // the packed width; steady-state epochs must stay off the heap exactly
