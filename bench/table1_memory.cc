@@ -67,7 +67,6 @@ ModeResult RunMode(const Dataset& ds, const ModelConfig& cfg, int chunks,
   o.num_devices = 4;
   o.chunks_per_partition = chunks;
   o.device_capacity_bytes = 1ll << 40;
-  o.executor = ExecutorKind::kPipeline;
   o.max_inflight = 3;
   auto e = Engine::Create(EngineKind::kHongTu, &ds, cfg, o);
   if (!e.ok()) {

@@ -33,9 +33,10 @@ machine-dependent).
 
 Pipeline mode (--pipeline): compares `fig11_scalability` BENCH_pipeline.json
 reports, keyed on (model, dataset). The sim-time speedups of the stage
-pipeline over the serial executor (`speedup`, `bf16_speedup`) must not drop
-more than --max-regression below the baseline: the analytic simulator is
-deterministic and machine-independent, so a drop means the executor's
+pipeline at max_inflight 3 over the same engine at max_inflight 1 (batches
+in order; `speedup`, `bf16_speedup`) must not drop more than
+--max-regression below the baseline: the analytic simulator is
+deterministic and machine-independent, so a drop means the pipeline's
 modeled schedule itself got worse.
 
 Exit codes: 0 = no regression, 1 = regression or malformed input.
@@ -247,7 +248,7 @@ def main():
     parser.add_argument(
         "--pipeline",
         action="store_true",
-        help="gate BENCH_pipeline.json executor speedups instead of kernels",
+        help="gate BENCH_pipeline.json pipeline speedups instead of kernels",
     )
     args = parser.parse_args()
 

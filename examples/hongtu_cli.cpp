@@ -3,7 +3,7 @@
 //
 //   hongtu_cli --dataset friendster --model gcn --layers 3 --engine hongtu \
 //              --devices 4 --chunks 32 --dedup ru --epochs 5 --scale 0.3 \
-//              --executor pipeline --max-inflight 4
+//              --max-inflight 4
 //
 // Engines: hongtu | inmemory | minibatch | cpu-cluster. Dedup: none|p2p|ru.
 // All engines are built through the unified factory (Engine::Create) and
@@ -30,7 +30,6 @@ struct Args {
   std::string model = "gcn";
   std::string engine = "hongtu";
   std::string dedup = "ru";
-  std::string executor;  // empty => HONGTU_EXECUTOR / default
   int layers = 2;
   int hidden = 0;  // 0 => dataset default
   int devices = 4;
@@ -39,7 +38,7 @@ struct Args {
   double scale = 0.3;
   double lr = 0.01;
   double capacity_mb = 0;   // 0 => unlimited
-  int max_inflight = 0;     // 0 => HONGTU_MAX_INFLIGHT / default
+  int max_inflight = 0;     // 0 (unset) => HONGTU_MAX_INFLIGHT / default
   bool help = false;
 };
 
@@ -51,11 +50,10 @@ void PrintUsage() {
       "  --engine hongtu|inmemory|minibatch|cpu-cluster\n"
       "  --dedup none|p2p|ru             --devices N     --chunks N\n"
       "  --epochs N   --scale F (0,1]    --lr F          --capacity-mb F\n"
-      "  --executor serial|pipeline\n"
-      "                      (hongtu engine's chunk executor; default from\n"
-      "                       HONGTU_EXECUTOR, else pipeline)\n"
-      "  --max-inflight N    (pipeline window: in-flight chunk batches;\n"
-      "                       default from HONGTU_MAX_INFLIGHT, else 2)\n");
+      "  --max-inflight N    (hongtu engine's pipeline window: in-flight\n"
+      "                       chunk batches, N >= 1; 1 runs them in order\n"
+      "                       with no overlap; default from\n"
+      "                       HONGTU_MAX_INFLIGHT, else 2)\n");
 }
 
 bool Parse(int argc, char** argv, Args* a) {
@@ -77,7 +75,6 @@ bool Parse(int argc, char** argv, Args* a) {
     else if (flag == "--model") a->model = v;
     else if (flag == "--engine") a->engine = v;
     else if (flag == "--dedup") a->dedup = v;
-    else if (flag == "--executor") a->executor = v;
     else if (flag == "--layers") a->layers = std::atoi(v);
     else if (flag == "--hidden") a->hidden = std::atoi(v);
     else if (flag == "--devices") a->devices = std::atoi(v);
@@ -86,8 +83,13 @@ bool Parse(int argc, char** argv, Args* a) {
     else if (flag == "--scale") a->scale = std::atof(v);
     else if (flag == "--lr") a->lr = std::atof(v);
     else if (flag == "--capacity-mb") a->capacity_mb = std::atof(v);
-    else if (flag == "--max-inflight") a->max_inflight = std::atoi(v);
-    else {
+    else if (flag == "--max-inflight") {
+      if (!ParsePositiveInt(v, &a->max_inflight)) {
+        std::fprintf(stderr, "--max-inflight wants an integer >= 1, got %s\n",
+                     v);
+        return false;
+      }
+    } else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return false;
     }
@@ -151,9 +153,6 @@ Status Run(const Args& a) {
                    : (kind == GnnKind::kGat ? ds.default_chunks_gat
                                             : ds.default_chunks_gcn);
   o.adam.lr = static_cast<float>(a.lr);
-  if (!a.executor.empty() && !ParseExecutorKind(a.executor, &o.executor)) {
-    return Status::Invalid("unknown executor: " + a.executor);
-  }
   if (a.max_inflight > 0) o.max_inflight = a.max_inflight;
 
   std::printf("%s | %s %d-layer hidden=%d | engine=%s devices=%d\n",

@@ -29,24 +29,14 @@ void ParseBoolEnv(const char* name, bool* out) {
 
 }  // namespace
 
-const char* ExecutorKindName(ExecutorKind k) {
-  switch (k) {
-    case ExecutorKind::kSerial:
-      return "serial";
-    case ExecutorKind::kPipeline:
-      return "pipeline";
-  }
-  return "?";
-}
-
-bool ParseExecutorKind(const std::string& s, ExecutorKind* out) {
-  if (s == "serial") {
-    *out = ExecutorKind::kSerial;
-  } else if (s == "pipeline") {
-    *out = ExecutorKind::kPipeline;
-  } else {
+bool ParsePositiveInt(const char* s, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno != 0 || v < 1 || v > INT_MAX) {
     return false;
   }
+  *out = static_cast<int>(v);
   return true;
 }
 
@@ -80,20 +70,8 @@ RuntimeConfig RuntimeConfig::FromEnv() {
   c.pool_enabled = !disable_pool;
   if (const char* s = Env("HONGTU_FAULT_SPEC")) c.fault_spec = s;
   if (const char* s = Env("HONGTU_RETRY_SPEC")) c.retry_spec = s;
-  if (const char* s = Env("HONGTU_EXECUTOR")) {
-    if (!ParseExecutorKind(s, &c.executor)) {
-      HT_LOG(WARNING) << "HONGTU_EXECUTOR=" << s
-                      << " not recognized (want serial|pipeline); "
-                      << "keeping " << ExecutorKindName(c.executor);
-    }
-  }
   if (const char* s = Env("HONGTU_MAX_INFLIGHT")) {
-    char* end = nullptr;
-    errno = 0;
-    const long v = std::strtol(s, &end, 10);
-    if (end != s && *end == '\0' && errno == 0 && v >= 1 && v <= INT_MAX) {
-      c.max_inflight = static_cast<int>(v);
-    } else {
+    if (!ParsePositiveInt(s, &c.max_inflight)) {
       HT_LOG(WARNING) << "HONGTU_MAX_INFLIGHT=" << s
                       << " not a positive integer; keeping " << c.max_inflight;
     }
@@ -126,8 +104,6 @@ std::string RuntimeConfig::Describe() const {
      << "  [HONGTU_WIRE_INTEGRITY]\n"
      << "  tensor_pool    = " << (pool_enabled ? "on" : "off")
      << "  [HONGTU_DISABLE_POOL]\n"
-     << "  executor       = " << ExecutorKindName(executor)
-     << "  [HONGTU_EXECUTOR]\n"
      << "  max_inflight   = " << max_inflight << "  [HONGTU_MAX_INFLIGHT]\n"
      << "  cluster        = "
      << (cluster_transport.empty() ? "(analytic)" : cluster_transport)

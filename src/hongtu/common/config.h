@@ -1,6 +1,6 @@
 /// \file config.h
 /// \brief Process-wide runtime configuration: the single parse point for
-/// every `HONGTU_*` environment knob and the home of the executor policy.
+/// every `HONGTU_*` environment knob and the home of the pipeline depth.
 ///
 /// Before this header existed the knobs were parsed ad hoc in five places
 /// (kernels/backend.cc, kernels/codec.cc, tensor/pool.cc, common/fault.cc,
@@ -24,13 +24,13 @@
 /// | pool_enabled    | HONGTU_DISABLE_POOL    | on         |
 /// | fault_spec      | HONGTU_FAULT_SPEC      | (disarmed) |
 /// | retry_spec      | HONGTU_RETRY_SPEC      | (defaults) |
-/// | executor        | HONGTU_EXECUTOR        | pipeline   |
 /// | max_inflight    | HONGTU_MAX_INFLIGHT    | 2          |
 /// | cluster         | HONGTU_CLUSTER         | (off)      |
 ///
 /// Parsing is strict: the two booleans accept exactly `0` or `1`, and
-/// HONGTU_MAX_INFLIGHT a whole positive decimal integer. Any other value
-/// (including an unknown enum name) logs a warning and keeps the default.
+/// HONGTU_MAX_INFLIGHT a whole positive decimal integer (ParsePositiveInt).
+/// Any other value (including an unknown enum name) logs a warning and
+/// keeps the default.
 
 #pragma once
 
@@ -41,19 +41,10 @@
 
 namespace hongtu {
 
-/// Which chunk executor drives HongTuEngine's epoch loop. Both produce
-/// identical numerics (the pipeline is bitwise-equal to serial at fp32);
-/// they differ only in how much load/compute/store time overlaps.
-enum class ExecutorKind {
-  kSerial = 0,   ///< one batch at a time, no overlap (the numerics oracle)
-  kPipeline = 1  ///< 3-lane fixed-depth load/compute/store pipeline, per layer
-};
-
-const char* ExecutorKindName(ExecutorKind k);
-
-/// Parses "serial" / "pipeline". Returns false (and leaves *out untouched)
-/// on anything else.
-bool ParseExecutorKind(const std::string& s, ExecutorKind* out);
+/// Parses a whole positive decimal integer that fits an int ("3"; not "3x",
+/// "0", "-2", "2.5" or ""). Returns false (and leaves *out untouched) on
+/// anything else.
+bool ParsePositiveInt(const char* s, int* out);
 
 /// One snapshot of every runtime knob. Options structs embed these fields as
 /// thin views (their defaults are `RuntimeConfig::FromEnv()` values), so the
@@ -71,11 +62,12 @@ struct RuntimeConfig {
   /// common/fault.cc owns the grammar (fault::ParseRetrySpec) and the
   /// process-wide capture (fault::DefaultRetryPolicy).
   std::string retry_spec;
-  ExecutorKind executor = ExecutorKind::kPipeline;
   /// Window depth of the stage pipeline: how many chunk batches may be in
-  /// flight at once. Each in-flight batch holds one buffer slot per device
-  /// (comm transition buffers + compute workspace), so this is also the
-  /// memory knob.
+  /// flight at once. 1 runs the batches strictly in order with no overlap
+  /// (the in-order numerics oracle); every depth gives bitwise the same
+  /// weights. Each in-flight batch holds one buffer slot per device (comm
+  /// transition buffers + compute workspace), so this is also the memory
+  /// knob.
   int max_inflight = 2;
   /// Real multi-process cluster transport for CpuClusterEngine: "" (off,
   /// the analytic model), "tcp" (loopback TCP) or "uds" (Unix-domain

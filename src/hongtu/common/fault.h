@@ -180,8 +180,8 @@ enum class DegradeEvent : int {
   kTransientRetry = 0,    ///< a transient failure recovered by retrying
   kRetryExhausted,        ///< retries ran out; the error propagated
   kIntegrityRefetch,      ///< a CRC32C mismatch repaired by refetching
-  kPipelineReplay,        ///< poisoned pipelined layer replayed serially
-  kPipelineOomFallback,   ///< pipelined working set OOM -> serial layer
+  kPipelineReplay,        ///< poisoned pipelined layer replayed at depth 1
+  kPipelineOomFallback,   ///< pipelined working set OOM -> depth-1 layer
   kScheduleFallback,      ///< edge schedules did not fit -> single-pass
   kCheckpointFallback,    ///< corrupt snapshot skipped for the previous one
   kPeerDeath,             ///< a cluster worker died (EOF / heartbeat timeout)

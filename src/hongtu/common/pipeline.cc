@@ -43,11 +43,6 @@ Status StagePipeline::Flush() {
   return error_;
 }
 
-StagePipeline::FailureInfo StagePipeline::FirstError() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return failure_;
-}
-
 void StagePipeline::WorkerLoop(int stage) {
   for (int64_t seq = 0;; ++seq) {
     int64_t item = 0;
@@ -64,15 +59,14 @@ void StagePipeline::WorkerLoop(int stage) {
       item = items_[static_cast<size_t>(seq)];
       poisoned = !error_.ok();
     }
-    Status st = poisoned ? Status::OK() : fault::Poke(fault::Site::kPipelineStage);
+    Status st =
+        poisoned ? Status::OK() : fault::Poke(fault::Site::kPipelineStage);
     if (st.ok() && !poisoned) st = stages_[stage](item);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!st.ok() && error_.ok()) {
-        // The sticky error keeps the failing stage/item/cause: a poisoned
-        // batch is diagnosable, and the engine's replay path can read the
-        // unwrapped cause through FirstError().
-        failure_ = FailureInfo{st, stage, item};
+        // The sticky error keeps the cause's code (the engine's replay path
+        // dispatches on it) and names the failing stage and item.
         error_ = Status(st.code(), "pipeline stage " + std::to_string(stage) +
                                        ", item " + std::to_string(item) +
                                        ": " + st.message());

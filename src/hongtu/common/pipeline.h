@@ -12,9 +12,10 @@
 /// window is full), so `depth` buffer slots indexed by `item % depth` are
 /// safe: slot k%depth is only reused after item k has fully retired.
 ///
-/// The engine layer uses this to overlap deduplicated communication with
-/// GNN kernel compute (ISSUE 2 / §6 of the paper); the class itself is
-/// generic and engine-agnostic.
+/// The engine layer runs every layer of Algorithm 1 through this: at depth 1
+/// batches retire strictly in order, deeper windows overlap deduplicated
+/// communication with GNN kernel compute (§6 of the paper). The class itself
+/// is generic and engine-agnostic.
 
 #pragma once
 
@@ -32,7 +33,8 @@ class StagePipeline {
  public:
   /// A stage body: receives the submitted item id. A non-OK return poisons
   /// the pipeline: remaining work is skipped (items still retire, so Flush
-  /// never deadlocks) and the first error is reported by Submit/Flush.
+  /// never deadlocks) and the first error is reported by Submit/Flush, with
+  /// its code kept and its message prefixed by the failing stage and item.
   using StageFn = std::function<Status(int64_t item)>;
 
   /// Spawns one worker per stage. `depth` >= 1 bounds in-flight items.
@@ -53,19 +55,6 @@ class StagePipeline {
   /// Returns the first stage error, or OK.
   Status Flush();
 
-  /// Context of the first stage failure: which stage, which item, and the
-  /// stage's own (unwrapped) Status. The engine's replay path uses this to
-  /// decide whether a poisoned batch had a *transient* cause (replay the
-  /// layer serially) or a permanent one (propagate). `stage`/`item` are -1
-  /// and `status` OK while the pipeline is healthy.
-  struct FailureInfo {
-    Status status;
-    int stage = -1;
-    int64_t item = -1;
-  };
-  /// Safe to call any time; meaningful after Submit/Flush reported an error.
-  FailureInfo FirstError() const;
-
   int num_stages() const { return static_cast<int>(stages_.size()); }
   int depth() const { return depth_; }
 
@@ -81,8 +70,7 @@ class StagePipeline {
   std::vector<int64_t> done_;   ///< per stage: count of retired sequences
   int64_t submitted_ = 0;
   bool stopping_ = false;
-  Status error_;         ///< first stage error with context (sticky)
-  FailureInfo failure_;  ///< stage/item/cause of the first error
+  Status error_;  ///< first stage error with context (sticky)
 
   std::vector<std::thread> workers_;
 };

@@ -48,7 +48,6 @@ RuntimeConfig EngineConfig::runtime() const {
   rc.kernel_backend = kernels::ActiveBackend();
   rc.comm_precision = comm_precision;
   rc.wire_integrity = wire_integrity;
-  rc.executor = executor;
   rc.max_inflight = max_inflight;
   return rc;
 }

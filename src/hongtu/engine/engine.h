@@ -17,7 +17,7 @@
 /// do not apply to). The concrete Create functions remain available for
 /// callers that need engine-specific accessors (dedup plans, logits, ...).
 ///
-/// Executor policy lives in `EngineOptions::executor` + `max_inflight`
+/// HongTuEngine's pipeline depth lives in `EngineOptions::max_inflight`
 /// (common/config.h).
 
 #pragma once
@@ -66,7 +66,7 @@ struct EpochStats {
   /// seconds; under the concurrent executors their sum double-counts what
   /// ran concurrently, and total() subtracts that (see TimeBreakdown).
   double SimSeconds() const { return time.total(); }
-  /// Busy seconds hidden by comm/compute overlap (0 on the serial path).
+  /// Busy seconds hidden by comm/compute overlap (0 at max_inflight = 1).
   double OverlapSeconds() const { return time.overlapped; }
 };
 
@@ -101,12 +101,10 @@ struct EngineOptions {
   /// at fetch time with repair-by-refetch (comm/executor.h). On by default;
   /// HONGTU_WIRE_INTEGRITY=0 turns it off (explicit assignments win).
   bool wire_integrity = DefaultWireIntegrity();
-  /// Which chunk executor HongTuEngine runs (other engines ignore it):
-  /// serial or the 3-lane stage pipeline. Default pipeline, moved by
-  /// HONGTU_EXECUTOR.
-  ExecutorKind executor = RuntimeConfig::FromEnv().executor;
-  /// In-flight chunk batches (the pipeline window depth), clamped to the
-  /// batch count at run time. Default 2, moved by HONGTU_MAX_INFLIGHT.
+  /// In-flight chunk batches of HongTuEngine's 3-stage layer pipeline
+  /// (other engines ignore it), clamped to the batch count at run time;
+  /// 1 runs the batches strictly in order with no overlap. Must be >= 1.
+  /// Default 2, moved by HONGTU_MAX_INFLIGHT.
   int max_inflight = RuntimeConfig::FromEnv().max_inflight;
 };
 

@@ -103,6 +103,26 @@ int64_t BackwardScratchBytes(const Chunk& chunk, const Layer& layer,
          kF32;
 }
 
+/// Wall time of an in-order 3-stage pipeline with `d` items in flight,
+/// given each item's cost on each stage (`item[stage][j]`): a stage starts
+/// item j only after the upstream stage finishes it, and item j enters
+/// stage 0 only once item j-d has left stage 2.
+double InOrderPipelineWall(const std::vector<std::vector<double>>& item,
+                           int d) {
+  const size_t n = item[0].size();
+  double load_fin = 0.0, comp_fin = 0.0, store_fin = 0.0;
+  std::vector<double> retired(n, 0.0);
+  for (size_t j = 0; j < n; ++j) {
+    double start = load_fin;
+    if (j >= static_cast<size_t>(d)) start = std::max(start, retired[j - d]);
+    load_fin = start + item[0][j];
+    comp_fin = std::max(comp_fin, load_fin) + item[1][j];
+    store_fin = std::max(store_fin, comp_fin) + item[2][j];
+    retired[j] = store_fin;
+  }
+  return store_fin;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<HongTuEngine>> HongTuEngine::Create(
@@ -114,6 +134,10 @@ Result<std::unique_ptr<HongTuEngine>> HongTuEngine::Create(
       model_config.dims.front() != dataset->feature_dim()) {
     return Status::Invalid("HongTuEngine: model input dim must match dataset "
                            "feature dim");
+  }
+  if (options.max_inflight < 1) {
+    return Status::Invalid("HongTuEngine: max_inflight must be >= 1, got " +
+                           std::to_string(options.max_inflight));
   }
   auto engine = std::unique_ptr<HongTuEngine>(new HongTuEngine());
   engine->ds_ = dataset;
@@ -255,7 +279,7 @@ void HongTuEngine::PresizeWorkspaces() {
     // Layer 0 forms no input gradient, so its width never sizes d_src.
     if (l > 0) max_grad_in = std::max<int64_t>(max_grad_in, layer->in_dim());
   }
-  ws_.resize(static_cast<size_t>(std::max(1, EffectiveDepth())));
+  ws_.resize(static_cast<size_t>(Depth()));
   for (SlotWorkspace& ws : ws_) {
     ws.out.resize(m);
     ws.agg.resize(m);
@@ -277,13 +301,9 @@ void HongTuEngine::PresizeWorkspaces() {
   }
 }
 
-int HongTuEngine::EffectiveDepth() const {
-  if (options_.executor != ExecutorKind::kPipeline) return 0;
-  const int d = std::min(options_.max_inflight, options_.chunks_per_partition);
-  // A window of 1 in-flight batch cannot overlap anything (the stages
-  // serialize through the depth bound), so running it inside an overlap
-  // region would fabricate hidden seconds. Serial path instead.
-  return d >= 2 ? d : 0;
+int HongTuEngine::Depth() const {
+  return std::max(1, std::min(options_.max_inflight,
+                              options_.chunks_per_partition));
 }
 
 Status HongTuEngine::SyncReplicas() {
@@ -305,92 +325,45 @@ Status HongTuEngine::RunDevices(const std::function<Status(int)>& fn) {
   });
 }
 
+Status HongTuEngine::RunWithSerialFallback(
+    const char* direction, int l, const std::function<Status(int)>& layer) {
+  const int d = Depth();
+  const Status st = layer(d);
+  if (st.ok() || d == 1) return st;
+  // OutOfMemory (the extra in-flight working set did not fit) and transient
+  // causes (a recoverable fault that poisoned the pipeline after its own
+  // retries) replay the layer at depth 1 — counted as distinct events;
+  // anything else is a real error and propagates.
+  const std::string what = std::string(direction) + " layer " +
+                           std::to_string(l);
+  if (st.IsOutOfMemory()) {
+    degrade_.Record(fault::DegradeEvent::kPipelineOomFallback,
+                    what + ": " + st.message());
+  } else if (st.IsTransient()) {
+    degrade_.Record(fault::DegradeEvent::kPipelineReplay,
+                    what + ": " + st.message());
+  } else {
+    return st;
+  }
+  // The replay's own stage items pass the same fault sites, so a transient
+  // failure of the replay is retried like any other transient operation.
+  return fault::RetryTransient(fault::DefaultRetryPolicy(), &degrade_,
+                               what.c_str(), [&] { return layer(1); });
+}
+
 Status HongTuEngine::ForwardPass() {
   // The replicas pick up whatever changed model_ since the last pass: the
   // Adam step, a checkpoint restore, or an edit made through model().
   HT_RETURN_IF_ERROR(SyncReplicas());
   const int L = model_.num_layers();
   for (int l = 0; l < L; ++l) {
-    if (EffectiveDepth() > 0) {
-      const Status st = ForwardLayerPipelined(l);
-      if (st.ok()) continue;
-      HT_RETURN_IF_ERROR(DegradeToSerial(st, "forward layer " +
-                                                 std::to_string(l)));
-      // Serial replay below. Safe and bitwise-identical: the forward's
-      // h^{l+1}/cache writes are idempotent overwrites, and the poisoned
-      // pipeline retired every batch (as no-ops past the failure point)
-      // before RunPipelinedLayer released its buffers.
-    }
-    HT_RETURN_IF_ERROR(ForwardLayerSerial(l));
+    // A replay is bitwise-identical: the forward's h^{l+1}/cache writes are
+    // idempotent overwrites, and a poisoned pipeline retires every batch (as
+    // no-ops past the failure point) before RunPipelinedLayer releases its
+    // buffers.
+    HT_RETURN_IF_ERROR(RunWithSerialFallback(
+        "forward", l, [this, l](int d) { return ForwardLayer(l, d); }));
   }
-  return Status::OK();
-}
-
-/// Decides what a failed pipelined layer means: OutOfMemory (the extra
-/// in-flight working set did not fit) and *transient* causes (an injected
-/// or real recoverable fault that poisoned the pipeline after its internal
-/// retries) degrade to the serial loop — counted as distinct events;
-/// anything else is a real error and propagates.
-Status HongTuEngine::DegradeToSerial(const Status& st,
-                                     const std::string& what) {
-  if (st.IsOutOfMemory()) {
-    degrade_.Record(fault::DegradeEvent::kPipelineOomFallback,
-                    what + ": " + st.message());
-    return Status::OK();
-  }
-  if (st.IsTransient()) {
-    degrade_.Record(fault::DegradeEvent::kPipelineReplay,
-                    what + ": " + st.message());
-    return Status::OK();
-  }
-  return st;
-}
-
-Status HongTuEngine::ForwardLayerSerial(int l) {
-  const int m = options_.num_devices;
-  const int n = options_.chunks_per_partition;
-  Layer* layer = model_.layer(l);
-  SlotWorkspace& slot = ws_[0];
-  const kernels::CommPrecision wire = options_.comm_precision;
-  const int64_t eb = kernels::CommElemBytes(wire);
-  HT_RETURN_IF_ERROR(executor_->BeginLayer(layer->in_dim(), 1, wire,
-                                           options_.wire_integrity));
-  for (int j = 0; j < n; ++j) {
-    HT_RETURN_IF_ERROR(executor_->ForwardLoadSlot(j, 0, h_[l]));
-    std::vector<Tensor>& nbr_bufs = executor_->slot_buffers(0);
-    for (int i = 0; i < m; ++i) {
-      const Chunk& chunk = tl_.chunks[i][j];
-      if (chunk.num_dst() == 0) continue;
-      const LocalGraph lg = LocalGraph::FromChunk(chunk, chunk_schedules(i, j));
-
-      // Per-batch working memory on the device.
-      const int64_t ws = ForwardScratchBytes(chunk, *layer);
-      HT_RETURN_IF_ERROR(AllocateWithRetry(&platform_->device(i), ws,
-                                           "fwd scratch", &degrade_));
-      DeviceAllocation guard(&platform_->device(i), ws);
-
-      Tensor& dst_h = slot.out[i];
-      Tensor& agg = slot.agg[i];
-      HT_RETURN_IF_ERROR(DeviceLayer(i, l)->Forward(
-          lg, nbr_bufs[i], &dst_h, use_cache_[l] ? &agg : nullptr));
-
-      // Copy the new representations back to host (Alg. 1 line 9).
-      HT_RETURN_IF_ERROR(
-          ScatterRows(dst_h, chunk.dst_vertices, &h_[l + 1], wire, &degrade_));
-      platform_->AddH2D(i, chunk.num_dst() * layer->out_dim() * eb);
-      if (use_cache_[l]) {
-        // Cache the AGGREGATE checkpoint in host memory (§4.2).
-        HT_RETURN_IF_ERROR(
-            ScatterRows(agg, chunk.dst_vertices, &cache_[l], wire, &degrade_));
-        platform_->AddH2D(i, chunk.num_dst() * layer->agg_dim() * eb);
-      }
-      double flops = 0, bytes = 0;
-      layer->ForwardCost(lg, &flops, &bytes);
-      platform_->AddGpuCompute(i, flops, bytes);
-    }
-    platform_->Synchronize();
-  }
-  executor_->EndLayer();
   return Status::OK();
 }
 
@@ -416,30 +389,37 @@ Status HongTuEngine::RunPipelinedLayer(
     const Status st = AllocateWithRetry(&platform_->device(i), d * ws,
                                         "pipeline scratch", &degrade_);
     if (!st.ok()) {
-      // Release the comm registrations before reporting: the serial
-      // fallback's BeginLayer must see a clean device.
+      // Release the comm registrations before reporting: the depth-1
+      // replay's BeginLayer must see a clean device.
       executor_->EndLayer();
       return st;
     }
     scratch.emplace_back(&platform_->device(i), d * ws);
   }
 
-  platform_->BeginOverlap(3);
-  // Meter every item on every lane: the wall charge below replays the
-  // in-order stage recurrence over these per-item costs, so the modeled
-  // time honors what the lane totals alone hide — a stage cannot start an
-  // item before the upstream stage finishes it, and batch j's buffer slot
-  // (j mod d) frees only once batch j-d retires from the store stage.
+  // Every stage item ends in a Synchronize() — the barrier Alg. 2 and 3 end
+  // with. At depth 1 the batches run strictly one after another, so no
+  // overlap region opens and each phase folds straight into the epoch
+  // total. Deeper windows meter every item on every lane, and the region is
+  // charged the in-order stage recurrence over these per-item costs
+  // (InOrderPipelineWall), which honors what the lane totals alone hide:
+  // stage dependencies and slot backpressure (batch j's slot, j mod d,
+  // frees only once batch j-d retires from the store stage).
+  const bool overlap = d > 1;
+  if (overlap) platform_->BeginOverlap(3);
   std::vector<std::vector<double>> item(
       3, std::vector<double>(static_cast<size_t>(n), 0.0));
   auto meter = [&](int lane, StagePipeline::StageFn fn) {
     return StagePipeline::StageFn(
-        [this, lane, &item, fn = std::move(fn)](int64_t j) -> Status {
-          const double before = platform_->LaneBusySeconds(lane);
+        [this, lane, overlap, &item, fn = std::move(fn)](int64_t j) -> Status {
+          const double before =
+              overlap ? platform_->LaneBusySeconds(lane) : 0.0;
           const Status st = fn(j);
           platform_->Synchronize();
-          item[static_cast<size_t>(lane)][static_cast<size_t>(j)] =
-              platform_->LaneBusySeconds(lane) - before;
+          if (overlap) {
+            item[static_cast<size_t>(lane)][static_cast<size_t>(j)] =
+                platform_->LaneBusySeconds(lane) - before;
+          }
           return st;
         });
   };
@@ -454,27 +434,15 @@ Status HongTuEngine::RunPipelinedLayer(
     }
     st = pipe.Flush();
   }
-  double load_fin = 0.0, comp_fin = 0.0, store_fin = 0.0;
-  std::vector<double> retired(static_cast<size_t>(n), 0.0);
-  for (int j = 0; j < n; ++j) {
-    double start = load_fin;
-    if (j >= d) start = std::max(start, retired[static_cast<size_t>(j - d)]);
-    load_fin = start + item[0][static_cast<size_t>(j)];
-    comp_fin = std::max(comp_fin, load_fin) + item[1][static_cast<size_t>(j)];
-    store_fin =
-        std::max(store_fin, comp_fin) + item[2][static_cast<size_t>(j)];
-    retired[static_cast<size_t>(j)] = store_fin;
-  }
-  platform_->EndOverlap(store_fin);
+  if (overlap) platform_->EndOverlap(InOrderPipelineWall(item, d));
   // Always release the layer's comm registrations — a poisoned pipeline
-  // must not leak device reservations into the serial replay's BeginLayer.
+  // must not leak device reservations into the replay's BeginLayer.
   executor_->EndLayer();
   return st;
 }
 
-Status HongTuEngine::ForwardLayerPipelined(int l) {
+Status HongTuEngine::ForwardLayer(int l, int d) {
   const int m = options_.num_devices;
-  const int d = EffectiveDepth();
   Layer* layer = model_.layer(l);
   const kernels::CommPrecision wire = options_.comm_precision;
   const int64_t eb = kernels::CommElemBytes(wire);
@@ -494,7 +462,7 @@ Status HongTuEngine::ForwardLayerPipelined(int l) {
     SimPlatform::SetLane(1);
     const int s = static_cast<int>(j % d);
     std::vector<Tensor>& nbr = executor_->slot_buffers(s);
-    HT_RETURN_IF_ERROR(RunDevices([&](int i) -> Status {
+    return RunDevices([&](int i) -> Status {
       const Chunk& chunk = tl_.chunks[i][j];
       if (chunk.num_dst() == 0) return Status::OK();
       const LocalGraph lg = LocalGraph::FromChunk(chunk, chunk_schedules(i, static_cast<int>(j)));
@@ -505,9 +473,7 @@ Status HongTuEngine::ForwardLayerPipelined(int l) {
       layer->ForwardCost(lg, &flops, &bytes);
       platform_->AddGpuCompute(i, flops, bytes);
       return Status::OK();
-    }));
-    platform_->Synchronize();
-    return Status::OK();
+    });
   };
   // Stage C: stream batch j's representations (and AGGREGATE checkpoints)
   // back to the host buffers (Alg. 1 line 9).
@@ -521,12 +487,12 @@ Status HongTuEngine::ForwardLayerPipelined(int l) {
                                      &h_[l + 1], wire, &degrade_));
       platform_->AddH2D(i, chunk.num_dst() * layer->out_dim() * eb);
       if (use_cache_[l]) {
+        // Cache the AGGREGATE checkpoint in host memory (§4.2).
         HT_RETURN_IF_ERROR(ScatterRows(ws_[s].agg[i], chunk.dst_vertices,
                                        &cache_[l], wire, &degrade_));
         platform_->AddH2D(i, chunk.num_dst() * layer->agg_dim() * eb);
       }
     }
-    platform_->Synchronize();
     return Status::OK();
   };
 
@@ -539,119 +505,32 @@ Status HongTuEngine::ForwardLayerPipelined(int l) {
 Status HongTuEngine::BackwardPass() {
   const int L = model_.num_layers();
   for (int l = L - 1; l >= 0; --l) {
-    if (EffectiveDepth() > 0) {
-      const Status st = BackwardLayerPipelined(l);
-      if (st.ok()) continue;
-      HT_RETURN_IF_ERROR(DegradeToSerial(st, "backward layer " +
-                                                 std::to_string(l)));
-      // Serial replay: BackwardLayerSerial starts from grad_[l].Zero() and
-      // BeginLayer re-zeroes the transition-gradient accumulators. Layer l's
-      // parameter gradients were still zero on every device when the
-      // pipelined attempt began (only layer l's own backward writes them,
-      // once per epoch), so re-zeroing them erases the poisoned attempt's
-      // partial accumulation.
-      for (int i = 0; i < options_.num_devices; ++i) {
-        DeviceLayer(i, l)->ZeroGrads();
-      }
-    }
-    HT_RETURN_IF_ERROR(BackwardLayerSerial(l));
+    HT_RETURN_IF_ERROR(RunWithSerialFallback(
+        "backward", l, [this, l](int d) { return BackwardLayer(l, d); }));
   }
   return Status::OK();
 }
 
-Status HongTuEngine::BackwardLayerSerial(int l) {
+Status HongTuEngine::BackwardLayer(int l, int d) {
   const int m = options_.num_devices;
-  const int n = options_.chunks_per_partition;
-  Layer* layer = model_.layer(l);
-  const bool cached = use_cache_[l];
-  const bool input_grad = l > 0;
-  SlotWorkspace& slot = ws_[0];
-  const kernels::CommPrecision wire = options_.comm_precision;
-  const int64_t eb = kernels::CommElemBytes(wire);
-  if (input_grad) grad_[l].Zero();
-  HT_RETURN_IF_ERROR(executor_->BeginLayer(layer->in_dim(), 1, wire,
-                                           options_.wire_integrity));
-  for (int j = 0; j < n; ++j) {
-    if (!cached) {
-      // Recomputation path: reload the neighbor representations through
-      // the deduplicated communication framework (Fig. 4b).
-      HT_RETURN_IF_ERROR(executor_->ForwardLoadSlot(j, 0, h_[l]));
-    }
-    for (int i = 0; i < m; ++i) {
-      const Chunk& chunk = tl_.chunks[i][j];
-      Tensor* d_src = input_grad ? &slot.d_src[i] : nullptr;
-      if (chunk.num_dst() == 0) {
-        if (input_grad) d_src->EnsureShape(0, layer->in_dim());
-        continue;
-      }
-      const LocalGraph lg = LocalGraph::FromChunk(chunk, chunk_schedules(i, j));
-
-      const int64_t ws = BackwardScratchBytes(chunk, *layer, cached);
-      HT_RETURN_IF_ERROR(AllocateWithRetry(&platform_->device(i), ws,
-                                           "bwd scratch", &degrade_));
-      DeviceAllocation guard(&platform_->device(i), ws);
-
-      // Load destination gradients from host (Alg. 1 line 16).
-      Tensor& d_dst = slot.d_dst[i];
-      HT_RETURN_IF_ERROR(GatherRows(grad_[l + 1], chunk.dst_vertices, &d_dst,
-                                    wire, &degrade_));
-      platform_->AddH2D(i, chunk.num_dst() * layer->out_dim() * eb);
-
-      if (input_grad) {
-        d_src->EnsureShapeZeroed(chunk.num_neighbors(), layer->in_dim());
-      }
-
-      if (cached) {
-        // Hybrid path (Fig. 4c): reload the AGGREGATE checkpoint, skip
-        // the neighbor reload entirely.
-        Tensor& agg = slot.agg[i];
-        HT_RETURN_IF_ERROR(
-            GatherRows(cache_[l], chunk.dst_vertices, &agg, wire, &degrade_));
-        platform_->AddH2D(i, chunk.num_dst() * layer->agg_dim() * eb);
-        Tensor& dst_rows = slot.dst_rows[i];
-        if (layer->needs_dst_h()) {
-          HT_RETURN_IF_ERROR(GatherRows(h_[l], chunk.dst_vertices, &dst_rows,
-                                        wire, &degrade_));
-          platform_->AddH2D(i, chunk.num_dst() * layer->in_dim() * eb);
-        } else {
-          dst_rows.EnsureShape(0, 0);
-        }
-        HT_RETURN_IF_ERROR(
-            DeviceLayer(i, l)->BackwardCached(lg, agg, dst_rows, d_dst, d_src));
-      } else {
-        HT_RETURN_IF_ERROR(DeviceLayer(i, l)->BackwardRecompute(
-            lg, executor_->slot_buffers(0)[i], d_dst, d_src));
-      }
-      double flops = 0, bytes = 0;
-      layer->BackwardCost(lg, cached, input_grad, &flops, &bytes);
-      platform_->AddGpuCompute(i, flops, bytes);
-    }
-    platform_->Synchronize();
-    // Deduplicated gradient write-back (Alg. 1 line 19 / Alg. 3).
-    if (input_grad) {
-      HT_RETURN_IF_ERROR(
-          executor_->BackwardAccumulate(j, slot.d_src, &grad_[l]));
-    }
-  }
-  executor_->EndLayer();
-  return Status::OK();
-}
-
-Status HongTuEngine::BackwardLayerPipelined(int l) {
-  const int m = options_.num_devices;
-  const int d = EffectiveDepth();
   Layer* layer = model_.layer(l);
   const bool cached = use_cache_[l];
   const bool input_grad = l > 0;
   const kernels::CommPrecision wire = options_.comm_precision;
   const int64_t eb = kernels::CommElemBytes(wire);
+  // Every attempt starts from zeroed gradients — grad h^l here, the
+  // transition-gradient accumulators in BeginLayer, and layer l's parameter
+  // gradients on every device, which only this layer's backward writes — so
+  // a replay erases whatever a poisoned attempt accumulated.
   if (input_grad) grad_[l].Zero();
+  for (int i = 0; i < m; ++i) DeviceLayer(i, l)->ZeroGrads();
 
   // Per-(slot, device) gather/gradient buffers come from the pre-sized slot
   // workspaces; the depth bound keeps the three lanes off each other's slot.
 
   // Stage A: destination gradients + checkpoints (hybrid) or the neighbor
-  // reload (recompute) for batch j — all host->device traffic.
+  // reload (recompute, Fig. 4b) for batch j — all host->device traffic
+  // (Alg. 1 line 16).
   auto load = [&, l](int64_t j) -> Status {
     SimPlatform::SetLane(0);
     const int s = static_cast<int>(j % d);
@@ -666,6 +545,8 @@ Status HongTuEngine::BackwardLayerPipelined(int l) {
                                     &ws_[s].d_dst[i], wire, &degrade_));
       platform_->AddH2D(i, chunk.num_dst() * layer->out_dim() * eb);
       if (cached) {
+        // Hybrid path (Fig. 4c): reload the AGGREGATE checkpoint instead of
+        // the neighbors.
         HT_RETURN_IF_ERROR(GatherRows(cache_[l], chunk.dst_vertices,
                                       &ws_[s].agg[i], wire, &degrade_));
         platform_->AddH2D(i, chunk.num_dst() * layer->agg_dim() * eb);
@@ -678,7 +559,6 @@ Status HongTuEngine::BackwardLayerPipelined(int l) {
         }
       }
     }
-    platform_->Synchronize();
     return Status::OK();
   };
   // Stage B: backward kernels for batch j, all devices at once, each
@@ -690,7 +570,7 @@ Status HongTuEngine::BackwardLayerPipelined(int l) {
     const int s = static_cast<int>(j % d);
     std::vector<Tensor>* nbr =
         cached ? nullptr : &executor_->slot_buffers(s);
-    HT_RETURN_IF_ERROR(RunDevices([&](int i) -> Status {
+    return RunDevices([&](int i) -> Status {
       const Chunk& chunk = tl_.chunks[i][j];
       Tensor* ds = input_grad ? &ws_[s].d_src[i] : nullptr;
       if (chunk.num_dst() == 0) {
@@ -713,14 +593,12 @@ Status HongTuEngine::BackwardLayerPipelined(int l) {
       layer->BackwardCost(lg, cached, input_grad, &flops, &bytes);
       platform_->AddGpuCompute(i, flops, bytes);
       return Status::OK();
-    }));
-    platform_->Synchronize();
-    return Status::OK();
+    });
   };
-  // Stage C: deduplicated gradient write-back for batch j (Alg. 3). Runs
-  // strictly in batch order, so transition-gradient slot reuse and the
-  // host-side accumulation order match the serial path exactly. Layer 0
-  // forms no input gradient, so it has nothing to push.
+  // Stage C: deduplicated gradient write-back for batch j (Alg. 1 line 19 /
+  // Alg. 3). Runs strictly in batch order, so transition-gradient slot
+  // reuse and the host-side accumulation order are the same at every depth.
+  // Layer 0 forms no input gradient, so it has nothing to push.
   auto store = [&, l](int64_t j) -> Status {
     SimPlatform::SetLane(2);
     if (!input_grad) return Status::OK();
@@ -763,8 +641,6 @@ Result<EpochStats> HongTuEngine::TrainEpoch() {
   platform_->ResetEpoch();
   platform_->ResetPeaks();
   degrade_.ResetEpoch();
-  model_.ZeroGrads();
-  for (GnnModel& replica : replicas_) replica.ZeroGrads();
 
   HT_RETURN_IF_ERROR(ForwardPass());
 

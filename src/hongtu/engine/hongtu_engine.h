@@ -8,15 +8,19 @@
 /// one chunk per device through the deduplicated communication framework,
 /// computes on the simulated GPU, and streams results back.
 ///
-/// Devices run concurrently, as the m GPUs do: the pipelined compute stage
-/// runs every device's chunk kernels at once on a WorkerGroup (device 0 on
-/// the stage's own thread, device i >= 1 on worker i, which allocates from
-/// pool arena i). Each device holds its own parameter replica — device 0's
-/// is model_, devices 1..m-1 have copies refreshed at every forward pass —
-/// and accumulates its own gradients; the all-reduce sums them into model_
-/// in device order, so weights do not depend on thread timing, and the
-/// serial executor (the same replicas, devices one after another) gives
-/// bitwise the same weights.
+/// Each layer runs as one three-stage pipeline (load / compute / store)
+/// with `max_inflight` batches in flight, clamped to [1, chunks]. At
+/// max_inflight = 1 the batches retire strictly in order and nothing
+/// overlaps; deeper windows overlap communication with compute. Every depth
+/// gives bitwise the same weights.
+///
+/// Devices run concurrently, as the m GPUs do: the compute stage runs every
+/// device's chunk kernels at once on a WorkerGroup (device 0 on the stage's
+/// own thread, device i >= 1 on worker i, which allocates from pool arena
+/// i). Each device holds its own parameter replica — device 0's is model_,
+/// devices 1..m-1 have copies refreshed at every forward pass — and
+/// accumulates its own gradients; the all-reduce sums them into model_ in
+/// device order, so weights do not depend on thread timing.
 
 #pragma once
 
@@ -37,8 +41,8 @@
 namespace hongtu {
 
 // The HongTu-specific knobs (chunks_per_partition, dedup, reorganize,
-// hybrid_cache, edge_schedules, partition_seed) and the executor policy
-// (executor + max_inflight) live in EngineConfig (engine/engine.h).
+// hybrid_cache, edge_schedules, partition_seed) and the pipeline depth
+// (max_inflight) live in EngineConfig (engine/engine.h).
 
 class HongTuEngine : public Engine {
  public:
@@ -97,33 +101,33 @@ class HongTuEngine : public Engine {
   /// device order.
   Status RunDevices(const std::function<Status(int)>& fn);
 
-  /// Classifies a failed pipelined layer: OOM and transient causes are
-  /// recorded as degradation events and return OK (caller runs the serial
-  /// loop); permanent errors pass through.
-  Status DegradeToSerial(const Status& st, const std::string& what);
+  /// Runs `layer(Depth())`. When a deeper-than-1 attempt fails on
+  /// OutOfMemory or a transient cause, records the degradation event and
+  /// replays the layer as `layer(1)` (retrying that replay's transient
+  /// failures); permanent errors, and failures at depth 1, pass through.
+  /// `direction` and `l` only name the layer in the event record.
+  Status RunWithSerialFallback(const char* direction, int l,
+                               const std::function<Status(int)>& layer);
 
-  /// Serial per-layer loops (the serial executor, and the OOM fallback).
-  Status ForwardLayerSerial(int l);
-  Status BackwardLayerSerial(int l);
-  /// Pipelined per-layer loops: load / compute / store stages on worker
-  /// threads, `EffectiveDepth()` batches in flight.
-  Status ForwardLayerPipelined(int l);
-  Status BackwardLayerPipelined(int l);
-  /// Shared scaffold of the pipelined layer loops: registers comm buffers
+  /// One layer of Algorithm 1 — load (Alg. 2), compute, store (Alg. 1
+  /// line 9 / Alg. 3) over every chunk batch — with `d` batches in flight.
+  Status ForwardLayer(int l, int d);
+  Status BackwardLayer(int l, int d);
+  /// Shared scaffold of the layer loops: registers comm buffers
   /// (`comm_slots` in-flight neighbor slots), reserves `d` worst-case chunk
   /// working sets per device (the compute stage must never race the other
-  /// stages for the allocator), then runs load/compute/store over all
-  /// batches with `d` in flight inside a metering overlap region.
+  /// stages for the allocator), then runs load/compute/store as a
+  /// StagePipeline over all batches with `d` in flight. Each stage item
+  /// ends in a sim-platform barrier; for d > 1 the layer runs inside a
+  /// metering overlap region, at d = 1 batches retire strictly in order and
+  /// nothing overlaps.
   Status RunPipelinedLayer(
       int in_dim, int comm_slots, int d,
       const std::function<int64_t(const Chunk&)>& scratch_bytes,
       StagePipeline::StageFn load, StagePipeline::StageFn compute,
       StagePipeline::StageFn store);
-  /// In-flight batches actually used: max_inflight clamped to the batch
-  /// count under the pipeline executor; 0 (serial path) otherwise, or when
-  /// fewer than 2 batches can be in flight, since a window of 1 cannot
-  /// overlap anything.
-  int EffectiveDepth() const;
+  /// Batches in flight: max_inflight clamped to [1, chunks_per_partition].
+  int Depth() const;
 
   /// Per-(pipeline-slot, device) chunk workspaces, pool-backed and reused
   /// across chunks, layers and epochs. Each hot-loop tensor is reshaped in
@@ -137,7 +141,7 @@ class HongTuEngine : public Engine {
     std::vector<Tensor> d_src;     ///< neighbor gradients (accumulator)
   };
 
-  /// Sizes ws_ for max(1, EffectiveDepth()) slots and grows every workspace
+  /// Sizes ws_ for Depth() slots and grows every workspace
   /// tensor to the worst-case chunk of its device across all layers, so the
   /// first epoch already runs allocation-free in the engine's own loops.
   void PresizeWorkspaces();

@@ -291,6 +291,44 @@ Result<ClusterConfig> DecodeClusterConfig(const std::string& s) {
   return c;
 }
 
+Status DecodeEpochDone(const std::string& payload, uint64_t* run, int* rank,
+                       EpochDoneReport* d) {
+  WireReader r(payload);
+  HT_ASSIGN_OR_RETURN(*run, r.U64());
+  HT_ASSIGN_OR_RETURN(const uint32_t rank_u, r.U32());
+  HT_ASSIGN_OR_RETURN(const uint32_t ok_u, r.U32());
+  HT_ASSIGN_OR_RETURN(d->error, r.Str());
+  HT_ASSIGN_OR_RETURN(d->loss_sum, r.F64());
+  HT_ASSIGN_OR_RETURN(d->acc_sum, r.F64());
+  HT_ASSIGN_OR_RETURN(d->n, r.U64());
+  HT_ASSIGN_OR_RETURN(const uint32_t ncnt, r.U32());
+  *rank = static_cast<int>(rank_u);
+  d->received = true;
+  d->ok = ok_u != 0;
+  for (uint32_t e = 0; e < ncnt; ++e) {
+    HT_ASSIGN_OR_RETURN(const int64_t c, r.I64());
+    if (e < fault::kNumDegradeEvents) d->rec.counts[e] = c;
+  }
+  HT_ASSIGN_OR_RETURN(const uint32_t gcnt, r.U32());
+  for (uint32_t g = 0; g < gcnt; ++g) {
+    HT_ASSIGN_OR_RETURN(const uint64_t rows, r.U64());
+    HT_ASSIGN_OR_RETURN(const uint64_t cols, r.U64());
+    // rows * cols * 4 <= remaining, tested without forming the product
+    // (which a hostile report can make wrap).
+    if (cols != 0 && rows > r.remaining() / sizeof(float) / cols) {
+      return Status::DataLoss("kEpochDone gradient " + std::to_string(g) +
+                              " (" + std::to_string(rows) + " x " +
+                              std::to_string(cols) +
+                              ") exceeds the payload");
+    }
+    const size_t count = static_cast<size_t>(rows * cols);
+    std::vector<float> buf(count);
+    HT_RETURN_IF_ERROR(r.Raw(buf.data(), count * sizeof(float)));
+    d->grads.push_back(std::move(buf));
+  }
+  return Status::OK();
+}
+
 // ============================================================================
 // Worker
 // ============================================================================
@@ -1867,18 +1905,6 @@ struct ClusterCoordinator::WorkerProc {
   bool dead = false;
 };
 
-/// One worker's parsed kEpochDone/kEvalDone report.
-struct ClusterCoordinator::DoneReport {
-  bool received = false;
-  bool ok = false;
-  std::string error;
-  double loss_sum = 0.0, acc_sum = 0.0;
-  uint64_t n = 0;
-  uint64_t correct = 0, total = 0;
-  fault::RecoveryCounters rec;
-  std::vector<std::vector<float>> grads;
-};
-
 struct ClusterCoordinator::RunState {
   std::mutex mu;
   std::condition_variable cv;
@@ -2389,38 +2415,6 @@ void ClusterCoordinator::Crash() {
                   << ") — workers left running";
 }
 
-Status ClusterCoordinator::ParseEpochDone(const std::string& payload,
-                                          uint64_t* run, int* rank,
-                                          DoneReport* d) {
-  WireReader r(payload);
-  HT_ASSIGN_OR_RETURN(*run, r.U64());
-  HT_ASSIGN_OR_RETURN(const uint32_t rank_u, r.U32());
-  HT_ASSIGN_OR_RETURN(const uint32_t ok_u, r.U32());
-  HT_ASSIGN_OR_RETURN(d->error, r.Str());
-  HT_ASSIGN_OR_RETURN(d->loss_sum, r.F64());
-  HT_ASSIGN_OR_RETURN(d->acc_sum, r.F64());
-  HT_ASSIGN_OR_RETURN(d->n, r.U64());
-  HT_ASSIGN_OR_RETURN(const uint32_t ncnt, r.U32());
-  *rank = static_cast<int>(rank_u);
-  d->received = true;
-  d->ok = ok_u != 0;
-  for (uint32_t e = 0; e < ncnt; ++e) {
-    HT_ASSIGN_OR_RETURN(const int64_t c, r.I64());
-    if (e < fault::kNumDegradeEvents) d->rec.counts[e] = c;
-  }
-  HT_ASSIGN_OR_RETURN(const uint32_t gcnt, r.U32());
-  for (uint32_t g = 0; g < gcnt; ++g) {
-    HT_ASSIGN_OR_RETURN(const uint64_t rows, r.U64());
-    HT_ASSIGN_OR_RETURN(const uint64_t cols, r.U64());
-    const size_t count =
-        static_cast<size_t>(rows) * static_cast<size_t>(cols);
-    std::vector<float> buf(count);
-    HT_RETURN_IF_ERROR(r.Raw(buf.data(), count * sizeof(float)));
-    d->grads.push_back(std::move(buf));
-  }
-  return Status::OK();
-}
-
 void ClusterCoordinator::OnRequest(Transport::Request&& req) {
   switch (req.frame.type) {
     case MsgType::kHello: {
@@ -2457,7 +2451,7 @@ void ClusterCoordinator::OnRequest(Transport::Request&& req) {
       uint64_t run = 0;
       int rank = -1;
       DoneReport d;
-      const Status ps = ParseEpochDone(req.frame.payload, &run, &rank, &d);
+      const Status ps = DecodeEpochDone(req.frame.payload, &run, &rank, &d);
       if (!ps.ok()) {
         req.reply_error(ps);
         return;
@@ -2919,7 +2913,7 @@ Result<ClusterEpochResult> ClusterCoordinator::RunEpoch() {
           uint64_t prun = 0;
           int prank = -1;
           DoneReport d;
-          if (!ParseEpochDone(kv.second, &prun, &prank, &d).ok()) continue;
+          if (!DecodeEpochDone(kv.second, &prun, &prank, &d).ok()) continue;
           if (prun != run || prank != kv.first || prank < 0 ||
               prank >= static_cast<int>(run_->done.size()) ||
               run_->done[prank].received) {

@@ -243,6 +243,24 @@ struct ClusterConfig {
 std::string EncodeClusterConfig(const ClusterConfig& cfg);
 Result<ClusterConfig> DecodeClusterConfig(const std::string& s);
 
+/// One worker's parsed kEpochDone/kEvalDone report.
+struct EpochDoneReport {
+  bool received = false;
+  bool ok = false;
+  std::string error;
+  double loss_sum = 0.0, acc_sum = 0.0;
+  uint64_t n = 0;
+  uint64_t correct = 0, total = 0;
+  fault::RecoveryCounters rec;
+  std::vector<std::vector<float>> grads;
+};
+
+/// Decodes a kEpochDone payload into its run id, rank, and report. Each
+/// gradient's rows x cols is checked against the bytes left before anything
+/// is allocated, so a hostile or truncated payload returns kDataLoss.
+Status DecodeEpochDone(const std::string& payload, uint64_t* run, int* rank,
+                       EpochDoneReport* d);
+
 /// True for coordinator→worker control messages — the frame types that
 /// term-fencing guards. Peer data RPCs (fetch/push/sync) are run-gated by
 /// the worker protocol, not term-gated.
@@ -322,7 +340,7 @@ class ClusterCoordinator {
  private:
   struct WorkerProc;
   struct RunState;
-  struct DoneReport;
+  using DoneReport = EpochDoneReport;
 
   ClusterCoordinator() = default;
 
@@ -353,9 +371,6 @@ class ClusterCoordinator {
   void OnRequest(Transport::Request&& req);
   void OnPeerDeath(int rank, const std::string& why);
 
-  /// Decodes a kEpochDone payload into its run id, rank, and report.
-  static Status ParseEpochDone(const std::string& payload, uint64_t* run,
-                               int* rank, DoneReport* d);
   /// Appends to the cluster journal (fsynced). A failed append degrades the
   /// coordinator to checkpoint-only recovery instead of failing the run.
   Status JournalAppend(JournalRecordType type, std::string payload);

@@ -113,7 +113,8 @@ class WireReader {
 
  private:
   Status Need(uint64_t n) const {
-    if (off_ + n > n_) {
+    // Not `off_ + n > n_`: a hostile length near 2^64 would wrap past it.
+    if (n > n_ - off_) {
       return Status::DataLoss("truncated wire payload (need " +
                               std::to_string(n) + " bytes, have " +
                               std::to_string(n_ - off_) + ")");

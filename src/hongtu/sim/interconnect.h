@@ -44,9 +44,9 @@ struct InterconnectParams {
 /// Wall-clock attribution matching Figure 9's stacked bars.
 ///
 /// The component fields are *busy* seconds: how long each resource class was
-/// occupied. Under the serial chunk executor the resources run one after
-/// another, so wall time is simply their sum. Under the pipelined executor
-/// the communication lanes run concurrently with compute, and summing the
+/// occupied. With one chunk batch in flight the resources run one after
+/// another, so wall time is simply their sum. With deeper pipelines the
+/// communication lanes run concurrently with compute, and summing the
 /// components would double-count the hidden seconds — `overlapped` records
 /// exactly that hidden amount, so `total()` stays the critical-path wall
 /// time in both modes while the stacked components remain comparable.
@@ -56,8 +56,8 @@ struct TimeBreakdown {
   double d2d = 0;  ///< inter-GPU transfers (NVLink)
   double cpu = 0;  ///< host-side gradient accumulation / loss
   double ru = 0;   ///< in-place reuse (usually negligible)
-  /// Busy seconds hidden behind other lanes by pipelined overlap (0 when the
-  /// serial executor ran).
+  /// Busy seconds hidden behind other lanes by pipelined overlap (exactly 0
+  /// at max_inflight = 1).
   double overlapped = 0;
 
   /// Sum of busy seconds, ignoring overlap (the Fig. 9 stacked bars).

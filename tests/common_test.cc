@@ -1,5 +1,5 @@
 // Unit tests for hongtu/common: Status/Result, logging, RNG, parallel
-// helpers, formatting, and the runtime-config executor knob.
+// helpers, formatting, and the runtime-config knobs.
 
 #include <gtest/gtest.h>
 
@@ -292,17 +292,6 @@ TEST(Format, FixedPoint) {
   EXPECT_EQ(FormatDouble(10.0, 0), "10");
 }
 
-TEST(RuntimeConfig, ExecutorKindsAreSerialAndPipelineOnly) {
-  ExecutorKind k = ExecutorKind::kSerial;
-  EXPECT_TRUE(ParseExecutorKind("pipeline", &k));
-  EXPECT_EQ(k, ExecutorKind::kPipeline);
-  EXPECT_TRUE(ParseExecutorKind("serial", &k));
-  EXPECT_EQ(k, ExecutorKind::kSerial);
-  // The removed dataflow executor's name is an unknown value like any other.
-  EXPECT_FALSE(ParseExecutorKind("taskgraph", &k));
-  EXPECT_EQ(k, ExecutorKind::kSerial);
-}
-
 /// RuntimeConfig::FromEnv() with `name` set to `value`, capturing what it
 /// logs into *err; the variable's previous state is restored afterwards.
 RuntimeConfig FromEnvWith(const char* name, const char* value,
@@ -319,16 +308,6 @@ RuntimeConfig FromEnvWith(const char* name, const char* value,
     unsetenv(name);
   }
   return c;
-}
-
-TEST(RuntimeConfig, UnknownExecutorEnvKeepsDefaultWithWarning) {
-  std::string err;
-  const RuntimeConfig c = FromEnvWith("HONGTU_EXECUTOR", "taskgraph", &err);
-  EXPECT_EQ(c.executor, RuntimeConfig::Defaults().executor);
-  EXPECT_EQ(c.executor, ExecutorKind::kPipeline);
-  EXPECT_NE(err.find("HONGTU_EXECUTOR=taskgraph not recognized"),
-            std::string::npos)
-      << err;
 }
 
 TEST(RuntimeConfig, BooleanEnvAcceptsExactlyZeroOrOne) {

@@ -145,10 +145,10 @@ TEST(HongTuEngine, Fp16WireTrainsAndHalvesCommBytes) {
     o.chunks_per_partition = 3;
     o.device_capacity_bytes = kBig;
     o.comm_precision = wire;
-    // Serial executor: epoch time is the sum of busy seconds, so the
+    // One batch in flight: epoch time is the sum of busy seconds, so the
     // halved wire must show up as a strict total-time drop (under overlap
     // a fully hidden comm lane could mask it).
-    o.executor = ExecutorKind::kSerial;
+    o.max_inflight = 1;
     auto e = HongTuEngine::Create(&ds, cfg, o);
     EXPECT_TRUE(e.ok());
     auto r = e.ValueOrDie()->TrainEpoch();
@@ -220,14 +220,13 @@ TEST(HongTuEngine, LayerZeroPushesNoGradient) {
   Dataset ds = SmallDataset();
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
                                       ds.num_classes, /*layers=*/1, 41);
-  for (const ExecutorKind ex :
-       {ExecutorKind::kSerial, ExecutorKind::kPipeline}) {
+  for (const int depth : {1, 2}) {
     EngineConfig o;
     o.num_devices = 4;
     o.chunks_per_partition = 3;
     o.device_capacity_bytes = kBig;
     o.hybrid_cache = true;
-    o.executor = ex;
+    o.max_inflight = depth;
     auto er = HongTuEngine::Create(&ds, cfg, o);
     ASSERT_TRUE(er.ok()) << er.status().ToString();
     HongTuEngine& e = *er.ValueOrDie();
@@ -242,7 +241,7 @@ TEST(HongTuEngine, LayerZeroPushesNoGradient) {
     const int64_t allreduce =
         m * (2 * e.model()->ParamBytes() * (m - 1) / m);
     EXPECT_EQ(r.ValueOrDie().bytes.d2d, forward_d2d + allreduce)
-        << ExecutorKindName(ex);
+        << "max_inflight " << depth;
   }
 }
 
@@ -370,6 +369,30 @@ TEST(HongTuEngine, RejectsDimMismatch) {
   EXPECT_TRUE(HongTuEngine::Create(&ds, cfg, o).status().IsInvalid());
   EXPECT_TRUE(
       HongTuEngine::Create(nullptr, cfg, o).status().IsInvalid());
+}
+
+TEST(HongTuEngine, MaxInflightOneIsInOrderAndZeroIsInvalid) {
+  Dataset ds = SmallDataset();
+  ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 8,
+                                      ds.num_classes, 2, 1);
+  EngineConfig o;
+  o.num_devices = 2;
+  o.chunks_per_partition = 3;
+  o.device_capacity_bytes = kBig;
+  for (const int bad : {0, -1}) {
+    o.max_inflight = bad;
+    EXPECT_TRUE(HongTuEngine::Create(&ds, cfg, o).status().IsInvalid())
+        << bad;
+  }
+  // One batch in flight opens no overlap region: nothing is hidden, not
+  // even floating-point residue.
+  o.max_inflight = 1;
+  auto e = HongTuEngine::Create(&ds, cfg, o);
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  auto r = e.ValueOrDie()->TrainEpoch();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.ValueOrDie().time.overlapped, 0.0);
+  EXPECT_EQ(r.ValueOrDie().SimSeconds(), r.ValueOrDie().time.busy());
 }
 
 TEST(HongTuEngine, SingleDeviceSingleChunkWorks) {

@@ -499,6 +499,85 @@ TEST_F(NetTest, DecodeRejectsBrokenConfigs) {
   EXPECT_FALSE(net::DecodeClusterConfig(net::EncodeClusterConfig(c)).ok());
 }
 
+// ---- Hostile payloads -------------------------------------------------------
+
+TEST_F(NetTest, WireReaderRejectsLengthsPastTheEnd) {
+  // Each length is read off the wire after 8 bytes are consumed, so
+  // `offset + length` wraps for a length near 2^64.
+  net::WireWriter w;
+  w.U64(~uint64_t{0} - 4);
+  w.Bytes("abcd", 4);
+  const std::string hostile = w.Take();
+
+  net::WireReader str(hostile);
+  EXPECT_TRUE(str.Str().status().IsDataLoss());
+
+  net::WireReader r(hostile);
+  const Result<uint64_t> len = r.U64();
+  ASSERT_TRUE(len.ok());
+  char dst[8] = {};
+  EXPECT_TRUE(r.Raw(dst, len.ValueOrDie()).IsDataLoss());
+  EXPECT_TRUE(r.View(len.ValueOrDie()).status().IsDataLoss());
+  EXPECT_TRUE(r.Raw(dst, 5).IsDataLoss());
+  EXPECT_TRUE(r.View(5).status().IsDataLoss());
+  // In-bounds reads still work, and exactly reach the end.
+  ASSERT_TRUE(r.View(4).ok());
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
+/// A kEpochDone payload as a worker builds it, with one gradient tensor
+/// whose header claims rows x cols but which carries `floats` values.
+std::string EpochDonePayload(uint64_t rows, uint64_t cols, size_t floats) {
+  net::WireWriter w;
+  w.U64(7);    // run
+  w.U32(2);    // rank
+  w.U32(1);    // ok
+  w.Str("");   // error
+  w.F64(1.5);  // loss_sum
+  w.F64(0.5);  // acc_sum
+  w.U64(3);    // n
+  w.U32(fault::kNumDegradeEvents);
+  for (int e = 0; e < fault::kNumDegradeEvents; ++e) w.I64(e);
+  w.U32(1);
+  w.U64(rows);
+  w.U64(cols);
+  const std::vector<float> values(floats, 0.25f);
+  w.Bytes(values.data(), floats * sizeof(float));
+  return w.Take();
+}
+
+TEST_F(NetTest, DecodeEpochDoneRejectsBrokenReports) {
+  uint64_t run = 0;
+  int rank = -1;
+  net::EpochDoneReport good;
+  ASSERT_TRUE(
+      net::DecodeEpochDone(EpochDonePayload(2, 3, 6), &run, &rank, &good)
+          .ok());
+  EXPECT_EQ(run, 7u);
+  EXPECT_EQ(rank, 2);
+  EXPECT_TRUE(good.ok);
+  EXPECT_EQ(good.n, 3u);
+  ASSERT_EQ(good.grads.size(), 1u);
+  EXPECT_EQ(good.grads[0], std::vector<float>(6, 0.25f));
+
+  // Too few values for the claimed shape; a shape whose byte count wraps to
+  // zero; and one far larger than any payload. None may allocate.
+  for (const auto& [rows, cols] :
+       {std::pair<uint64_t, uint64_t>{2, 4}, {uint64_t{1} << 62, 8},
+        {uint64_t{1} << 40, uint64_t{1} << 10}, {~uint64_t{0}, 2}}) {
+    net::EpochDoneReport d;
+    const Status st =
+        net::DecodeEpochDone(EpochDonePayload(rows, cols, 6), &run, &rank, &d);
+    EXPECT_TRUE(st.IsDataLoss()) << rows << " x " << cols << ": "
+                                 << st.ToString();
+  }
+  // A truncated header is data loss too.
+  net::EpochDoneReport d;
+  EXPECT_TRUE(net::DecodeEpochDone(EpochDonePayload(2, 3, 6).substr(0, 20),
+                                   &run, &rank, &d)
+                  .IsDataLoss());
+}
+
 // ---- Multi-process cluster matrix ------------------------------------------
 
 uint32_t TensorDigest(const Tensor& t, uint32_t crc) {

@@ -1,8 +1,8 @@
 // Pipelined chunk executor tests. Two layers of coverage: the StagePipeline
 // runtime itself (ordering, depth bound, error poisoning — the TSan CI job
 // runs exactly this binary), and the end-to-end pin that the pipelined
-// epoch loop (executor = pipeline, max_inflight >= 2) matches the serial
-// loop on loss/accuracy and bit for bit on parameters for every layer type,
+// epoch loop (max_inflight >= 2) matches the in-order loop (max_inflight =
+// 1) on loss/accuracy and bit for bit on parameters for every layer type,
 // dedup level, and chunk count, including the single-chunk degenerate case.
 
 #include <gtest/gtest.h>
@@ -97,7 +97,7 @@ TEST(StagePipeline, ErrorPoisonsRemainingWork) {
   EXPECT_EQ(late_stage_runs.load(), 0);
 }
 
-TEST(StagePipeline, FirstErrorCarriesStageItemAndCause) {
+TEST(StagePipeline, ErrorKeepsCodeAndNamesStageItemAndCause) {
   std::vector<StagePipeline::StageFn> stages;
   stages.push_back([](int64_t) { return Status::OK(); });
   stages.push_back([](int64_t item) {
@@ -112,27 +112,7 @@ TEST(StagePipeline, FirstErrorCarriesStageItemAndCause) {
   EXPECT_TRUE(st.IsTransient());
   EXPECT_NE(st.message().find("stage 1"), std::string::npos);
   EXPECT_NE(st.message().find("item 3"), std::string::npos);
-  const StagePipeline::FailureInfo fail = pipe.FirstError();
-  EXPECT_EQ(fail.stage, 1);
-  EXPECT_EQ(fail.item, 3);
-  EXPECT_TRUE(fail.status.IsTransient());
-  // The unwrapped cause, not the decorated copy.
-  EXPECT_EQ(fail.status.message(), "flaky link");
-}
-
-TEST(StagePipeline, FirstErrorIsEmptyWhileHealthy) {
-  std::vector<StagePipeline::StageFn> stages;
-  stages.push_back([](int64_t) { return Status::OK(); });
-  StagePipeline pipe(std::move(stages), 2);
-  StagePipeline::FailureInfo fail = pipe.FirstError();
-  EXPECT_TRUE(fail.status.ok());
-  EXPECT_EQ(fail.stage, -1);
-  EXPECT_EQ(fail.item, -1);
-  ASSERT_TRUE(pipe.Submit(0).ok());
-  ASSERT_TRUE(pipe.Flush().ok());
-  fail = pipe.FirstError();
-  EXPECT_TRUE(fail.status.ok());
-  EXPECT_EQ(fail.stage, -1);
+  EXPECT_NE(st.message().find("flaky link"), std::string::npos);
 }
 
 TEST(StagePipeline, SingleItemSingleDepth) {
@@ -203,16 +183,15 @@ Dataset SmallDataset(const char* name = "reddit", double scale = 0.15) {
   return r.MoveValueUnsafe();
 }
 
-/// depth 0 = the serial executor; depth d >= 2 = the pipeline with d
-/// batches in flight.
+/// depth 1 = batches strictly in order (the serial oracle); depth d >= 2 =
+/// the pipeline with d batches in flight.
 EngineConfig BaseOptions(DedupLevel level, int chunks, int depth) {
   EngineConfig o;
   o.num_devices = 4;
   o.device_capacity_bytes = kBig;
   o.chunks_per_partition = chunks;
   o.dedup = level;
-  o.executor = depth == 0 ? ExecutorKind::kSerial : ExecutorKind::kPipeline;
-  if (depth > 0) o.max_inflight = depth;
+  o.max_inflight = depth;
   return o;
 }
 
@@ -226,7 +205,7 @@ TEST_P(PipelineEquivalenceTest, PipelinedMatchesSerial) {
       ModelConfig::Make(kind, ds.feature_dim(), 16, ds.num_classes, 2, 99);
 
   auto serial =
-      HongTuEngine::Create(&ds, cfg, BaseOptions(level, chunks, /*depth=*/0));
+      HongTuEngine::Create(&ds, cfg, BaseOptions(level, chunks, /*depth=*/1));
   auto piped =
       HongTuEngine::Create(&ds, cfg, BaseOptions(level, chunks, /*depth=*/2));
   // A second pipelined run: concurrent devices must not make the weights
@@ -294,7 +273,7 @@ TEST(HongTuPipeline, TwoDevicesAreBitwiseAcrossExecutorsAndRuns) {
     ModelConfig cfg =
         ModelConfig::Make(kind, ds.feature_dim(), 16, ds.num_classes, 2, 21);
     std::vector<std::vector<float>> weights;
-    for (int depth : {0, 2, 2}) {
+    for (int depth : {1, 2, 2}) {
       EngineConfig o = BaseOptions(DedupLevel::kP2PReuse, 4, depth);
       o.num_devices = 2;
       auto e = HongTuEngine::Create(&ds, cfg, o);
@@ -323,7 +302,7 @@ TEST(HongTuPipeline, DeeperPipelineStillMatches) {
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
                                       ds.num_classes, 2, 5);
   auto serial = HongTuEngine::Create(
-      &ds, cfg, BaseOptions(DedupLevel::kP2PReuse, 6, /*depth=*/0));
+      &ds, cfg, BaseOptions(DedupLevel::kP2PReuse, 6, /*depth=*/1));
   auto piped = HongTuEngine::Create(
       &ds, cfg, BaseOptions(DedupLevel::kP2PReuse, 6, /*depth=*/4));
   ASSERT_TRUE(serial.ok() && piped.ok());
@@ -335,14 +314,14 @@ TEST(HongTuPipeline, DeeperPipelineStillMatches) {
 
 TEST(HongTuPipeline, ReportsOverlapAndBeatsSerialSimTime) {
   // The acceptance direction of ISSUE 2: with several chunks in flight the
-  // pipelined executor hides communication behind compute, so simulated
-  // epoch time drops below the serial executor's and the hidden seconds
+  // pipeline hides communication behind compute, so simulated epoch time
+  // drops below the in-order (depth-1) run's and the hidden seconds
   // show up in the overlapped meter.
   Dataset ds = SmallDataset("it-2004", 0.2);
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 32,
                                       ds.num_classes, 2, 11);
   auto serial = HongTuEngine::Create(
-      &ds, cfg, BaseOptions(DedupLevel::kP2PReuse, 8, /*depth=*/0));
+      &ds, cfg, BaseOptions(DedupLevel::kP2PReuse, 8, /*depth=*/1));
   auto piped = HongTuEngine::Create(
       &ds, cfg, BaseOptions(DedupLevel::kP2PReuse, 8, /*depth=*/3));
   ASSERT_TRUE(serial.ok() && piped.ok());
@@ -365,7 +344,7 @@ TEST(HongTuPipeline, PipelineCostsDeviceMemory) {
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
                                       ds.num_classes, 2, 7);
   auto serial = HongTuEngine::Create(
-      &ds, cfg, BaseOptions(DedupLevel::kP2PReuse, 4, /*depth=*/0));
+      &ds, cfg, BaseOptions(DedupLevel::kP2PReuse, 4, /*depth=*/1));
   auto piped = HongTuEngine::Create(
       &ds, cfg, BaseOptions(DedupLevel::kP2PReuse, 4, /*depth=*/3));
   ASSERT_TRUE(serial.ok() && piped.ok());

@@ -3,7 +3,7 @@
 // semantics, concurrent borrow/return from the three pipeline lanes, and the
 // engine-level guarantee the tentpole is about — after the first epoch the
 // HongTu chunk loops perform ZERO heap allocations, proven via the pool's
-// hit/miss counters across pipeline depths {0, 2, 3}.
+// hit/miss counters across pipeline depths {1, 2, 3}.
 
 #include <gtest/gtest.h>
 
@@ -217,8 +217,7 @@ TEST_P(ZeroAllocTest, NoHeapAllocationsAfterFirstEpoch) {
     o.num_devices = 4;
     o.chunks_per_partition = 4;
     o.device_capacity_bytes = kBig;
-    o.executor = depth == 0 ? ExecutorKind::kSerial : ExecutorKind::kPipeline;
-    if (depth > 0) o.max_inflight = depth;
+    o.max_inflight = depth;
     auto e = HongTuEngine::Create(&ds, cfg, o);
     ASSERT_TRUE(e.ok()) << e.status().ToString();
     // Epoch 1 may miss while buckets fill (pre-sized workspaces keep the
@@ -237,7 +236,7 @@ TEST_P(ZeroAllocTest, NoHeapAllocationsAfterFirstEpoch) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Depths, ZeroAllocTest, ::testing::Values(0, 2, 3));
+INSTANTIATE_TEST_SUITE_P(Depths, ZeroAllocTest, ::testing::Values(1, 2, 3));
 
 TEST(ZeroAllocConcurrentDevices, GatFourDevicesEightChunks) {
   // gat-friendster's layout: four devices run each batch's kernels at once
@@ -252,7 +251,6 @@ TEST(ZeroAllocConcurrentDevices, GatFourDevicesEightChunks) {
   o.num_devices = 4;
   o.chunks_per_partition = 8;
   o.device_capacity_bytes = kBig;
-  o.executor = ExecutorKind::kPipeline;
   auto e = HongTuEngine::Create(&ds, cfg, o);
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   ASSERT_TRUE(e.ValueOrDie()->TrainEpoch().ok());
@@ -270,15 +268,14 @@ TEST(ZeroAllocCompressed, Bf16CommStaysAllocationFree) {
   // like the fp32 path (the codec kernels allocate nothing).
   ScopedPoolEnabled scope(true);
   Dataset ds = PoolDataset();
-  for (const int depth : {0, 3}) {
+  for (const int depth : {1, 3}) {
     ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
                                         ds.num_classes, 2, 99);
     EngineConfig o;
     o.num_devices = 4;
     o.chunks_per_partition = 4;
     o.device_capacity_bytes = kBig;
-    o.executor = depth == 0 ? ExecutorKind::kSerial : ExecutorKind::kPipeline;
-    if (depth > 0) o.max_inflight = depth;
+    o.max_inflight = depth;
     o.comm_precision = kernels::CommPrecision::kBf16;
     auto e = HongTuEngine::Create(&ds, cfg, o);
     ASSERT_TRUE(e.ok()) << e.status().ToString();
