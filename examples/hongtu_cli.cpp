@@ -158,7 +158,7 @@ Status Run(const Args& a) {
   std::printf("%s | %s %d-layer hidden=%d | engine=%s devices=%d\n",
               ds.graph.DebugString().c_str(), GnnKindName(kind), a.layers,
               hidden, EngineKindName(ekind), a.devices);
-  std::printf("%s", o.runtime().Describe().c_str());
+  std::printf("%s\n", o.runtime().Describe().c_str());
 
   HT_ASSIGN_OR_RETURN(auto engine, Engine::Create(ekind, &ds, cfg, o));
   // Engine-specific accessors stay reachable through the concrete type when

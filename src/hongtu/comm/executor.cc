@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <thread>
 
 #include "hongtu/common/crc32c.h"
 #include "hongtu/common/parallel.h"
@@ -119,7 +121,8 @@ Status CommExecutor::ForwardLoadAttempt(int j, const Tensor& host,
   }
   // Fault site `comm.fetch`. A corrupt fire does not fail the call here —
   // it flips payload bits after the load step below, exercising the CRC
-  // verify-and-repair path the way real link corruption would.
+  // verify-and-repair path the way real link corruption would. The
+  // wire-shaped kinds act as fault::Poke has them act at any non-net site.
   bool corrupt_payload = false;
   switch (fault::Check(fault::Site::kCommFetch)) {
     case fault::Kind::kNone:
@@ -132,6 +135,14 @@ Status CommExecutor::ForwardLoadAttempt(int j, const Tensor& host,
     case fault::Kind::kCorrupt:
       corrupt_payload = true;
       break;
+    case fault::Kind::kDrop:
+      return Status::Unavailable("injected drop at comm.fetch");
+    case fault::Kind::kDelay:
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(fault::kDelayStallSeconds));
+      break;
+    case fault::Kind::kDisconnect:
+      return Status::Unavailable("injected disconnect at comm.fetch");
   }
   const int m = plan_->num_partitions;
   const kernels::Backend kb = kernels::ActiveBackend();

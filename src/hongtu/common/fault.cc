@@ -1,7 +1,9 @@
 #include "hongtu/common/fault.h"
 
+#include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -21,11 +23,6 @@ const char* const kSiteNames[kNumSites] = {
     "pipeline.stage", "ckpt.write", "graph.io", "net.send",
     "net.recv", "net.accept", "ckpt.read", "journal.write",
 };
-
-/// Stall injected by Kind::kDelay at sites that route through Poke(). Long
-/// enough to trip tight RPC deadlines in tests, short enough that a
-/// low-probability delay spec does not dominate a run.
-constexpr double kDelayStallSeconds = 2e-3;
 
 /// splitmix64: the decision for check k is a pure function of (seed, k), so
 /// the fire pattern is independent of thread interleaving and identical
@@ -74,6 +71,19 @@ const bool g_env_armed = [] {
   }
   return true;
 }();
+
+/// Reads a whole spec field as an unsigned count or seed (decimal, or
+/// 0x/0 prefixed like strtoull's base 0). Empty fields, signs, leading
+/// blanks, trailing garbage and values above `max` are rejected.
+bool ParseSpecCount(const std::string& f, uint64_t max, uint64_t* out) {
+  if (f.empty() || f[0] < '0' || f[0] > '9') return false;
+  char* rest = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(f.c_str(), &rest, 0);
+  if (*rest != '\0' || errno != 0 || v > max) return false;
+  *out = v;
+  return true;
+}
 
 }  // namespace
 
@@ -219,9 +229,23 @@ Status ArmSpecString(const std::string& spec) {
     if (rest == fields[2].c_str() || *rest != '\0') {
       return Status::Invalid("bad fault prob: " + fields[2]);
     }
-    s.seed = std::strtoull(fields[3].c_str(), nullptr, 0);
-    if (fields.size() >= 5) s.max_count = std::strtoll(fields[4].c_str(), nullptr, 0);
-    if (fields.size() >= 6) s.skip = std::strtoll(fields[5].c_str(), nullptr, 0);
+    constexpr uint64_t kMaxCount = INT64_MAX;
+    if (!ParseSpecCount(fields[3], UINT64_MAX, &s.seed)) {
+      return Status::Invalid("bad fault seed: " + fields[3]);
+    }
+    uint64_t count = 0;
+    if (fields.size() >= 5) {
+      if (!ParseSpecCount(fields[4], kMaxCount, &count)) {
+        return Status::Invalid("bad fault max_count: " + fields[4]);
+      }
+      s.max_count = static_cast<int64_t>(count);
+    }
+    if (fields.size() >= 6) {
+      if (!ParseSpecCount(fields[5], kMaxCount, &count)) {
+        return Status::Invalid("bad fault skip: " + fields[5]);
+      }
+      s.skip = static_cast<int64_t>(count);
+    }
     HT_RETURN_IF_ERROR(Arm(static_cast<Site>(site), s));
   }
   return Status::OK();
@@ -290,7 +314,9 @@ Result<RetryPolicy> ParseRetrySpec(const std::string& spec) {
     HT_RETURN_IF_ERROR(parse_f64(fields[3], &p.total_deadline_s));
   }
   if (fields.size() >= 5 && !fields[4].empty()) {
-    p.jitter_seed = std::strtoull(fields[4].c_str(), nullptr, 0);
+    if (!ParseSpecCount(fields[4], UINT64_MAX, &p.jitter_seed)) {
+      return Status::Invalid("bad retry spec jitter seed: " + fields[4]);
+    }
   }
   if (p.base_backoff_s < 0 || p.max_backoff_s < p.base_backoff_s) {
     return Status::Invalid("retry spec backoffs must satisfy 0 <= base <= max");

@@ -88,6 +88,11 @@ enum class Kind : int {
 };
 const char* KindName(Kind k);
 
+/// Stall injected by Kind::kDelay at the non-net sites (Poke() and
+/// comm.fetch). Long enough to trip tight RPC deadlines in tests, short
+/// enough that a low-probability delay spec does not dominate a run.
+constexpr double kDelayStallSeconds = 2e-3;
+
 /// One armed site's configuration.
 struct SiteSpec {
   Kind kind = Kind::kNone;
@@ -117,7 +122,9 @@ Status Poke(Site s);
 Status Arm(Site site, const SiteSpec& spec);
 
 /// Parses and arms a full HONGTU_FAULT_SPEC string (';'-separated clauses
-/// of `site:kind:prob:seed[:max_count[:skip]]`).
+/// of `site:kind:prob:seed[:max_count[:skip]]`). seed, max_count and skip
+/// are whole unsigned integers: an empty field, a sign or trailing garbage
+/// is Invalid.
 Status ArmSpecString(const std::string& spec);
 
 /// Disarms every site and clears per-site statistics.
@@ -155,7 +162,8 @@ struct RetryPolicy {
 ///     attempts:base_backoff_s:max_backoff_s:total_deadline_s:jitter_seed
 ///
 /// e.g. `6:1e-4:1e-2` = 6 attempts, 100us base backoff, 10ms cap. Fields
-/// left empty (`::5e-3`) keep their defaults.
+/// left empty (`::5e-3`) keep their defaults; a non-empty field must parse
+/// whole (jitter_seed as an unsigned integer), else the spec is Invalid.
 Result<RetryPolicy> ParseRetrySpec(const std::string& spec);
 
 /// The process-wide retry policy: `HONGTU_RETRY_SPEC` parsed once on first

@@ -133,7 +133,10 @@ struct EngineConfig : EngineOptions {
   /// aggregation kernels run the propagation-blocked (cache-banded,
   /// conflict-free-parallel) path. One-time preprocessing cost, metered
   /// against device memory; a device that cannot hold its schedules simply
-  /// runs the single-pass kernels. False = always single-pass (A/B).
+  /// runs the single-pass kernels. Only a direction whose random side spans
+  /// two or more L2 bands is compiled: one that fits a single band could
+  /// never take the banded path, so it builds nothing and costs 0 bytes.
+  /// False = always single-pass (A/B).
   /// (InMemoryEngine: full-graph schedules, metered against device 0.)
   bool edge_schedules = true;
   uint64_t partition_seed = 7;

@@ -217,12 +217,15 @@ void HongTuEngine::BuildEdgeSchedules() {
     // permute. A device that cannot afford them keeps the single-pass
     // kernels — the schedules are an optimization, never a requirement —
     // and the capacity estimate runs *before* the builds, so an
-    // over-capacity device pays nothing.
+    // over-capacity device pays nothing. The estimate is exactly 0 when
+    // every chunk's random sides fit one band: no schedule could engage,
+    // so the device builds, allocates and meters nothing.
+    int64_t estimate = 0;
+    for (int j = 0; j < n; ++j) {
+      estimate += ChunkSchedules::EstimateBytes(tl_.chunks[i][j], sp);
+    }
+    if (estimate == 0) continue;
     if (platform_ != nullptr) {
-      int64_t estimate = 0;
-      for (int j = 0; j < n; ++j) {
-        estimate += ChunkSchedules::EstimateBytes(tl_.chunks[i][j], sp);
-      }
       SimDevice& dev = platform_->device(i);
       if (dev.used() + estimate > dev.capacity()) {
         degrade_.RecordSetup(

@@ -148,18 +148,23 @@ class HongTuEngine : public Engine {
 
   /// Compiles the per-(chunk, direction) edge schedules (options_.
   /// edge_schedules), sized for the widest layer dimension, accounts their
-  /// bytes against each device and the platform's schedule meter. A device
-  /// whose capacity cannot hold its schedules keeps none (single-pass
-  /// kernels) instead of failing.
+  /// bytes against each device and the platform's schedule meter. A
+  /// direction whose random side fits one band compiles nothing, and a
+  /// device whose chunks all compile nothing builds, allocates and meters
+  /// nothing. A device whose capacity cannot hold its schedules keeps none
+  /// (single-pass kernels) instead of failing.
   void BuildEdgeSchedules();
 
   /// The compiled schedules of chunk (i, j); null when schedules are
-  /// disabled or device i could not hold them.
+  /// disabled, device i could not hold them, or neither direction of the
+  /// chunk compiled (bytes() == 0).
   const ChunkSchedules* chunk_schedules(int i, int j) const {
     if (scheds_.empty() || scheds_[static_cast<size_t>(i)].empty()) {
       return nullptr;
     }
-    return &scheds_[static_cast<size_t>(i)][static_cast<size_t>(j)];
+    const ChunkSchedules& s =
+        scheds_[static_cast<size_t>(i)][static_cast<size_t>(j)];
+    return s.bytes() > 0 ? &s : nullptr;
   }
 
   const Dataset* ds_ = nullptr;
@@ -182,8 +187,8 @@ class HongTuEngine : public Engine {
   std::vector<bool> use_cache_;  ///< per layer: hybrid cache active
   std::vector<SlotWorkspace> ws_;  ///< per-slot reusable chunk workspaces
   /// Per (device, chunk) compiled aggregation schedules ([m][n]; a device's
-  /// row is empty when its schedules did not fit) and their device-memory
-  /// registrations.
+  /// row is empty when none of its chunks compiled or they did not fit) and
+  /// their device-memory registrations.
   std::vector<std::vector<ChunkSchedules>> scheds_;
   std::vector<DeviceAllocation> sched_alloc_;
 

@@ -50,11 +50,12 @@ Result<std::unique_ptr<InMemoryEngine>> InMemoryEngine::Create(
     for (int d : model_config.dims) sp.max_dim = std::max(sp.max_dim, d);
     // Schedules ride along with the resident topology on device 0; if the
     // capacity cannot hold them (checked before paying for the compile),
-    // train with the single-pass kernels.
+    // train with the single-pass kernels. A zero estimate means both random
+    // sides fit one band: nothing could engage, so nothing is built.
     SimDevice& dev0 = engine->platform_->device(0);
     const int64_t estimate =
         ChunkSchedules::EstimateBytes(engine->full_chunk_, sp);
-    if (dev0.used() + estimate <= dev0.capacity()) {
+    if (estimate > 0 && dev0.used() + estimate <= dev0.capacity()) {
       auto sched = std::make_unique<ChunkSchedules>(
           ChunkSchedules::Build(engine->full_chunk_, sp));
       const int64_t bytes = sched->bytes();

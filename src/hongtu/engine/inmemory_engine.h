@@ -61,8 +61,9 @@ class InMemoryEngine : public Engine {
   std::unique_ptr<SimPlatform> platform_;
 
   Chunk full_chunk_;  ///< the whole graph as one chunk (identity src space)
-  /// Compiled aggregation schedules of the full chunk (null when disabled or
-  /// not affordable) and their device registration.
+  /// Compiled aggregation schedules of the full chunk (null when disabled,
+  /// not affordable, or both random sides fit one band) and their device
+  /// registration.
   std::unique_ptr<ChunkSchedules> sched_;
   DeviceAllocation sched_alloc_;
   std::vector<Tensor> h_;  ///< resident h^l

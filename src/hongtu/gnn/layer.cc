@@ -37,7 +37,9 @@ ChunkSchedules ChunkSchedules::Build(const Chunk& c,
   ChunkSchedules s;
   const int64_t nd = c.num_dst();
   const int64_t ns = c.num_neighbors();
-  if (c.num_edges() > 0) {
+  const int bg = kernels::EdgeSchedule::NumBands(ns, p);
+  const int bs = kernels::EdgeSchedule::NumBands(nd, p);
+  if (c.num_edges() > 0 && bg >= 2 && bs >= 2) {
     // One walk of the CSC edges fills *both* directions' (shard, band)
     // histograms: the gather direction's own counts, and — through the
     // scatter shard map over sources — the CSR mirror's counts. Bucket
@@ -45,8 +47,6 @@ ChunkSchedules ChunkSchedules::Build(const Chunk& c,
     // skips its counting pass) yields byte-identical schedules while the
     // CSR is walked once (placement) instead of twice.
     const int S = std::max(p.num_shards, 1);
-    const int bg = kernels::EdgeSchedule::NumBands(ns, p);
-    const int bs = kernels::EdgeSchedule::NumBands(nd, p);
     const int64_t band_rows = kernels::EdgeSchedule::ResolveBandRows(p);
     std::vector<int64_t> g_bounds(static_cast<size_t>(S) + 1);
     std::vector<int64_t> s_bounds(static_cast<size_t>(S) + 1);
@@ -80,6 +80,8 @@ ChunkSchedules ChunkSchedules::Build(const Chunk& c,
         p, scatter_counts.data());
     return s;
   }
+  // At most one direction compiles (a single-band one returns slab-less
+  // before any edge walk), so there is no second walk to fuse away.
   s.gather = kernels::EdgeSchedule::Build(nd, c.in_offsets.data(),
                                           c.nbr_idx.data(),
                                           c.in_weights.data(), ns, p);

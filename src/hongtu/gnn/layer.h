@@ -69,7 +69,9 @@ struct ChunkSchedules {
   int64_t bytes() const { return gather.bytes() + scatter.bytes(); }
 
   /// Compiles both directions for `c`. `p.max_dim` should be the widest
-  /// feature dimension any layer will push through the chunk.
+  /// feature dimension any layer will push through the chunk. A direction
+  /// whose random side fits one band compiles nothing (bytes() == 0 when
+  /// both do).
   static ChunkSchedules Build(const Chunk& c,
                               const kernels::EdgeScheduleParams& p);
 

@@ -62,9 +62,8 @@ void EdgeSchedule::ShardRowBounds(int64_t num_out, const int64_t* offsets,
 int64_t EdgeSchedule::EstimateBytes(int64_t num_out, int64_t num_in,
                                     int64_t num_edges, bool has_weights,
                                     const EdgeScheduleParams& p) {
-  if (num_edges <= 0) return 0;
-  const int64_t band_rows = ResolveBandRows(p);
-  const int64_t B = std::max<int64_t>((num_in + band_rows - 1) / band_rows, 1);
+  const int64_t B = NumBands(num_in, p);
+  if (num_edges <= 0 || B < 2) return 0;  // Build compiles nothing
   const int64_t S = std::max(p.num_shards, 1);
   const int64_t floats = 2 * ((S * B + 1) + 2 * (S + 1)) + 3 * num_edges +
                          (has_weights ? num_edges : 0) + num_out;
@@ -96,9 +95,11 @@ EdgeSchedule EdgeSchedule::Build(int64_t num_out, const int64_t* offsets,
   // configurations (huge dims, tiny budgets in tests) from exploding the
   // band count.
   s.band_rows_ = BandRowsFor(s.l2_bytes_, p.max_dim);
-  const int64_t nb64 = (s.num_in_ + s.band_rows_ - 1) / s.band_rows_;
-  s.num_bands_ = static_cast<int>(std::max<int64_t>(nb64, 1));
+  s.num_bands_ = NumBands(s.num_in_, p);
   s.num_shards_ = std::max(p.num_shards, 1);
+  // One band is the single-pass walk in another order, and ShouldUse never
+  // accepts it: keep the shape, compile and allocate nothing.
+  if (s.num_bands_ < 2) return s;
 
   const int S = s.num_shards_;
   const int B = s.num_bands_;

@@ -30,6 +30,12 @@
 /// and epoch — the same amortization the dedup plan gets for communication.
 /// Storage is one slab from the process-wide TensorPool, so engines that
 /// build schedules at setup stay allocation-free in steady-state epochs.
+///
+/// Banding pays only when the random side outgrows cache (Beamer et al.,
+/// "Reducing PageRank Communication via Propagation Blocking", IPDPS 2017).
+/// A random side that fits one band can never take the banded path, so
+/// Build compiles nothing for it: the schedule keeps its shape, holds no
+/// slab and costs 0 bytes, and EstimateBytes agrees.
 
 #pragma once
 
@@ -83,6 +89,10 @@ class EdgeSchedule {
   /// counting pass is skipped entirely — ChunkSchedules::Build uses this to
   /// derive the scatter mirror's histogram from the gather direction's edge
   /// walk instead of re-walking the CSR.
+  ///
+  /// When `num_in` fits one band (NumBands(num_in, p) < 2) the result is
+  /// slab-less: shape fields set, bytes() == 0, every array accessor null,
+  /// and ShouldUse false for every call.
   static EdgeSchedule Build(int64_t num_out, const int64_t* offsets,
                             const int32_t* idx, const float* weights,
                             int64_t num_in, const EdgeScheduleParams& p = {},
@@ -108,12 +118,13 @@ class EdgeSchedule {
   int64_t num_edges() const { return num_edges_; }
   int64_t band_rows() const { return band_rows_; }
   /// Pooled bytes held by this schedule (the one-time build cost engines
-  /// meter against the simulated platform).
+  /// meter against the simulated platform); 0 for a single-band schedule.
   int64_t bytes() const { return slab_floats_ * 4; }
 
   /// True when the banded kernel is expected to beat the single-pass walk
-  /// for a call of this shape: multiple bands, a supported width, and a
-  /// random-side table that exceeds the L2 the bands were sized for.
+  /// for a call of this shape: multiple bands (so never for the slab-less
+  /// single-band schedule), a supported width, and a random-side table that
+  /// exceeds the L2 the bands were sized for.
   /// Non-accumulating gathers below 32 columns stay single-pass (a 64-byte
   /// row already hides its own latency; the permuted index stream would
   /// cost more than it saves).
@@ -153,7 +164,8 @@ class EdgeSchedule {
   /// Upper bound on bytes() for a structure of this shape (assumes every
   /// output row could be zero-degree). Lets engines check device capacity
   /// *before* paying for the build; Build's actual footprint never exceeds
-  /// it.
+  /// it. Exactly 0 when Build compiles nothing: no edges, or a random side
+  /// of one band.
   static int64_t EstimateBytes(int64_t num_out, int64_t num_in,
                                int64_t num_edges, bool has_weights,
                                const EdgeScheduleParams& p = {});

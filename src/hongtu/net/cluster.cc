@@ -98,12 +98,6 @@ constexpr int64_t kNoKillEpoch = -1;
 
 double NowS() { return MonotonicSeconds(); }
 
-std::chrono::steady_clock::time_point DeadlineTp(double budget_s) {
-  return std::chrono::steady_clock::now() +
-         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-             std::chrono::duration<double>(budget_s));
-}
-
 /// Best-effort removal of a flat scratch directory (sockets, checkpoints).
 void RemoveDirShallow(const std::string& dir) {
   DIR* d = ::opendir(dir.c_str());

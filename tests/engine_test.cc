@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <tuple>
 #include <vector>
@@ -245,30 +246,135 @@ TEST(HongTuEngine, LayerZeroPushesNoGradient) {
   }
 }
 
+/// Band sizing as the engines resolve it: the widest layer width against
+/// the detected L2.
+kernels::EdgeScheduleParams EngineScheduleParams(const ModelConfig& cfg) {
+  kernels::EdgeScheduleParams sp;
+  sp.max_dim = *std::max_element(cfg.dims.begin(), cfg.dims.end());
+  return sp;
+}
+
+/// The schedule bytes chunk `c` may cost: the built bytes of each direction
+/// whose random side spans two or more bands. A single-band direction can
+/// never engage, so it must build nothing.
+int64_t MultiBandScheduleBytes(const Chunk& c,
+                               const kernels::EdgeScheduleParams& sp) {
+  const ChunkSchedules s = ChunkSchedules::Build(c, sp);
+  int64_t bytes = 0;
+  if (kernels::EdgeSchedule::NumBands(c.num_neighbors(), sp) >= 2) {
+    bytes += s.gather.bytes();
+  } else {
+    EXPECT_EQ(s.gather.bytes(), 0);
+  }
+  if (kernels::EdgeSchedule::NumBands(c.num_dst(), sp) >= 2) {
+    bytes += s.scatter.bytes();
+  } else {
+    EXPECT_EQ(s.scatter.bytes(), 0);
+  }
+  return bytes;
+}
+
 TEST(HongTuEngine, EdgeSchedulesAreMeteredAndOptional) {
+  // Small chunks, which fit one band on common hosts, and two large ones,
+  // whose random sides span several bands unless L2 exceeds ~3 MiB.
+  struct Config {
+    double scale;
+    int devices;
+    int chunks;
+  };
+  for (const Config& k : {Config{0.1, 2, 4}, Config{0.3, 1, 2}}) {
+    Dataset ds = SmallDataset("friendster", k.scale);
+    ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
+                                        ds.num_classes, 2, 31);
+    EngineConfig on;
+    on.num_devices = k.devices;
+    on.chunks_per_partition = k.chunks;
+    on.device_capacity_bytes = kBig;
+    EngineConfig off = on;
+    off.edge_schedules = false;
+    auto eon = HongTuEngine::Create(&ds, cfg, on);
+    auto eoff = HongTuEngine::Create(&ds, cfg, off);
+    ASSERT_TRUE(eon.ok() && eoff.ok());
+    // The one-time schedule build cost is metered in the platform and
+    // charged against device memory: exactly the bytes of the
+    // chunk-directions that span two or more bands on this host. Disabling
+    // schedules meters nothing.
+    const kernels::EdgeScheduleParams sp = EngineScheduleParams(cfg);
+    int64_t expected = 0;
+    for (const auto& row : eon.ValueOrDie()->partition().chunks) {
+      for (const Chunk& c : row) expected += MultiBandScheduleBytes(c, sp);
+    }
+    EXPECT_EQ(eon.ValueOrDie()->platform()->ScheduleBytes(), expected)
+        << "scale " << k.scale;
+    EXPECT_EQ(eoff.ValueOrDie()->platform()->ScheduleBytes(), 0);
+    // Numerics agree across the banded/single-pass dispatch.
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      auto ra = eon.ValueOrDie()->TrainEpoch();
+      auto rb = eoff.ValueOrDie()->TrainEpoch();
+      ASSERT_TRUE(ra.ok() && rb.ok());
+      EXPECT_NEAR(ra.ValueOrDie().loss, rb.ValueOrDie().loss, 1e-3);
+    }
+  }
+}
+
+TEST(InMemoryEngine, EdgeSchedulesMeterOnlyMultiBandDirections) {
+  // The full graph as one chunk: the same exact expectation as the
+  // partitioned engine's, on a random side of every vertex.
   Dataset ds = SmallDataset("friendster", 0.1);
   ModelConfig cfg =
       ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16, ds.num_classes,
                         2, 31);
-  EngineConfig on;
-  on.num_devices = 2;
-  on.chunks_per_partition = 4;
-  on.device_capacity_bytes = kBig;
-  EngineConfig off = on;
-  off.edge_schedules = false;
-  auto eon = HongTuEngine::Create(&ds, cfg, on);
-  auto eoff = HongTuEngine::Create(&ds, cfg, off);
-  ASSERT_TRUE(eon.ok() && eoff.ok());
-  // The one-time schedule build cost is metered in the platform and charged
-  // against device memory; disabling schedules meters nothing.
-  EXPECT_GT(eon.ValueOrDie()->platform()->ScheduleBytes(), 0);
-  EXPECT_EQ(eoff.ValueOrDie()->platform()->ScheduleBytes(), 0);
-  // Numerics agree across the banded/single-pass dispatch.
-  for (int epoch = 0; epoch < 2; ++epoch) {
-    auto ra = eon.ValueOrDie()->TrainEpoch();
-    auto rb = eoff.ValueOrDie()->TrainEpoch();
-    ASSERT_TRUE(ra.ok() && rb.ok());
-    EXPECT_NEAR(ra.ValueOrDie().loss, rb.ValueOrDie().loss, 1e-3);
+  EngineConfig o;
+  o.num_devices = 1;
+  o.device_capacity_bytes = kBig;
+  auto e = InMemoryEngine::Create(&ds, cfg, o);
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  std::vector<VertexId> all(static_cast<size_t>(ds.graph.num_vertices()));
+  for (size_t v = 0; v < all.size(); ++v) all[v] = static_cast<VertexId>(v);
+  const Chunk full = ExtractChunk(ds.graph, std::move(all), 0, 0);
+  EXPECT_EQ(e.ValueOrDie()->platform()->ScheduleBytes(),
+            MultiBandScheduleBytes(full, EngineScheduleParams(cfg)));
+}
+
+TEST(HongTuEngine, SingleBandSchedulesLeaveWeightsBitwiseUnchanged) {
+  // Every chunk side here is at most 256 rows, the band floor, so on any
+  // host each direction fits one band and no schedule can engage: turning
+  // edge_schedules on must build nothing and change no bit of the weights.
+  Dataset ds = SmallDataset("reddit", 0.05);
+  for (const GnnKind kind : {GnnKind::kGcn, GnnKind::kGat, GnnKind::kSage}) {
+    ModelConfig cfg = ModelConfig::Make(kind, ds.feature_dim(), 16,
+                                        ds.num_classes, 2, 53);
+    const kernels::EdgeScheduleParams sp = EngineScheduleParams(cfg);
+    std::vector<float> weights[2];
+    for (const bool schedules : {false, true}) {
+      EngineConfig o;
+      o.num_devices = 2;
+      o.chunks_per_partition = 8;
+      o.device_capacity_bytes = kBig;
+      o.edge_schedules = schedules;
+      auto e = HongTuEngine::Create(&ds, cfg, o);
+      ASSERT_TRUE(e.ok()) << e.status().ToString();
+      for (const auto& row : e.ValueOrDie()->partition().chunks) {
+        for (const Chunk& c : row) {
+          ASSERT_EQ(kernels::EdgeSchedule::NumBands(c.num_neighbors(), sp), 1);
+          ASSERT_EQ(kernels::EdgeSchedule::NumBands(c.num_dst(), sp), 1);
+        }
+      }
+      EXPECT_EQ(e.ValueOrDie()->platform()->ScheduleBytes(), 0);
+      for (int epoch = 0; epoch < 2; ++epoch) {
+        auto r = e.ValueOrDie()->TrainEpoch();
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+      }
+      for (const Tensor* p : e.ValueOrDie()->model()->AllParams()) {
+        weights[schedules].insert(weights[schedules].end(), p->data(),
+                                  p->data() + p->size());
+      }
+    }
+    ASSERT_EQ(weights[0].size(), weights[1].size());
+    EXPECT_EQ(std::memcmp(weights[0].data(), weights[1].data(),
+                          weights[0].size() * sizeof(float)),
+              0)
+        << GnnKindName(kind);
   }
 }
 

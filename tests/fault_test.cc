@@ -54,11 +54,13 @@ EngineConfig BaseOptions() {
 // Fails the test on any non-OK epoch. `after_create` runs between engine
 // creation and the first epoch — fault arming goes there so the injections
 // land in the epoch loops (whose recovery is snapshotted into EpochStats)
-// rather than in engine setup.
+// rather than in engine setup. `weights`, when set, receives every
+// parameter after the last epoch.
 std::vector<double> RunLosses(const Dataset& ds, const EngineConfig& o,
                               int epochs,
                               fault::RecoveryCounters* recovery = nullptr,
-                              const std::function<void()>& after_create = {}) {
+                              const std::function<void()>& after_create = {},
+                              std::vector<float>* weights = nullptr) {
   ModelConfig cfg = ModelConfig::Make(GnnKind::kGcn, ds.feature_dim(), 16,
                                       ds.num_classes, 2, 777);
   auto e = HongTuEngine::Create(&ds, cfg, o);
@@ -74,6 +76,12 @@ std::vector<double> RunLosses(const Dataset& ds, const EngineConfig& o,
       for (int i = 0; i < fault::kNumDegradeEvents; ++i) {
         recovery->counts[i] += r.ValueOrDie().recovery.counts[i];
       }
+    }
+  }
+  if (weights != nullptr) {
+    weights->clear();
+    for (const Tensor* p : e.ValueOrDie()->model()->AllParams()) {
+      weights->insert(weights->end(), p->data(), p->data() + p->size());
     }
   }
   return losses;
@@ -152,6 +160,33 @@ TEST_F(FaultTest, SpecStringParsesAndRejects) {
   EXPECT_FALSE(fault::ArmSpecString("comm.fetch:bogus:1:0").ok());
   EXPECT_FALSE(fault::ArmSpecString("comm.fetch:transient:2.5:0").ok());
   EXPECT_FALSE(fault::ArmSpecString("comm.fetch:transient").ok());
+  // seed, max_count and skip are whole unsigned integers.
+  ASSERT_TRUE(fault::ArmSpecString("comm.fetch:transient:1:0x2a:3:1").ok());
+  fault::DisarmAll();
+  for (const char* bad :
+       {"comm.fetch:transient:1:7x", "comm.fetch:transient:1:",
+        "comm.fetch:transient:1: 7", "comm.fetch:transient:1:-7",
+        "comm.fetch:transient:1:0:", "comm.fetch:transient:1:0:2x",
+        "comm.fetch:transient:1:0:-1", "comm.fetch:transient:1:0:1:",
+        "comm.fetch:transient:1:0:1:-3", "comm.fetch:transient:1:0:1:+3",
+        "comm.fetch:transient:1:99999999999999999999"}) {
+    EXPECT_FALSE(fault::ArmSpecString(bad).ok()) << bad;
+    fault::DisarmAll();
+  }
+}
+
+TEST_F(FaultTest, RetrySpecJitterSeedIsStrict) {
+  auto r = fault::ParseRetrySpec("3:1e-4:1e-2:1:42");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.ValueOrDie().max_attempts, 3);
+  EXPECT_EQ(r.ValueOrDie().jitter_seed, 42u);
+  // An empty field keeps its default.
+  r = fault::ParseRetrySpec("3::::");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.ValueOrDie().jitter_seed, fault::RetryPolicy().jitter_seed);
+  for (const char* bad : {"3::::7x", "3:::: 7", "3::::-1", "3::::+1"}) {
+    EXPECT_FALSE(fault::ParseRetrySpec(bad).ok()) << bad;
+  }
 }
 
 TEST_F(FaultTest, PokeMaterializesStatuses) {
@@ -268,6 +303,35 @@ INSTANTIATE_TEST_SUITE_P(AllRetrySites, TransientSiteTest,
                                            fault::Site::kCommFlush,
                                            fault::Site::kDeviceH2D,
                                            fault::Site::kPipelineStage));
+
+TEST_F(FaultTest, CommFetchWireKindsAreAbsorbedBitwise) {
+  // comm.fetch has no frame to lose or socket to sever: a drop or a
+  // disconnect fails the load as Unavailable and the transient replay
+  // reloads it; a delay stalls the load and lets it proceed. Either way the
+  // weights match an unfaulted run bit for bit.
+  Dataset ds = SmallDataset();
+  std::vector<float> clean;
+  RunLosses(ds, BaseOptions(), 2, nullptr, {}, &clean);
+  for (const char* spec : {"comm.fetch:drop:1:3:2", "comm.fetch:disconnect:1:3:2",
+                           "comm.fetch:delay:1:3:2"}) {
+    fault::RecoveryCounters recovery;
+    std::vector<float> faulted;
+    RunLosses(ds, BaseOptions(), 2, &recovery, [&]() {
+      ASSERT_TRUE(fault::ArmSpecString(spec).ok());
+    }, &faulted);
+    const int64_t fired = fault::StatsFor(fault::Site::kCommFetch).fired;
+    fault::DisarmAll();
+    EXPECT_EQ(fired, 2) << spec;
+    const bool delay = std::strstr(spec, ":delay:") != nullptr;
+    EXPECT_EQ(recovery[fault::DegradeEvent::kTransientRetry] > 0, !delay)
+        << spec << ": " << recovery.ToString();
+    ASSERT_EQ(faulted.size(), clean.size());
+    EXPECT_EQ(std::memcmp(faulted.data(), clean.data(),
+                          clean.size() * sizeof(float)),
+              0)
+        << spec;
+  }
+}
 
 TEST_F(FaultTest, PermanentFaultIsACleanError) {
   Dataset ds = SmallDataset();

@@ -588,6 +588,51 @@ TEST_F(KernelsTest, EdgeScheduleHandlesZeroDegreeRowsAndHeuristics) {
   }
 }
 
+TEST_F(KernelsTest, SingleBandScheduleCompilesNothing) {
+  // 4096-row bands (1 MiB budget at 64 columns) over a 2048-row random
+  // side: one band, which the banded path can never use. Build keeps the
+  // shape, allocates nothing, and the capacity estimate agrees.
+  const Graph g = SkewedGraph(2048, 24576, 467);
+  const Chunk chunk = FullChunk(g);
+  kernels::EdgeScheduleParams p;
+  p.l2_bytes = 1 << 20;
+  p.max_dim = 64;
+  ASSERT_EQ(kernels::EdgeSchedule::NumBands(chunk.num_neighbors(), p), 1);
+  ASSERT_EQ(kernels::EdgeSchedule::NumBands(chunk.num_dst(), p), 1);
+
+  const PoolStats before = TensorPool::Global().stats();
+  const kernels::EdgeSchedule s = kernels::EdgeSchedule::Build(
+      chunk.num_dst(), chunk.in_offsets.data(), chunk.nbr_idx.data(),
+      chunk.in_weights.data(), chunk.num_neighbors(), p);
+  const ChunkSchedules both = ChunkSchedules::Build(chunk, p);
+  const PoolStats after = TensorPool::Global().stats();
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.hits, before.hits);
+
+  EXPECT_EQ(s.num_edges(), chunk.num_edges());
+  EXPECT_EQ(s.num_out(), chunk.num_dst());
+  EXPECT_EQ(s.num_in(), chunk.num_neighbors());
+  EXPECT_EQ(s.num_bands(), 1);
+  EXPECT_EQ(s.bytes(), 0);
+  EXPECT_EQ(s.edge_perm(), nullptr);
+  EXPECT_EQ(kernels::EdgeSchedule::EstimateBytes(
+                chunk.num_dst(), chunk.num_neighbors(), chunk.num_edges(),
+                /*has_weights=*/true, p),
+            0);
+  EXPECT_EQ(both.bytes(), 0);
+  EXPECT_EQ(ChunkSchedules::EstimateBytes(chunk, p), 0);
+  // The table outgrows the budget at the wider dims, so only the band
+  // count keeps these false.
+  for (int64_t dim = 1; dim <= 256; ++dim) {
+    for (const bool accumulate : {false, true}) {
+      EXPECT_FALSE(s.ShouldUse(dim, accumulate))
+          << "dim " << dim << " accumulate " << accumulate;
+      EXPECT_FALSE(both.gather.ShouldUse(dim, accumulate));
+      EXPECT_FALSE(both.scatter.ShouldUse(dim, accumulate));
+    }
+  }
+}
+
 TEST_F(KernelsTest, EdgeScheduleReuseAllocatesNothing) {
   const Graph g = SkewedGraph(2048, 24576, 431);
   const Chunk chunk = FullChunk(g);
