@@ -88,9 +88,10 @@ enum class Kind : int {
 };
 const char* KindName(Kind k);
 
-/// Stall injected by Kind::kDelay at the non-net sites (Poke() and
-/// comm.fetch). Long enough to trip tight RPC deadlines in tests, short
-/// enough that a low-probability delay spec does not dominate a run.
+/// Stall injected by Kind::kDelay at every site: Poke(), comm.fetch and the
+/// net.send/net.recv/net.accept checks. Long enough to trip tight RPC
+/// deadlines in tests, short enough that a low-probability delay spec does
+/// not dominate a run.
 constexpr double kDelayStallSeconds = 2e-3;
 
 /// One armed site's configuration.

@@ -1,15 +1,14 @@
 #include "hongtu/engine/checkpoint.h"
 
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <vector>
 
 #include "hongtu/common/crc32c.h"
+#include "hongtu/common/file.h"
+#include "hongtu/common/wire.h"
 
 namespace hongtu {
 
@@ -30,34 +29,13 @@ constexpr uint32_t kTagMoment1 = Tag('A', 'D', 'M', '1');
 constexpr uint32_t kTagMoment2 = Tag('A', 'D', 'M', '2');
 constexpr uint32_t kTagEnd = Tag('E', 'N', 'D', 'S');
 
-// Native-endian on purpose: a snapshot resumes the run that wrote it (or a
-// rerun on the same machine class); it is not an interchange format.
-struct MetaPayload {
-  int64_t epoch = 0;
-  int64_t adam_step = 0;
-  uint32_t num_params = 0;
-  uint32_t pad = 0;
-};
-
-struct TensorHeader {
-  int64_t rows = 0;
-  int64_t cols = 0;
-};
-
-Status WriteAll(int fd, const void* data, size_t n) {
-  const char* p = static_cast<const char*>(data);
-  while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("checkpoint write: ") +
-                             std::strerror(errno));
-    }
-    p += w;
-    n -= static_cast<size_t>(w);
-  }
-  return Status::OK();
-}
+// Little-endian, written and read through the WireWriter/WireReader cursor
+// (common/wire.h); the tensor rows are streamed straight from the tensors
+// in host order, which is little-endian on every host this code targets.
+//   META: [i64 epoch][i64 adam step][u32 param count][u32 0]
+//   PARM/ADM1/ADM2: [i64 rows][i64 cols][rows x cols f32]
+constexpr uint64_t kMetaBytes = 24;
+constexpr uint64_t kTensorHeaderBytes = 16;
 
 /// One `[tag][len][payload parts...][crc]` section. The `ckpt.write` fault
 /// site pokes once per section, before any of its bytes reach the file —
@@ -75,160 +53,105 @@ Status WriteSection(int fd, uint32_t tag, const Part* parts, int num_parts) {
     len += parts[i].len;
     crc = Crc32c(parts[i].data, parts[i].len, crc);
   }
-  HT_RETURN_IF_ERROR(WriteAll(fd, &tag, sizeof(tag)));
-  HT_RETURN_IF_ERROR(WriteAll(fd, &len, sizeof(len)));
+  WireWriter head;
+  head.U32(tag);
+  head.U64(len);
+  HT_RETURN_IF_ERROR(WriteAll(fd, head.buf().data(), head.buf().size()));
   for (int i = 0; i < num_parts; ++i) {
     HT_RETURN_IF_ERROR(WriteAll(fd, parts[i].data, parts[i].len));
   }
-  return WriteAll(fd, &crc, sizeof(crc));
+  WireWriter tail;
+  tail.U32(crc);
+  return WriteAll(fd, tail.buf().data(), tail.buf().size());
 }
 
 Status WriteTensorSection(int fd, uint32_t tag, const Tensor& t) {
-  const TensorHeader hdr{t.rows(), t.cols()};
+  WireWriter hdr;
+  hdr.I64(t.rows());
+  hdr.I64(t.cols());
   const Part parts[2] = {
-      {&hdr, sizeof(hdr)},
+      {hdr.buf().data(), hdr.buf().size()},
       {t.data(), static_cast<size_t>(t.size()) * sizeof(float)},
   };
   return WriteSection(fd, tag, parts, 2);
 }
 
-Status FsyncPath(const std::string& path, bool directory) {
-  const int fd = ::open(path.c_str(), directory ? O_RDONLY | O_DIRECTORY
-                                                : O_RDONLY);
-  if (fd < 0) {
-    return Status::IoError("checkpoint fsync open '" + path +
-                           "': " + std::strerror(errno));
-  }
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) {
-    return Status::IoError("checkpoint fsync '" + path +
-                           "': " + std::strerror(errno));
-  }
-  return Status::OK();
-}
-
-std::string DirOf(const std::string& path) {
-  const size_t slash = path.rfind('/');
-  return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-}
-
 /// A parsed section: tag + payload span inside the file image.
 struct Section {
   uint32_t tag = 0;
-  const uint8_t* payload = nullptr;
+  const unsigned char* payload = nullptr;
   uint64_t len = 0;
 };
 
 /// Reads and structurally validates a snapshot: magic/version, per-section
 /// bounds and CRC32C, terminating ENDS footer. Returns the sections in file
 /// order. Any violation means the file is damaged or was cut mid-write.
-Status ParseSnapshot(const std::string& path, std::vector<uint8_t>* image,
+Status ParseSnapshot(const std::string& path, std::string* image,
                      std::vector<Section>* sections) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("checkpoint '" + path + "' not found");
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long fsize = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (fsize < 0) {
-    std::fclose(f);
-    return Status::IoError("checkpoint '" + path + "': cannot stat");
-  }
-  image->resize(static_cast<size_t>(fsize));
-  const size_t got = fsize == 0 ? 0 : std::fread(image->data(), 1,
-                                                 image->size(), f);
-  std::fclose(f);
-  if (got != image->size()) {
-    return Status::IoError("checkpoint '" + path + "': short read");
-  }
+  HT_ASSIGN_OR_RETURN(*image, ReadFile(path));
   // Restore-time injection (transient IO, corruption): poked after the
   // snapshot exists and was read, so kNotFound keeps its real meaning and
   // CheckpointManager::Restore's previous-snapshot fallback is what an
   // injected failure exercises.
   HT_RETURN_IF_ERROR(fault::Poke(fault::Site::kCkptRead));
 
-  const uint8_t* p = image->data();
-  size_t remaining = image->size();
-  uint32_t magic = 0, version = 0;
-  if (remaining < sizeof(magic) + sizeof(version)) {
-    return Status::DataLoss("checkpoint '" + path + "': truncated header");
-  }
-  std::memcpy(&magic, p, sizeof(magic));
-  std::memcpy(&version, p + sizeof(magic), sizeof(version));
-  p += sizeof(magic) + sizeof(version);
-  remaining -= sizeof(magic) + sizeof(version);
-  if (magic != kMagic) {
-    return Status::DataLoss("checkpoint '" + path + "': bad magic");
-  }
-  if (version != kVersion) {
-    return Status::DataLoss("checkpoint '" + path +
-                            "': unsupported version " +
-                            std::to_string(version));
+  const auto damaged = [&path](const std::string& what) {
+    return Status::DataLoss("checkpoint '" + path + "': " + what);
+  };
+  WireReader r(*image);
+  const Result<uint32_t> magic = r.U32();
+  const Result<uint32_t> version = r.U32();
+  if (!version.ok()) return damaged("truncated header");
+  if (magic.ValueOrDie() != kMagic) return damaged("bad magic");
+  if (version.ValueOrDie() != kVersion) {
+    return damaged("unsupported version " +
+                   std::to_string(version.ValueOrDie()));
   }
 
   sections->clear();
-  bool terminated = false;
-  while (remaining > 0) {
-    uint32_t tag = 0;
-    uint64_t len = 0;
-    if (remaining < sizeof(tag) + sizeof(len)) {
-      return Status::DataLoss("checkpoint '" + path +
-                              "': truncated section header");
+  while (r.remaining() > 0) {
+    const Result<uint32_t> tag = r.U32();
+    const Result<uint64_t> len = r.U64();
+    if (!len.ok()) return damaged("truncated section header");
+    const Result<const unsigned char*> payload = r.View(len.ValueOrDie());
+    const Result<uint32_t> want = r.U32();
+    if (!payload.ok() || !want.ok()) {
+      return damaged("section length exceeds file");
     }
-    std::memcpy(&tag, p, sizeof(tag));
-    std::memcpy(&len, p + sizeof(tag), sizeof(len));
-    p += sizeof(tag) + sizeof(len);
-    remaining -= sizeof(tag) + sizeof(len);
-    if (len > remaining || remaining - len < sizeof(uint32_t)) {
-      return Status::DataLoss("checkpoint '" + path +
-                              "': section length exceeds file");
+    if (Crc32c(payload.ValueOrDie(), len.ValueOrDie()) != want.ValueOrDie()) {
+      return damaged("section CRC32C mismatch");
     }
-    uint32_t want = 0;
-    std::memcpy(&want, p + len, sizeof(want));
-    if (Crc32c(p, static_cast<size_t>(len)) != want) {
-      return Status::DataLoss("checkpoint '" + path +
-                              "': section CRC32C mismatch");
-    }
-    if (tag == kTagEnd) {
-      terminated = true;
-      break;
-    }
-    sections->push_back(Section{tag, p, len});
-    p += len + sizeof(uint32_t);
-    remaining -= len + sizeof(uint32_t);
+    if (tag.ValueOrDie() == kTagEnd) return Status::OK();
+    sections->push_back(
+        Section{tag.ValueOrDie(), payload.ValueOrDie(), len.ValueOrDie()});
   }
-  if (!terminated) {
-    return Status::DataLoss("checkpoint '" + path +
-                            "': missing ENDS footer (writer died mid-file)");
-  }
-  return Status::OK();
+  return damaged("missing ENDS footer (writer died mid-file)");
 }
 
-Status CheckTensorSection(const Section& s, uint32_t want_tag,
-                          const Tensor& t, const std::string& what) {
+/// Validates a tensor section against the live tensor `t` and returns a
+/// pointer to its rows.
+Result<const unsigned char*> CheckTensorSection(const Section& s,
+                                                uint32_t want_tag,
+                                                const Tensor& t,
+                                                const std::string& what) {
   if (s.tag != want_tag) {
     return Status::DataLoss("checkpoint: unexpected section order at " + what);
   }
-  TensorHeader hdr;
-  if (s.len != sizeof(hdr) + static_cast<uint64_t>(t.size()) * sizeof(float)) {
+  const uint64_t body = static_cast<uint64_t>(t.size()) * sizeof(float);
+  if (s.len != kTensorHeaderBytes + body) {
     return Status::DataLoss("checkpoint: payload size mismatch at " + what);
   }
-  std::memcpy(&hdr, s.payload, sizeof(hdr));
-  if (hdr.rows != t.rows() || hdr.cols != t.cols()) {
+  WireReader r(s.payload, s.len);
+  const int64_t rows = r.I64().ValueOrDie();
+  const int64_t cols = r.I64().ValueOrDie();
+  if (rows != t.rows() || cols != t.cols()) {
     return Status::DataLoss("checkpoint: shape mismatch at " + what +
-                            " (snapshot " + std::to_string(hdr.rows) + "x" +
-                            std::to_string(hdr.cols) + ", live " +
+                            " (snapshot " + std::to_string(rows) + "x" +
+                            std::to_string(cols) + ", live " +
                             std::to_string(t.rows()) + "x" +
                             std::to_string(t.cols()) + ")");
   }
-  return Status::OK();
-}
-
-void LoadTensorSection(const Section& s, Tensor* t) {
-  std::memcpy(t->data(), s.payload + sizeof(TensorHeader),
-              static_cast<size_t>(t->size()) * sizeof(float));
+  return r.View(body);
 }
 
 }  // namespace
@@ -240,20 +163,17 @@ Status SaveCheckpoint(const std::string& path, GnnModel* model,
     return Status::Invalid(
         "SaveCheckpoint: model/optimizer parameter count mismatch");
   }
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IoError("checkpoint open '" + tmp +
-                           "': " + std::strerror(errno));
-  }
-  Status st = [&]() -> Status {
-    HT_RETURN_IF_ERROR(WriteAll(fd, &kMagic, sizeof(kMagic)));
-    HT_RETURN_IF_ERROR(WriteAll(fd, &kVersion, sizeof(kVersion)));
-    MetaPayload meta;
-    meta.epoch = epoch;
-    meta.adam_step = adam.step_count();
-    meta.num_params = static_cast<uint32_t>(params.size());
-    const Part meta_part{&meta, sizeof(meta)};
+  return ReplaceFile(path, [&](int fd) -> Status {
+    WireWriter head;
+    head.U32(kMagic);
+    head.U32(kVersion);
+    HT_RETURN_IF_ERROR(WriteAll(fd, head.buf().data(), head.buf().size()));
+    WireWriter meta;
+    meta.I64(epoch);
+    meta.I64(adam.step_count());
+    meta.U32(static_cast<uint32_t>(params.size()));
+    meta.U32(0);
+    const Part meta_part{meta.buf().data(), meta.buf().size()};
     HT_RETURN_IF_ERROR(WriteSection(fd, kTagMeta, &meta_part, 1));
     for (size_t i = 0; i < params.size(); ++i) {
       const int idx = static_cast<int>(i);
@@ -263,25 +183,8 @@ Status SaveCheckpoint(const std::string& path, GnnModel* model,
       HT_RETURN_IF_ERROR(
           WriteTensorSection(fd, kTagMoment2, adam.moment2(idx)));
     }
-    HT_RETURN_IF_ERROR(WriteSection(fd, kTagEnd, nullptr, 0));
-    if (::fsync(fd) != 0) {
-      return Status::IoError(std::string("checkpoint fsync: ") +
-                             std::strerror(errno));
-    }
-    return Status::OK();
-  }();
-  ::close(fd);
-  if (!st.ok()) {
-    ::unlink(tmp.c_str());
-    return st;
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return Status::IoError("checkpoint rename to '" + path +
-                           "': " + std::strerror(errno));
-  }
-  // The rename must itself be durable before the snapshot counts.
-  return FsyncPath(DirOf(path), /*directory=*/true);
+    return WriteSection(fd, kTagEnd, nullptr, 0);
+  });
 }
 
 Status RestoreCheckpoint(const std::string& path, GnnModel* model, Adam* adam,
@@ -291,42 +194,54 @@ Status RestoreCheckpoint(const std::string& path, GnnModel* model, Adam* adam,
     return Status::Invalid(
         "RestoreCheckpoint: model/optimizer parameter count mismatch");
   }
-  std::vector<uint8_t> image;
+  std::string image;
   std::vector<Section> sections;
   HT_RETURN_IF_ERROR(ParseSnapshot(path, &image, &sections));
 
   // Validate everything against the live model before touching any state:
   // a rejected snapshot must leave the run exactly as it was.
   if (sections.empty() || sections[0].tag != kTagMeta ||
-      sections[0].len != sizeof(MetaPayload)) {
+      sections[0].len != kMetaBytes) {
     return Status::DataLoss("checkpoint '" + path + "': missing META");
   }
-  MetaPayload meta;
-  std::memcpy(&meta, sections[0].payload, sizeof(meta));
-  if (meta.num_params != params.size() ||
+  WireReader meta(sections[0].payload, sections[0].len);
+  const int64_t saved_epoch = meta.I64().ValueOrDie();
+  const int64_t adam_step = meta.I64().ValueOrDie();
+  const uint32_t num_params = meta.U32().ValueOrDie();
+  if (num_params != params.size() ||
       sections.size() != 1 + 3 * params.size()) {
     return Status::DataLoss("checkpoint '" + path +
                             "': parameter count mismatch");
   }
+  // Per parameter slot: the rows of the parameter and its two moments.
+  std::vector<const unsigned char*> rows(3 * params.size());
   for (size_t i = 0; i < params.size(); ++i) {
     const int idx = static_cast<int>(i);
     const std::string what = "param " + std::to_string(i);
-    HT_RETURN_IF_ERROR(CheckTensorSection(sections[1 + 3 * i], kTagParam,
-                                          *params[i], what));
-    HT_RETURN_IF_ERROR(CheckTensorSection(sections[2 + 3 * i], kTagMoment1,
-                                          adam->moment1(idx), what));
-    HT_RETURN_IF_ERROR(CheckTensorSection(sections[3 + 3 * i], kTagMoment2,
-                                          adam->moment2(idx), what));
+    HT_ASSIGN_OR_RETURN(rows[3 * i], CheckTensorSection(sections[1 + 3 * i],
+                                                        kTagParam, *params[i],
+                                                        what));
+    HT_ASSIGN_OR_RETURN(
+        rows[3 * i + 1],
+        CheckTensorSection(sections[2 + 3 * i], kTagMoment1,
+                           adam->moment1(idx), what));
+    HT_ASSIGN_OR_RETURN(
+        rows[3 * i + 2],
+        CheckTensorSection(sections[3 + 3 * i], kTagMoment2,
+                           adam->moment2(idx), what));
   }
 
   for (size_t i = 0; i < params.size(); ++i) {
     const int idx = static_cast<int>(i);
-    LoadTensorSection(sections[1 + 3 * i], params[i]);
-    LoadTensorSection(sections[2 + 3 * i], adam->mutable_moment1(idx));
-    LoadTensorSection(sections[3 + 3 * i], adam->mutable_moment2(idx));
+    Tensor* const dst[3] = {params[i], adam->mutable_moment1(idx),
+                            adam->mutable_moment2(idx)};
+    for (int k = 0; k < 3; ++k) {
+      std::memcpy(dst[k]->data(), rows[3 * i + k],
+                  static_cast<size_t>(dst[k]->size()) * sizeof(float));
+    }
   }
-  adam->set_step_count(meta.adam_step);
-  *epoch = meta.epoch;
+  adam->set_step_count(adam_step);
+  *epoch = saved_epoch;
   return Status::OK();
 }
 

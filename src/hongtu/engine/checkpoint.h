@@ -10,7 +10,7 @@
 /// counter (all activations h^l are recomputed from scratch each epoch) —
 /// so a snapshot per epoch costs microseconds against an epoch of seconds.
 ///
-/// ## File format (`HTCK`, version 1)
+/// ## File format (`HTCK`, version 1, little-endian)
 ///
 ///     [magic "HTCK"][u32 version]
 ///     repeated sections:

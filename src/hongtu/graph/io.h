@@ -31,11 +31,12 @@ Result<Graph> LoadGraphFromEdgeList(const std::string& path,
                                     int64_t num_vertices,
                                     GraphBuilderOptions opts = {});
 
-/// Serializes a Dataset to the binary container format.
+/// Serializes a Dataset to the binary container format, installed
+/// crash-atomically (ReplaceFile, common/file.h).
 Status SaveDataset(const std::string& path, const Dataset& ds);
 
 /// Loads a Dataset previously written by SaveDataset. Validates the magic,
-/// version and structural invariants.
+/// version and structural invariants; every failure is kIoError.
 Result<Dataset> LoadDatasetFile(const std::string& path);
 
 }  // namespace hongtu

@@ -27,10 +27,10 @@
 #include "hongtu/comm/dedup_plan.h"
 #include "hongtu/comm/reorganize.h"
 #include "hongtu/common/logging.h"
+#include "hongtu/common/wire.h"
 #include "hongtu/gnn/layer.h"
 #include "hongtu/gnn/loss.h"
 #include "hongtu/kernels/backend.h"
-#include "hongtu/net/wire.h"
 #include "hongtu/partition/two_level.h"
 
 extern char** environ;
@@ -307,14 +307,10 @@ Status DecodeEpochDone(const std::string& payload, uint64_t* run, int* rank,
   for (uint32_t g = 0; g < gcnt; ++g) {
     HT_ASSIGN_OR_RETURN(const uint64_t rows, r.U64());
     HT_ASSIGN_OR_RETURN(const uint64_t cols, r.U64());
-    // rows * cols * 4 <= remaining, tested without forming the product
-    // (which a hostile report can make wrap).
-    if (cols != 0 && rows > r.remaining() / sizeof(float) / cols) {
-      return Status::DataLoss("kEpochDone gradient " + std::to_string(g) +
-                              " (" + std::to_string(rows) + " x " +
-                              std::to_string(cols) +
-                              ") exceeds the payload");
-    }
+    // rows x cols floats must fit: rows x cols bytes first, so the product
+    // that the second check takes cannot wrap.
+    HT_RETURN_IF_ERROR(r.Fits(rows, cols));
+    HT_RETURN_IF_ERROR(r.Fits(rows * cols, sizeof(float)));
     const size_t count = static_cast<size_t>(rows * cols);
     std::vector<float> buf(count);
     HT_RETURN_IF_ERROR(r.Raw(buf.data(), count * sizeof(float)));

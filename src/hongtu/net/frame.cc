@@ -11,73 +11,12 @@
 
 #include "hongtu/common/crc32c.h"
 #include "hongtu/common/fault.h"
+#include "hongtu/common/wire.h"
 
 namespace hongtu {
 namespace net {
 
 namespace {
-
-constexpr double kInjectedDelaySeconds = 2e-3;
-
-void PutU16(unsigned char* p, uint16_t v) {
-  p[0] = static_cast<unsigned char>(v);
-  p[1] = static_cast<unsigned char>(v >> 8);
-}
-void PutU32(unsigned char* p, uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-void PutU64(unsigned char* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-uint16_t GetU16(const unsigned char* p) {
-  return static_cast<uint16_t>(p[0] | (p[1] << 8));
-}
-uint32_t GetU32(const unsigned char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-uint64_t GetU64(const unsigned char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-void EncodeHeader(const FrameHeader& h, unsigned char out[kFrameHeaderBytes]) {
-  PutU32(out + 0, h.magic);
-  PutU16(out + 4, h.type);
-  PutU16(out + 6, h.flags);
-  PutU32(out + 8, h.src_rank);
-  PutU32(out + 12, h.seq);
-  PutU64(out + 16, h.term);
-  PutU64(out + 24, h.payload_len);
-  PutU32(out + 32, h.payload_crc);
-  PutU32(out + 36, Crc32c(out, 36));
-}
-
-Status DecodeHeader(const unsigned char in[kFrameHeaderBytes],
-                    FrameHeader* h) {
-  if (GetU32(in + 36) != Crc32c(in, 36)) {
-    return Status::DataLoss("frame header CRC mismatch (stream desync)");
-  }
-  h->magic = GetU32(in + 0);
-  if (h->magic != kFrameMagic) {
-    return Status::Invalid("bad frame magic (stream desync)");
-  }
-  h->type = GetU16(in + 4);
-  h->flags = GetU16(in + 6);
-  h->src_rank = GetU32(in + 8);
-  h->seq = GetU32(in + 12);
-  h->term = GetU64(in + 16);
-  h->payload_len = GetU64(in + 24);
-  h->payload_crc = GetU32(in + 32);
-  if (h->payload_len > kMaxPayloadBytes) {
-    return Status::Invalid("frame payload length " +
-                           std::to_string(h->payload_len) +
-                           " exceeds the frame size cap (stream desync)");
-  }
-  return Status::OK();
-}
 
 /// Remaining poll budget in whole milliseconds; -1 = infinite. Returns 0
 /// when the deadline already passed (poll returns immediately).
@@ -90,6 +29,45 @@ int PollTimeoutMs(double deadline_abs) {
 }
 
 }  // namespace
+
+std::string EncodeFrameHeader(const FrameHeader& h) {
+  WireWriter w;
+  w.U32(h.magic);
+  w.U16(h.type);
+  w.U16(h.flags);
+  w.U32(h.src_rank);
+  w.U32(h.seq);
+  w.U64(h.term);
+  w.U64(h.payload_len);
+  w.U32(h.payload_crc);
+  w.U32(Crc32c(w.buf().data(), w.buf().size()));
+  return w.Take();
+}
+
+Status DecodeFrameHeader(const void* data, size_t n, FrameHeader* h) {
+  WireReader r(data, n);
+  HT_ASSIGN_OR_RETURN(h->magic, r.U32());
+  HT_ASSIGN_OR_RETURN(h->type, r.U16());
+  HT_ASSIGN_OR_RETURN(h->flags, r.U16());
+  HT_ASSIGN_OR_RETURN(h->src_rank, r.U32());
+  HT_ASSIGN_OR_RETURN(h->seq, r.U32());
+  HT_ASSIGN_OR_RETURN(h->term, r.U64());
+  HT_ASSIGN_OR_RETURN(h->payload_len, r.U64());
+  HT_ASSIGN_OR_RETURN(h->payload_crc, r.U32());
+  HT_ASSIGN_OR_RETURN(h->header_crc, r.U32());
+  if (h->header_crc != Crc32c(data, kFrameHeaderBytes - 4)) {
+    return Status::DataLoss("frame header CRC mismatch (stream desync)");
+  }
+  if (h->magic != kFrameMagic) {
+    return Status::Invalid("bad frame magic (stream desync)");
+  }
+  if (h->payload_len > kMaxPayloadBytes) {
+    return Status::Invalid("frame payload length " +
+                           std::to_string(h->payload_len) +
+                           " exceeds the frame size cap (stream desync)");
+  }
+  return Status::OK();
+}
 
 const char* MsgTypeName(MsgType t) {
   switch (t) {
@@ -214,7 +192,7 @@ Status WriteFrame(int fd, const Frame& f, double deadline_s) {
       return Status::OK();
     case fault::Kind::kDelay:
       std::this_thread::sleep_for(
-          std::chrono::duration<double>(kInjectedDelaySeconds));
+          std::chrono::duration<double>(fault::kDelayStallSeconds));
       break;
     case fault::Kind::kDisconnect:
       ::shutdown(fd, SHUT_RDWR);
@@ -233,9 +211,8 @@ Status WriteFrame(int fd, const Frame& f, double deadline_s) {
       break;
   }
 
-  unsigned char hdr[kFrameHeaderBytes];
-  EncodeHeader(h, hdr);
-  HT_RETURN_IF_ERROR(WriteFull(fd, hdr, sizeof(hdr), deadline_s));
+  const std::string hdr = EncodeFrameHeader(h);
+  HT_RETURN_IF_ERROR(WriteFull(fd, hdr.data(), hdr.size(), deadline_s));
   if (!payload.empty()) {
     HT_RETURN_IF_ERROR(
         WriteFull(fd, payload.data(), payload.size(), deadline_s));
@@ -248,7 +225,7 @@ Status ReadFrame(int fd, Frame* f, double deadline_s, bool* dropped) {
   unsigned char hdr[kFrameHeaderBytes];
   HT_RETURN_IF_ERROR(ReadFull(fd, hdr, sizeof(hdr), deadline_s));
   FrameHeader h;
-  HT_RETURN_IF_ERROR(DecodeHeader(hdr, &h));
+  HT_RETURN_IF_ERROR(DecodeFrameHeader(hdr, sizeof(hdr), &h));
   std::string payload(h.payload_len, '\0');
   if (h.payload_len > 0) {
     HT_RETURN_IF_ERROR(ReadFull(fd, payload.data(), payload.size(),
@@ -268,7 +245,7 @@ Status ReadFrame(int fd, Frame* f, double deadline_s, bool* dropped) {
       break;
     case fault::Kind::kDelay:
       std::this_thread::sleep_for(
-          std::chrono::duration<double>(kInjectedDelaySeconds));
+          std::chrono::duration<double>(fault::kDelayStallSeconds));
       break;
     case fault::Kind::kDisconnect:
       ::shutdown(fd, SHUT_RDWR);

@@ -85,6 +85,15 @@ constexpr size_t kFrameHeaderBytes = 40;
 /// message approaches it: the largest payloads are per-batch row blocks).
 constexpr uint64_t kMaxPayloadBytes = 1ull << 31;
 
+/// The kFrameHeaderBytes wire bytes of `h`, ending in the header CRC
+/// computed here (`h.header_crc` is ignored).
+std::string EncodeFrameHeader(const FrameHeader& h);
+
+/// Decodes `n` header bytes into `*h`. kDataLoss on a short input or a
+/// header CRC mismatch; kInvalidArgument on a bad magic or a payload length
+/// past kMaxPayloadBytes. Every failure means the stream is desynchronized.
+Status DecodeFrameHeader(const void* data, size_t n, FrameHeader* h);
+
 /// One decoded message.
 struct Frame {
   MsgType type = MsgType::kAck;

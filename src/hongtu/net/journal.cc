@@ -1,17 +1,16 @@
 #include "hongtu/net/journal.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "hongtu/common/crc32c.h"
 #include "hongtu/common/fault.h"
-#include "hongtu/net/wire.h"
+#include "hongtu/common/file.h"
+#include "hongtu/common/wire.h"
 
 namespace hongtu {
 namespace net {
@@ -20,77 +19,21 @@ namespace {
 
 constexpr uint32_t kJournalMagic = 0x4c4a5448u;  // "HTJL" little-endian
 constexpr uint32_t kJournalVersion = 1;
+constexpr size_t kRecordHeadBytes = 12;  // [u32 type][u64 len]
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>(v >> (8 * i)));
-  }
-}
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>(v >> (8 * i)));
-  }
-}
-uint32_t GetU32(const unsigned char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-uint64_t GetU64(const unsigned char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-Status WriteAll(int fd, const void* data, size_t n) {
-  const char* p = static_cast<const char*>(data);
-  while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("journal write: ") +
-                             std::strerror(errno));
-    }
-    p += w;
-    n -= static_cast<size_t>(w);
-  }
-  return Status::OK();
-}
-
-Status FsyncFd(int fd) {
-  if (::fsync(fd) != 0) {
-    return Status::IoError(std::string("journal fsync: ") +
-                           std::strerror(errno));
-  }
-  return Status::OK();
-}
-
-Status FsyncPath(const std::string& path, bool directory) {
-  const int fd = ::open(path.c_str(), directory ? O_RDONLY | O_DIRECTORY
-                                                : O_RDONLY);
-  if (fd < 0) {
-    return Status::IoError("journal fsync open '" + path +
-                           "': " + std::strerror(errno));
-  }
-  const Status st = FsyncFd(fd);
-  ::close(fd);
-  return st;
-}
-
-std::string DirOf(const std::string& path) {
-  const size_t slash = path.rfind('/');
-  return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
+/// The file header: [u32 magic][u32 version].
+void AppendHeader(WireWriter* w) {
+  w->U32(kJournalMagic);
+  w->U32(kJournalVersion);
 }
 
 /// One framed record: [type][len][payload][crc(type||len||payload)].
-std::string FrameRecord(JournalRecordType type, const std::string& payload) {
-  std::string rec;
-  rec.reserve(16 + payload.size() + 4);
-  PutU32(&rec, static_cast<uint32_t>(type));
-  PutU64(&rec, payload.size());
-  rec.append(payload);
-  PutU32(&rec, Crc32c(rec.data(), rec.size()));
-  return rec;
+void FrameRecord(JournalRecordType type, const std::string& payload,
+                 WireWriter* w) {
+  const size_t start = w->buf().size();
+  w->U32(static_cast<uint32_t>(type));
+  w->Str(payload);
+  w->U32(Crc32c(w->buf().data() + start, w->buf().size() - start));
 }
 
 }  // namespace
@@ -99,20 +42,14 @@ Result<std::unique_ptr<ClusterJournal>> ClusterJournal::Open(
     const std::string& path) {
   int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
   if (fd < 0 && errno == ENOENT) {
-    fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_EXCL, 0644);
-    if (fd >= 0) {
-      std::string hdr;
-      PutU32(&hdr, kJournalMagic);
-      PutU32(&hdr, kJournalVersion);
-      Status st = WriteAll(fd, hdr.data(), hdr.size());
-      if (st.ok()) st = FsyncFd(fd);
-      if (st.ok()) st = FsyncPath(DirOf(path), /*directory=*/true);
-      if (!st.ok()) {
-        ::close(fd);
-        ::unlink(path.c_str());
-        return st;
-      }
-    }
+    // A fresh journal is installed whole, header included: a crash while
+    // creating it leaves no file rather than a headerless one.
+    WireWriter hdr;
+    AppendHeader(&hdr);
+    HT_RETURN_IF_ERROR(ReplaceFile(path, [&](int tfd) {
+      return WriteAll(tfd, hdr.buf().data(), hdr.buf().size());
+    }));
+    fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
   }
   if (fd < 0) {
     return Status::IoError("journal open '" + path +
@@ -129,40 +66,19 @@ Status ClusterJournal::Append(JournalRecordType type,
                               const std::string& payload) {
   HT_RETURN_IF_ERROR(fault::Poke(fault::Site::kJournalWrite));
   if (fd_ < 0) return Status::Internal("journal closed");
-  const std::string rec = FrameRecord(type, payload);
-  HT_RETURN_IF_ERROR(WriteAll(fd_, rec.data(), rec.size()));
+  WireWriter rec;
+  FrameRecord(type, payload, &rec);
+  HT_RETURN_IF_ERROR(WriteAll(fd_, rec.buf().data(), rec.buf().size()));
   return FsyncFd(fd_);
 }
 
 Status ClusterJournal::Compact(const std::vector<JournalRecord>& records) {
-  const std::string tmp = path_ + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IoError("journal compact open '" + tmp +
-                           "': " + std::strerror(errno));
-  }
-  Status st = [&]() -> Status {
-    std::string hdr;
-    PutU32(&hdr, kJournalMagic);
-    PutU32(&hdr, kJournalVersion);
-    HT_RETURN_IF_ERROR(WriteAll(fd, hdr.data(), hdr.size()));
-    for (const JournalRecord& r : records) {
-      const std::string rec = FrameRecord(r.type, r.payload);
-      HT_RETURN_IF_ERROR(WriteAll(fd, rec.data(), rec.size()));
-    }
-    return FsyncFd(fd);
-  }();
-  ::close(fd);
-  if (!st.ok()) {
-    ::unlink(tmp.c_str());
-    return st;
-  }
-  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return Status::IoError("journal rename to '" + path_ +
-                           "': " + std::strerror(errno));
-  }
-  HT_RETURN_IF_ERROR(FsyncPath(DirOf(path_), /*directory=*/true));
+  WireWriter w;
+  AppendHeader(&w);
+  for (const JournalRecord& r : records) FrameRecord(r.type, r.payload, &w);
+  HT_RETURN_IF_ERROR(ReplaceFile(path_, [&](int fd) {
+    return WriteAll(fd, w.buf().data(), w.buf().size());
+  }));
   // The old fd points at the unlinked inode; reopen the installed file.
   const int nfd = ::open(path_.c_str(), O_WRONLY | O_APPEND);
   if (nfd < 0) {
@@ -176,43 +92,41 @@ Status ClusterJournal::Compact(const std::vector<JournalRecord>& records) {
 
 Result<std::vector<JournalRecord>> ClusterJournal::Replay(
     const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::vector<JournalRecord>{};
-  std::fseek(f, 0, SEEK_END);
-  const long fsize = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<unsigned char> image(fsize > 0 ? static_cast<size_t>(fsize) : 0);
-  const size_t got =
-      image.empty() ? 0 : std::fread(image.data(), 1, image.size(), f);
-  std::fclose(f);
-  if (got != image.size()) {
-    return Status::IoError("journal '" + path + "': short read");
-  }
-  if (image.size() < 8 || GetU32(image.data()) != kJournalMagic) {
+  Result<std::string> file = ReadFile(path);
+  if (file.status().IsNotFound()) return std::vector<JournalRecord>{};
+  HT_ASSIGN_OR_RETURN(const std::string image, std::move(file));
+  WireReader r(image);
+  const Result<uint32_t> magic = r.U32();
+  const Result<uint32_t> version = r.U32();
+  if (!version.ok() || magic.ValueOrDie() != kJournalMagic) {
     return Status::DataLoss("journal '" + path + "': bad header");
   }
-  if (GetU32(image.data() + 4) != kJournalVersion) {
+  if (version.ValueOrDie() != kJournalVersion) {
     return Status::DataLoss("journal '" + path + "': unsupported version");
   }
 
   std::vector<JournalRecord> out;
-  size_t off = 8;
-  while (off < image.size()) {
+  while (r.remaining() > 0) {
     // Any structural damage from here on is a torn tail: the durable prefix
     // is what a crashed append left behind, so stop without error.
-    const size_t avail = image.size() - off;
-    if (avail < 16) break;
-    const uint32_t type = GetU32(image.data() + off);
-    const uint64_t len = GetU64(image.data() + off + 4);
-    if (len > avail - 16) break;
-    const uint32_t want = GetU32(image.data() + off + 12 + len);
-    if (Crc32c(image.data() + off, 12 + len) != want) break;
+    const Result<const unsigned char*> head = r.View(kRecordHeadBytes);
+    if (!head.ok()) break;
+    WireReader h(head.ValueOrDie(), kRecordHeadBytes);
+    const uint32_t type = h.U32().ValueOrDie();
+    const uint64_t len = h.U64().ValueOrDie();
+    const Result<const unsigned char*> payload = r.View(len);
+    const Result<uint32_t> want = r.U32();
+    if (!payload.ok() || !want.ok() ||
+        Crc32c(payload.ValueOrDie(), len,
+               Crc32c(head.ValueOrDie(), kRecordHeadBytes)) !=
+            want.ValueOrDie()) {
+      break;
+    }
     JournalRecord rec;
     rec.type = static_cast<JournalRecordType>(type);
-    rec.payload.assign(reinterpret_cast<const char*>(image.data() + off + 12),
+    rec.payload.assign(reinterpret_cast<const char*>(payload.ValueOrDie()),
                        static_cast<size_t>(len));
     out.push_back(std::move(rec));
-    off += 16 + len;
   }
   return out;
 }

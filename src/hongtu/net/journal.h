@@ -22,8 +22,9 @@
 /// cannot rename per record); replay stops at the first short or
 /// CRC-damaged record, treating everything before it as the durable prefix
 /// — exactly the semantics of a crash mid-append. Compaction (after each
-/// applied epoch) rewrites the live records through the HTCK discipline:
-/// write temp, fsync, rename, fsync directory.
+/// applied epoch) and creation install the file through ReplaceFile
+/// (common/file.h): write temp, fsync, rename, fsync directory. Records are
+/// framed and read with the WireWriter/WireReader cursor (common/wire.h).
 ///
 /// Fault site `journal.write` pokes once per appended record, before any of
 /// its bytes reach the file.
@@ -61,16 +62,16 @@ struct JournalRecord {
 class ClusterJournal {
  public:
   /// Opens `path` for appending, creating it (with a fresh header) when
-  /// missing. An existing file is validated only for its header; damaged
-  /// tails are tolerated (the next append writes after the last byte — the
-  /// replayer ignores the torn region because every record is CRC-framed
-  /// and read strictly in order until the first damage).
+  /// missing. An existing file is not validated here (Replay checks its
+  /// header); damaged tails are tolerated (the next append writes after the
+  /// last byte — the replayer ignores the torn region because every record
+  /// is CRC-framed and read strictly in order until the first damage).
   static Result<std::unique_ptr<ClusterJournal>> Open(const std::string& path);
 
   /// Reads every intact record in order. Stops silently at the first torn
   /// or corrupt record (crash tail). A missing file yields an empty vector;
   /// a damaged header is kDataLoss (the caller falls back to the last
-  /// checkpoint).
+  /// checkpoint); a path that is not a regular file is kIoError.
   static Result<std::vector<JournalRecord>> Replay(const std::string& path);
 
   ~ClusterJournal();

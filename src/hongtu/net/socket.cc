@@ -276,7 +276,8 @@ Result<int> AcceptOn(int listen_fd, double deadline_s) {
       case fault::Kind::kCorrupt:  // no payload to corrupt here
         break;
       case fault::Kind::kDelay:
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(fault::kDelayStallSeconds));
         break;
       case fault::Kind::kTransient:
       case fault::Kind::kDrop:

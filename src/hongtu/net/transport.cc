@@ -7,8 +7,8 @@
 #include <chrono>
 #include <limits>
 
+#include "hongtu/common/wire.h"
 #include "hongtu/net/socket.h"
-#include "hongtu/net/wire.h"
 
 namespace hongtu {
 namespace net {
@@ -21,6 +21,26 @@ constexpr double kMonitorTickSeconds = 0.1;
 constexpr double kResendPauseSeconds = 0.01;
 constexpr double kDialBackoffBaseSeconds = 0.05;
 constexpr double kDialBackoffCapSeconds = 0.5;
+
+/// kError response payloads carry a Status: {code u32, message str}.
+std::string EncodeStatusPayload(const Status& st) {
+  WireWriter w;
+  w.U32(static_cast<uint32_t>(static_cast<int8_t>(st.code())));
+  w.Str(st.message());
+  return w.Take();
+}
+
+Status DecodeStatusPayload(const std::string& payload) {
+  WireReader r(payload);
+  auto code = r.U32();
+  auto msg = r.Str();
+  if (!code.ok() || !msg.ok()) {
+    return Status::DataLoss("malformed kError payload");
+  }
+  return Status(static_cast<StatusCode>(code.ValueOrDie()),
+                "remote: " + msg.ValueOrDie());
+}
+
 }  // namespace
 
 struct Transport::Conn {

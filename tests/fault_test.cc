@@ -599,6 +599,19 @@ TEST_F(FaultTest, MissingCheckpointIsNotFound) {
   RemoveTree(dir);
 }
 
+TEST_F(FaultTest, RestoreFromADirectoryIsAnError) {
+  Dataset ds = SmallDataset();
+  const std::string dir = TmpDir();
+  auto e = MakeEngine(ds);
+  ASSERT_TRUE(e.ok());
+  int64_t epoch = -1;
+  const Status st = RestoreCheckpoint(dir, e.ValueOrDie()->model(),
+                                      e.ValueOrDie()->adam(), &epoch);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(epoch, -1);
+  RemoveTree(dir);
+}
+
 TEST_F(FaultTest, RestoreRejectsShapeMismatch) {
   Dataset ds = SmallDataset();
   const std::string dir = TmpDir();

@@ -182,13 +182,13 @@ TEST_F(CorruptDatasetTest, HugeVectorLengthRejectedWithoutAllocating) {
   // not by an attempted petabyte resize().
   const int64_t huge = 1ll << 50;
   PatchBytes(offsets_len_pos_, &huge, sizeof(huge));
-  ExpectLoadFailsWith("vector length exceeds file size");
+  ExpectLoadFailsWith("corrupt graph section: truncated");
 }
 
 TEST_F(CorruptDatasetTest, HugeStringLengthRejected) {
   const int64_t huge = 1ll << 40;
   PatchBytes(8, &huge, sizeof(huge));
-  ExpectLoadFailsWith("bad string length");
+  ExpectLoadFailsWith("corrupt header: truncated");
 }
 
 TEST_F(CorruptDatasetTest, NonMonotoneOffsetsRejected) {
@@ -218,6 +218,37 @@ TEST_F(CorruptDatasetTest, OutOfRangeLabelRejected) {
   const int32_t garbage = -5;
   PatchBytes(labels_data_pos, &garbage, sizeof(garbage));
   ExpectLoadFailsWith("class id out of range");
+}
+
+TEST(DatasetIo, HostileFeatureShapeFailsBeforeAllocating) {
+  // 64 vertices, no edges, and a claimed 64 x 2^20 feature block (256 MiB)
+  // in a 577-byte file: the shape must be bounded by the bytes the file
+  // holds before the feature tensor is allocated.
+  std::string bytes = "HTDS";
+  auto put = [&bytes](const auto& v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(uint32_t{1});      // version
+  put(int64_t{1});       // name length
+  bytes += "x";          // name
+  put(int64_t{64});      // |V|
+  put(int64_t{65});      // in_offsets count
+  for (int i = 0; i < 65; ++i) put(int64_t{0});
+  put(int64_t{0});       // in_neighbors count
+  put(int64_t{64});      // feature rows
+  put(int64_t{1} << 20);  // feature cols; no feature bytes follow
+  ASSERT_EQ(bytes.size(), 577u);
+  const std::string path = TmpPath("ht_hostile_features.htds");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  auto r = LoadDatasetFile(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  EXPECT_NE(r.status().message().find("feature section"), std::string::npos)
+      << r.status().ToString();
+  std::remove(path.c_str());
 }
 
 TEST(DatasetIo, RejectsTruncatedFile) {

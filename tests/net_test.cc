@@ -32,13 +32,13 @@
 
 #include "hongtu/common/crc32c.h"
 #include "hongtu/common/fault.h"
+#include "hongtu/common/wire.h"
 #include "hongtu/graph/datasets.h"
 #include "hongtu/net/cluster.h"
 #include "hongtu/net/frame.h"
 #include "hongtu/net/journal.h"
 #include "hongtu/net/socket.h"
 #include "hongtu/net/transport.h"
-#include "hongtu/net/wire.h"
 #include "hongtu/tensor/adam.h"
 
 namespace hongtu {
@@ -504,15 +504,15 @@ TEST_F(NetTest, DecodeRejectsBrokenConfigs) {
 TEST_F(NetTest, WireReaderRejectsLengthsPastTheEnd) {
   // Each length is read off the wire after 8 bytes are consumed, so
   // `offset + length` wraps for a length near 2^64.
-  net::WireWriter w;
+  WireWriter w;
   w.U64(~uint64_t{0} - 4);
   w.Bytes("abcd", 4);
   const std::string hostile = w.Take();
 
-  net::WireReader str(hostile);
+  WireReader str(hostile);
   EXPECT_TRUE(str.Str().status().IsDataLoss());
 
-  net::WireReader r(hostile);
+  WireReader r(hostile);
   const Result<uint64_t> len = r.U64();
   ASSERT_TRUE(len.ok());
   char dst[8] = {};
@@ -528,7 +528,7 @@ TEST_F(NetTest, WireReaderRejectsLengthsPastTheEnd) {
 /// A kEpochDone payload as a worker builds it, with one gradient tensor
 /// whose header claims rows x cols but which carries `floats` values.
 std::string EpochDonePayload(uint64_t rows, uint64_t cols, size_t floats) {
-  net::WireWriter w;
+  WireWriter w;
   w.U64(7);    // run
   w.U32(2);    // rank
   w.U32(1);    // ok
@@ -822,10 +822,10 @@ TEST_F(NetTest, JournalAppendReplayAndTornTail) {
     auto jr = net::ClusterJournal::Open(path);
     ASSERT_TRUE(jr.ok()) << jr.status().ToString();
     auto j = jr.MoveValueUnsafe();
-    net::WireWriter t;
+    WireWriter t;
     t.U64(7);
     ASSERT_TRUE(j->Append(net::JournalRecordType::kTerm, t.Take()).ok());
-    net::WireWriter m;
+    WireWriter m;
     m.U32(0);
     m.Str("uds:" + dir + "/w0.sock");
     m.U64(1234);
@@ -869,6 +869,16 @@ TEST_F(NetTest, JournalAppendReplayAndTornTail) {
   ::rmdir(dir.c_str());
 }
 
+TEST_F(NetTest, JournalReplayOfADirectoryIsAnError) {
+  // A directory opens like a file; its size must not be taken from ftell
+  // (LLONG_MAX on some filesystems), and replay must fail cleanly.
+  const std::string dir = FreshTempDir();
+  const auto rr = net::ClusterJournal::Replay(dir);
+  EXPECT_FALSE(rr.ok());
+  EXPECT_FALSE(rr.status().IsNotFound()) << rr.status().ToString();
+  ::rmdir(dir.c_str());
+}
+
 TEST_F(NetTest, JournalCompactRewritesLiveStateOnly) {
   const std::string dir = FreshTempDir();
   const std::string path = dir + "/cluster.journal";
@@ -876,13 +886,13 @@ TEST_F(NetTest, JournalCompactRewritesLiveStateOnly) {
   ASSERT_TRUE(jr.ok()) << jr.status().ToString();
   auto j = jr.MoveValueUnsafe();
   for (int i = 0; i < 8; ++i) {
-    net::WireWriter t;
+    WireWriter t;
     t.U64(static_cast<uint64_t>(i + 1));
     ASSERT_TRUE(j->Append(net::JournalRecordType::kTerm, t.Take()).ok());
   }
-  net::WireWriter t;
+  WireWriter t;
   t.U64(9);
-  net::WireWriter m;
+  WireWriter m;
   m.U32(1);
   m.Str("uds:" + dir + "/w1.sock");
   m.U64(4321);
@@ -894,7 +904,7 @@ TEST_F(NetTest, JournalCompactRewritesLiveStateOnly) {
   ASSERT_TRUE(rr.ok()) << rr.status().ToString();
   ASSERT_EQ(2u, rr.ValueOrDie().size());
   // The fd survives the rename swap: appends keep landing in the new file.
-  net::WireWriter a;
+  WireWriter a;
   a.U64(3);
   a.Str("/ck/epoch3");
   ASSERT_TRUE(j->Append(net::JournalRecordType::kApplied, a.Take()).ok());
@@ -913,13 +923,13 @@ TEST_F(NetTest, JournalCompactRewritesLiveStateOnly) {
 TEST_F(NetTest, JournalStateDuplicateRegistrationIsIdempotent) {
   std::vector<net::JournalRecord> recs;
   auto member = [](uint32_t rank, const std::string& addr, uint64_t pid) {
-    net::WireWriter w;
+    WireWriter w;
     w.U32(rank);
     w.Str(addr);
     w.U64(pid);
     return w.Take();
   };
-  net::WireWriter t;
+  WireWriter t;
   t.U64(3);
   recs.push_back(MakeRecord(net::JournalRecordType::kTerm, t.Take()));
   // Duplicate registration (worker respawned / reconnected): last wins.
@@ -927,7 +937,7 @@ TEST_F(NetTest, JournalStateDuplicateRegistrationIsIdempotent) {
       MakeRecord(net::JournalRecordType::kMember, member(0, "uds:a", 100)));
   recs.push_back(
       MakeRecord(net::JournalRecordType::kMember, member(0, "uds:b", 200)));
-  net::WireWriter rs;
+  WireWriter rs;
   rs.U64(9);
   rs.U64(2);
   rs.U32(0);
@@ -935,7 +945,7 @@ TEST_F(NetTest, JournalStateDuplicateRegistrationIsIdempotent) {
   // Duplicate done report (resend straddling a coordinator crash): first
   // wins, matching the in-memory `received` dedup.
   auto report = [](uint64_t run, uint32_t rank, const std::string& raw) {
-    net::WireWriter w;
+    WireWriter w;
     w.U64(run);
     w.U32(rank);
     w.Str(raw);
@@ -958,7 +968,7 @@ TEST_F(NetTest, JournalStateDuplicateRegistrationIsIdempotent) {
   EXPECT_EQ("first", js.reports.at(0));
 
   // Applying the run's epoch settles it: a successor must not adopt.
-  net::WireWriter a;
+  WireWriter a;
   a.U64(3);
   a.Str("/ck/epoch3");
   recs.push_back(MakeRecord(net::JournalRecordType::kApplied, a.Take()));
