@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Bench regression gates for the kernel layer and the tensor pool.
 
-Kernel mode (default): compares a fresh `micro_primitives --kernels-report`
-JSON against the committed baseline (BENCH_kernels.json at the repo root) and
-fails when any kernel regressed by more than the allowed fraction. Entries
+Kernel mode (default): compares fresh `micro_primitives --kernels-report`
+JSONs against the committed baseline (BENCH_kernels.json at the repo root) and
+fails when any kernel regressed by more than the allowed fraction. Given
+several reports (CI passes three runs), each metric of each row is gated on
+its median across them: a single run's ratio swings by more than the limit on
+a shared host, the median of three does not. Entries
 are keyed on (kernel, threads) — the report records each kernel at a
 single-thread tier and a pinned multi-thread tier, and the two must be gated
 independently (a parallel-scaling regression must not hide behind a healthy
@@ -44,6 +47,7 @@ Exit codes: 0 = no regression, 1 = regression or malformed input.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -71,7 +75,17 @@ def key_name(key):
 
 def check_kernels(args):
     baseline = load_results(args.baseline, ("kernel", "threads"))
-    current = load_results(args.current, ("kernel", "threads"))
+    runs = [load_results(path, ("kernel", "threads")) for path in args.current]
+    # A row is current only when every run reports it; its metrics are then
+    # the medians across the runs (a metric missing from any run is missing).
+    current = {}
+    for key in set.intersection(*(set(run) for run in runs)):
+        row = {}
+        for metric in set.intersection(*(set(run[key]) for run in runs)):
+            values = [run[key][metric] for run in runs]
+            if all(isinstance(v, (int, float)) for v in values):
+                row[metric] = statistics.median(values)
+        current[key] = row
     if args.absolute:
         metrics = ("blocked_throughput", "banded_throughput")
     else:
@@ -110,6 +124,8 @@ def check_kernels(args):
     for key in sorted(set(current) - set(baseline)):
         print(f"  NEW        {key_name(key)} (not in baseline; not gated)")
 
+    if len(runs) > 1:
+        print(f"\n(current values are medians of {len(runs)} reports)")
     if failures:
         print("\nBench regression gate FAILED:", file=sys.stderr)
         for f in failures:
@@ -120,9 +136,15 @@ def check_kernels(args):
     return 0
 
 
+def single_report(args):
+    if len(args.current) != 1:
+        raise ValueError("--memory and --pipeline take one current report")
+    return args.current[0]
+
+
 def check_memory(args):
     baseline = load_results(args.baseline, ("config",))
-    current = load_results(args.current, ("config",))
+    current = load_results(single_report(args), ("config",))
     failures = []
     for key, base in sorted(baseline.items()):
         name = key_name(key)
@@ -169,7 +191,7 @@ def check_memory(args):
 
 def check_pipeline(args):
     baseline = load_results(args.baseline, ("model", "dataset"))
-    current = load_results(args.current, ("model", "dataset"))
+    current = load_results(single_report(args), ("model", "dataset"))
     metrics = ("speedup", "bf16_speedup")
     failures = []
     gated = 0
@@ -222,7 +244,12 @@ def check_pipeline(args):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline", help="committed baseline JSON")
-    parser.add_argument("current", help="freshly generated report")
+    parser.add_argument(
+        "current",
+        nargs="+",
+        help="freshly generated report(s); kernel mode gates the per-row "
+        "median of several",
+    )
     parser.add_argument(
         "--max-regression",
         type=float,

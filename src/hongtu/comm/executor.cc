@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "hongtu/common/crc32c.h"
 #include "hongtu/common/parallel.h"
@@ -121,28 +119,12 @@ Status CommExecutor::ForwardLoadAttempt(int j, const Tensor& host,
   }
   // Fault site `comm.fetch`. A corrupt fire does not fail the call here —
   // it flips payload bits after the load step below, exercising the CRC
-  // verify-and-repair path the way real link corruption would. The
-  // wire-shaped kinds act as fault::Poke has them act at any non-net site.
-  bool corrupt_payload = false;
-  switch (fault::Check(fault::Site::kCommFetch)) {
-    case fault::Kind::kNone:
-    case fault::Kind::kKill:
-      break;
-    case fault::Kind::kTransient:
-      return Status::Unavailable("injected transient fault at comm.fetch");
-    case fault::Kind::kPermanent:
-      return Status::Internal("injected permanent fault at comm.fetch");
-    case fault::Kind::kCorrupt:
-      corrupt_payload = true;
-      break;
-    case fault::Kind::kDrop:
-      return Status::Unavailable("injected drop at comm.fetch");
-    case fault::Kind::kDelay:
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(fault::kDelayStallSeconds));
-      break;
-    case fault::Kind::kDisconnect:
-      return Status::Unavailable("injected disconnect at comm.fetch");
+  // verify-and-repair path the way real link corruption would. The other
+  // kinds act as fault::Poke has them act at any non-net site.
+  const fault::Kind fired = fault::Check(fault::Site::kCommFetch);
+  bool corrupt_payload = fired == fault::Kind::kCorrupt;
+  if (!corrupt_payload) {
+    HT_RETURN_IF_ERROR(fault::Injected(fault::Site::kCommFetch, fired));
   }
   const int m = plan_->num_partitions;
   const kernels::Backend kb = kernels::ActiveBackend();
@@ -301,10 +283,7 @@ Status CommExecutor::ForwardLoadSlot(int j, int slot, const Tensor& host) {
     return Status::Invalid("CommExecutor::ForwardLoadSlot: slot out of "
                            "range; BeginLayer(dim, num_slots) first");
   }
-  return fault::RetryTransient(retry_, degrade_, "comm.fetch", [&] {
-    return ForwardLoadAttempt(j, host,
-                              &layer_.slot_nbr[static_cast<size_t>(slot)]);
-  });
+  return ForwardLoad(j, host, &layer_.slot_nbr[static_cast<size_t>(slot)]);
 }
 
 Status CommExecutor::BackwardAccumulate(int j,

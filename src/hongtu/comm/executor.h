@@ -17,9 +17,9 @@
 /// accumulator (transition gradients, the host gradient buffer) stays fp32.
 /// All byte meters and the device-capacity charge use the compressed width.
 ///
-/// One layer is in flight at a time: the serial executor and the 3-lane
-/// stage pipeline both run layers strictly in order, so the executor owns a
-/// single set of transition buffers, slot buffers and integrity sidecars.
+/// One layer is in flight at a time: the 3-lane stage pipeline runs layers
+/// strictly in order, so the executor owns a single set of transition
+/// buffers, slot buffers and integrity sidecars.
 /// Within the layer, `num_slots` in BeginLayer is the pipeline's window:
 /// batch j loads into slot j mod num_slots (ForwardLoadSlot) and its
 /// compute stage reads slot_buffers(j mod num_slots).
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "hongtu/comm/dedup_plan.h"
+#include "hongtu/comm/layer_comm.h"
 #include "hongtu/common/fault.h"
 #include "hongtu/kernels/codec.h"
 #include "hongtu/sim/interconnect.h"
@@ -47,7 +48,10 @@ namespace hongtu {
 /// from the host source of truth (metered as extra H2D traffic and counted
 /// as a DegradeEvent::kIntegrityRefetch) instead of silently feeding bad
 /// bits to the kernels.
-class CommExecutor {
+///
+/// This is the in-process LayerComm (comm/layer_comm.h): it hosts every
+/// device of the plan.
+class CommExecutor : public LayerComm {
  public:
   /// `tl` and `plan` must outlive the executor. `platform` receives all
   /// traffic/time accounting (may be null in pure-correctness tests).
@@ -74,10 +78,10 @@ class CommExecutor {
   /// `integrity` turns the per-row CRC32C payload words on (default) or off.
   Status BeginLayer(int dim, int num_slots = 1,
                     kernels::CommPrecision wire = kernels::CommPrecision::kFp32,
-                    bool integrity = true);
+                    bool integrity = true) override;
 
   /// Releases the layer's device buffers.
-  void EndLayer();
+  void EndLayer() override;
 
   /// Algorithm 2: loads the neighbor representations of batch `j` on every
   /// device. `host` is the full (|V| x dim) layer buffer h^l in CPU memory;
@@ -86,11 +90,11 @@ class CommExecutor {
 
   /// ForwardLoad into the executor-owned buffers of pipeline slot `slot`
   /// (0 <= slot < the num_slots passed to BeginLayer).
-  Status ForwardLoadSlot(int j, int slot, const Tensor& host);
+  Status ForwardLoadSlot(int j, int slot, const Tensor& host) override;
 
   /// The per-device neighbor buffers of pipeline slot `slot`, as filled by
   /// the most recent ForwardLoadSlot on that slot.
-  std::vector<Tensor>& slot_buffers(int slot) {
+  std::vector<Tensor>& slot_buffers(int slot) override {
     return layer_.slot_nbr[static_cast<size_t>(slot)];
   }
 
@@ -98,7 +102,7 @@ class CommExecutor {
   /// buffers (inter-GPU), then flushes slots whose vertices do not recur in
   /// batch j+1 to the host gradient buffer where the CPU accumulates them.
   Status BackwardAccumulate(int j, const std::vector<Tensor>& nbr_grads,
-                            Tensor* host_grad);
+                            Tensor* host_grad) override;
 
   int dim() const { return layer_.dim; }
   kernels::CommPrecision wire() const { return layer_.wire; }

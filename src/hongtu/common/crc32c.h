@@ -25,17 +25,6 @@ namespace hongtu {
 /// stream; chain calls by passing the previous return value).
 uint32_t Crc32c(const void* data, size_t n, uint32_t seed = 0);
 
-/// Mixes `crc` so that Crc32c(payload) stored *inside* a larger checksummed
-/// region cannot collide with the region's own CRC stream (RocksDB-style
-/// masking).
-inline uint32_t MaskCrc32c(uint32_t crc) {
-  return ((crc >> 15) | (crc << 17)) + 0xa282ead8u;
-}
-inline uint32_t UnmaskCrc32c(uint32_t masked) {
-  const uint32_t rot = masked - 0xa282ead8u;
-  return (rot << 15) | (rot >> 17);
-}
-
 namespace internal {
 
 /// The slice-by-8 table path with Crc32c's interface. Crc32c calls it when

@@ -132,8 +132,9 @@ Kind Check(Site s) {
   return fired;
 }
 
-Status Poke(Site s) {
-  const Kind k = Check(s);
+Status Poke(Site s) { return Injected(s, Check(s)); }
+
+Status Injected(Site s, Kind k) {
   switch (k) {
     case Kind::kNone:
     case Kind::kKill:  // unreachable; Check() does not return from a kill

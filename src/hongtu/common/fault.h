@@ -118,6 +118,8 @@ Kind Check(Site s);
 /// Returns OK when the site does not fire. Call this at sites that fail by
 /// returning a Status; use Check() directly at sites that corrupt payloads.
 Status Poke(Site s);
+/// What Poke returns (and does: kDelay stalls) once site `s` drew `k`.
+Status Injected(Site s, Kind k);
 
 /// Arms `site` with `spec` (replacing any previous arming of that site).
 Status Arm(Site site, const SiteSpec& spec);

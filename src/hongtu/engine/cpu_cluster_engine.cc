@@ -38,11 +38,8 @@ Result<std::unique_ptr<CpuClusterEngine>> CpuClusterEngine::Create(
     // ClusterCoordinator, which forks one worker per partition. Everything
     // the workers need travels through the env contract; the dataset's
     // (name, scale, seed) triple regenerates it bit-for-bit in each process.
-    if (options.dedup == DedupLevel::kNone) {
-      return Status::Invalid(
-          "cluster_transport requires dedup kP2P or kP2PReuse: the "
-          "owner-grouped transition buffers are the RPC wire format");
-    }
+    // The coordinator validates the rest (e.g. that dedup groups rows by
+    // owner, the RPC wire format).
     if (dataset->name.empty()) {
       return Status::Invalid(
           "cluster_transport needs a registry dataset (name/scale/seed "

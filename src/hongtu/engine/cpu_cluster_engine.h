@@ -13,14 +13,19 @@
 /// When `cluster_transport` is set ("tcp" or "uds", default from the
 /// HONGTU_CLUSTER environment variable), the engine instead becomes real:
 /// a ClusterCoordinator (net/cluster.h) forks one worker process per
-/// partition, the workers exchange transition rows and gradients over the
-/// resilient RPC transport along the owner-grouped dedup FetchPlans, and
-/// RunEpoch returns measured wall-clock plus merged recovery counters. A
-/// worker killed mid-epoch is detected by heartbeat/EOF, the epoch aborts,
-/// state restores from the latest HTCK checkpoint, the worker respawns and
-/// the epoch reruns — final weights bitwise-identical to an unkilled run.
-/// Binaries using this mode must call net::MaybeRunClusterWorker() first
-/// thing in main().
+/// partition, and RunEpoch returns measured wall-clock plus merged recovery
+/// counters. Each worker is a HongTuEngine that hosts its own partition's
+/// device, running the single-process engine's layer loop (pipeline,
+/// hybrid cache, pooled workspaces); its data movement is RPC (net/
+/// rpc_comm.h): transition rows and gradients cross the resilient
+/// transport along the owner-grouped dedup FetchPlans. The coordinator sums
+/// the workers' gradients in rank order and steps Adam, so a W-worker
+/// cluster ends on the weights of a single-process HongTuEngine with W
+/// devices. A worker killed mid-epoch is detected by heartbeat/EOF and
+/// replayed in-epoch (or, on the coarsest rung, the epoch restores from the
+/// latest HTCK checkpoint and reruns) — final weights bitwise-identical to
+/// an unkilled run. Binaries using this mode must call
+/// net::MaybeRunClusterWorker() first thing in main().
 
 #pragma once
 

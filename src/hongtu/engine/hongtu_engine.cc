@@ -127,6 +127,27 @@ double InOrderPipelineWall(const std::vector<std::vector<double>>& item,
 
 Result<std::unique_ptr<HongTuEngine>> HongTuEngine::Create(
     const Dataset* dataset, ModelConfig model_config, EngineConfig options) {
+  std::vector<int> all(static_cast<size_t>(std::max(0, options.num_devices)));
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+  return Build(dataset, std::move(model_config), std::move(options),
+               std::move(all), nullptr);
+}
+
+Result<std::unique_ptr<HongTuEngine>> HongTuEngine::CreateHosting(
+    const Dataset* dataset, ModelConfig model_config, EngineConfig options,
+    int device, const CommFactory& make_comm) {
+  if (device < 0 || device >= options.num_devices || !make_comm) {
+    return Status::Invalid("HongTuEngine: hosted device " +
+                           std::to_string(device) + " out of range, or no "
+                           "data movement for it");
+  }
+  return Build(dataset, std::move(model_config), std::move(options), {device},
+               &make_comm);
+}
+
+Result<std::unique_ptr<HongTuEngine>> HongTuEngine::Build(
+    const Dataset* dataset, ModelConfig model_config, EngineConfig options,
+    std::vector<int> hosted, const CommFactory* make_comm) {
   if (dataset == nullptr) {
     return Status::Invalid("HongTuEngine: null dataset");
   }
@@ -142,13 +163,15 @@ Result<std::unique_ptr<HongTuEngine>> HongTuEngine::Create(
   auto engine = std::unique_ptr<HongTuEngine>(new HongTuEngine());
   engine->ds_ = dataset;
   engine->options_ = options;
+  engine->hosted_ = std::move(hosted);
+  const int hosted_count = static_cast<int>(engine->hosted_.size());
   HT_ASSIGN_OR_RETURN(engine->model_, GnnModel::Create(model_config));
-  for (int i = 1; i < options.num_devices; ++i) {
+  for (int k = 1; k < hosted_count; ++k) {
     HT_ASSIGN_OR_RETURN(GnnModel replica, GnnModel::Create(model_config));
     engine->replicas_.push_back(std::move(replica));
   }
   engine->device_workers_ =
-      std::make_unique<WorkerGroup>(std::max(1, options.num_devices));
+      std::make_unique<WorkerGroup>(std::max(1, hosted_count));
   engine->adam_ = Adam(options.adam);
   for (Tensor* p : engine->model_.AllParams()) engine->adam_.Register(p);
 
@@ -173,9 +196,13 @@ Result<std::unique_ptr<HongTuEngine>> HongTuEngine::Create(
   engine->platform_ = std::make_unique<SimPlatform>(
       options.num_devices, options.device_capacity_bytes,
       options.interconnect);
-  engine->executor_ = std::make_unique<CommExecutor>(
-      &engine->tl_, &engine->plan_, engine->platform_.get(),
-      &engine->degrade_);
+  if (make_comm != nullptr) {
+    engine->comm_ = (*make_comm)(engine->plan_, &engine->degrade_);
+  } else {
+    engine->comm_ = std::make_unique<CommExecutor>(
+        &engine->tl_, &engine->plan_, engine->platform_.get(),
+        &engine->degrade_);
+  }
 
   // ---- Host buffers (Algorithm 1 line 3): h^l for all layers and grad h^l
   // for l >= 1 (layer 0 forms no input gradient, so grad_[0] stays empty),
@@ -212,7 +239,7 @@ void HongTuEngine::BuildEdgeSchedules() {
   scheds_.clear();
   scheds_.resize(static_cast<size_t>(m));
   sched_alloc_.clear();
-  for (int i = 0; i < m; ++i) {
+  for (int i : hosted_) {
     // The schedules live in device memory next to the chunk topology they
     // permute. A device that cannot afford them keeps the single-pass
     // kernels — the schedules are an optimization, never a requirement —
@@ -289,7 +316,7 @@ void HongTuEngine::PresizeWorkspaces() {
     ws.d_dst.resize(m);
     ws.dst_rows.resize(m);
     ws.d_src.resize(m);
-    for (int i = 0; i < m; ++i) {
+    for (int i : hosted_) {
       int64_t max_dst = 0, max_nbr = 0;
       for (int j = 0; j < n; ++j) {
         max_dst = std::max(max_dst, tl_.chunks[i][j].num_dst());
@@ -321,10 +348,10 @@ Status HongTuEngine::SyncReplicas() {
 }
 
 Status HongTuEngine::RunDevices(const std::function<Status(int)>& fn) {
-  return device_workers_->Run([&fn](int i) -> Status {
+  return device_workers_->Run([this, &fn](int k) -> Status {
     SimPlatform::SetLane(1);
-    TensorPool::SetThreadArena(i);
-    return fn(i);
+    TensorPool::SetThreadArena(k);
+    return fn(hosted_[static_cast<size_t>(k)]);
   });
 }
 
@@ -332,7 +359,10 @@ Status HongTuEngine::RunWithSerialFallback(
     const char* direction, int l, const std::function<Status(int)>& layer) {
   const int d = Depth();
   const Status st = layer(d);
-  if (st.ok() || d == 1) return st;
+  // A replay would zero this device's accumulators and push its gradients a
+  // second time, which the other workers' exactly-once guards drop: only an
+  // engine that hosts every device can replay a layer on its own.
+  if (st.ok() || d == 1 || !HostsAllDevices()) return st;
   // OutOfMemory (the extra in-flight working set did not fit) and transient
   // causes (a recoverable fault that poisoned the pipeline after its own
   // retries) replay the layer at depth 1 — counted as distinct events;
@@ -375,16 +405,15 @@ Status HongTuEngine::RunPipelinedLayer(
     const std::function<int64_t(const Chunk&)>& scratch_bytes,
     StagePipeline::StageFn load, StagePipeline::StageFn compute,
     StagePipeline::StageFn store) {
-  const int m = options_.num_devices;
   const int n = options_.chunks_per_partition;
-  HT_RETURN_IF_ERROR(executor_->BeginLayer(
+  HT_RETURN_IF_ERROR(comm_->BeginLayer(
       in_dim, comm_slots, options_.comm_precision, options_.wire_integrity));
 
   // The compute stage must not race other stages for the device allocator,
   // so the whole layer reserves d worst-case chunk working sets up front.
   std::vector<DeviceAllocation> scratch;
-  scratch.reserve(m);
-  for (int i = 0; i < m; ++i) {
+  scratch.reserve(hosted_.size());
+  for (int i : hosted_) {
     int64_t ws = 0;
     for (int j = 0; j < n; ++j) {
       ws = std::max(ws, scratch_bytes(tl_.chunks[i][j]));
@@ -394,7 +423,7 @@ Status HongTuEngine::RunPipelinedLayer(
     if (!st.ok()) {
       // Release the comm registrations before reporting: the depth-1
       // replay's BeginLayer must see a clean device.
-      executor_->EndLayer();
+      comm_->EndLayer();
       return st;
     }
     scratch.emplace_back(&platform_->device(i), d * ws);
@@ -440,12 +469,11 @@ Status HongTuEngine::RunPipelinedLayer(
   if (overlap) platform_->EndOverlap(InOrderPipelineWall(item, d));
   // Always release the layer's comm registrations — a poisoned pipeline
   // must not leak device reservations into the replay's BeginLayer.
-  executor_->EndLayer();
+  comm_->EndLayer();
   return st;
 }
 
 Status HongTuEngine::ForwardLayer(int l, int d) {
-  const int m = options_.num_devices;
   Layer* layer = model_.layer(l);
   const kernels::CommPrecision wire = options_.comm_precision;
   const int64_t eb = kernels::CommElemBytes(wire);
@@ -457,14 +485,14 @@ Status HongTuEngine::ForwardLayer(int l, int d) {
   // Stage A: deduplicated communication for batch j (Algorithm 2).
   auto load = [&, l](int64_t j) -> Status {
     SimPlatform::SetLane(0);
-    return executor_->ForwardLoadSlot(static_cast<int>(j),
-                                      static_cast<int>(j % d), h_[l]);
+    return comm_->ForwardLoadSlot(static_cast<int>(j),
+                                  static_cast<int>(j % d), h_[l]);
   };
   // Stage B: GNN kernels for batch j, all devices at once.
   auto compute = [&, l](int64_t j) -> Status {
     SimPlatform::SetLane(1);
     const int s = static_cast<int>(j % d);
-    std::vector<Tensor>& nbr = executor_->slot_buffers(s);
+    std::vector<Tensor>& nbr = comm_->slot_buffers(s);
     return RunDevices([&](int i) -> Status {
       const Chunk& chunk = tl_.chunks[i][j];
       if (chunk.num_dst() == 0) return Status::OK();
@@ -483,7 +511,7 @@ Status HongTuEngine::ForwardLayer(int l, int d) {
   auto store = [&, l](int64_t j) -> Status {
     SimPlatform::SetLane(2);
     const int s = static_cast<int>(j % d);
-    for (int i = 0; i < m; ++i) {
+    for (int i : hosted_) {
       const Chunk& chunk = tl_.chunks[i][j];
       if (chunk.num_dst() == 0) continue;
       HT_RETURN_IF_ERROR(ScatterRows(ws_[s].out[i], chunk.dst_vertices,
@@ -515,7 +543,6 @@ Status HongTuEngine::BackwardPass() {
 }
 
 Status HongTuEngine::BackwardLayer(int l, int d) {
-  const int m = options_.num_devices;
   Layer* layer = model_.layer(l);
   const bool cached = use_cache_[l];
   const bool input_grad = l > 0;
@@ -526,7 +553,7 @@ Status HongTuEngine::BackwardLayer(int l, int d) {
   // gradients on every device, which only this layer's backward writes — so
   // a replay erases whatever a poisoned attempt accumulated.
   if (input_grad) grad_[l].Zero();
-  for (int i = 0; i < m; ++i) DeviceLayer(i, l)->ZeroGrads();
+  for (int i : hosted_) DeviceLayer(i, l)->ZeroGrads();
 
   // Per-(slot, device) gather/gradient buffers come from the pre-sized slot
   // workspaces; the depth bound keeps the three lanes off each other's slot.
@@ -539,9 +566,9 @@ Status HongTuEngine::BackwardLayer(int l, int d) {
     const int s = static_cast<int>(j % d);
     if (!cached) {
       HT_RETURN_IF_ERROR(
-          executor_->ForwardLoadSlot(static_cast<int>(j), s, h_[l]));
+          comm_->ForwardLoadSlot(static_cast<int>(j), s, h_[l]));
     }
-    for (int i = 0; i < m; ++i) {
+    for (int i : hosted_) {
       const Chunk& chunk = tl_.chunks[i][j];
       if (chunk.num_dst() == 0) continue;
       HT_RETURN_IF_ERROR(GatherRows(grad_[l + 1], chunk.dst_vertices,
@@ -572,7 +599,7 @@ Status HongTuEngine::BackwardLayer(int l, int d) {
     SimPlatform::SetLane(1);
     const int s = static_cast<int>(j % d);
     std::vector<Tensor>* nbr =
-        cached ? nullptr : &executor_->slot_buffers(s);
+        cached ? nullptr : &comm_->slot_buffers(s);
     return RunDevices([&](int i) -> Status {
       const Chunk& chunk = tl_.chunks[i][j];
       Tensor* ds = input_grad ? &ws_[s].d_src[i] : nullptr;
@@ -605,7 +632,7 @@ Status HongTuEngine::BackwardLayer(int l, int d) {
   auto store = [&, l](int64_t j) -> Status {
     SimPlatform::SetLane(2);
     if (!input_grad) return Status::OK();
-    return executor_->BackwardAccumulate(
+    return comm_->BackwardAccumulate(
         static_cast<int>(j), ws_[static_cast<size_t>(j % d)].d_src,
         &grad_[l]);
   };
@@ -646,16 +673,7 @@ Result<EpochStats> HongTuEngine::TrainEpoch() {
   degrade_.ResetEpoch();
 
   HT_RETURN_IF_ERROR(ForwardPass());
-
-  // Downstream task (Alg. 1 lines 10-11) on the host.
-  const int L = model_.num_layers();
-  const std::vector<VertexId> train = ds_->VerticesWithRole(SplitRole::kTrain);
-  LossResult loss = SoftmaxCrossEntropy(h_[L], ds_->labels, train, &grad_[L]);
-  platform_->AddCpuAccum(static_cast<int64_t>(train.size()) *
-                         model_.config().dims.back() * kF32);
-  platform_->Synchronize();
-
-  HT_RETURN_IF_ERROR(BackwardPass());
+  HT_ASSIGN_OR_RETURN(const LossResult loss, LossAndBackward());
   HT_RETURN_IF_ERROR(AllReduceAndStep());
 
   EpochStats stats;
@@ -670,6 +688,29 @@ Result<EpochStats> HongTuEngine::TrainEpoch() {
   stats.host_pool_hits = platform_->HostPoolHits();
   stats.recovery = degrade_.SnapshotEpoch();
   return stats;
+}
+
+Result<LossResult> HongTuEngine::LossAndBackward() {
+  // Downstream task (Alg. 1 lines 10-11) on the host.
+  const int L = model_.num_layers();
+  std::vector<VertexId> train = ds_->VerticesWithRole(SplitRole::kTrain);
+  const int64_t all_train = static_cast<int64_t>(train.size());
+  if (!HostsAllDevices()) {
+    const int lo = hosted_.front(), hi = hosted_.back();
+    train.erase(std::remove_if(train.begin(), train.end(),
+                               [&](VertexId v) {
+                                 const int p = tl_.partition_of[v];
+                                 return p < lo || p > hi;
+                               }),
+                train.end());
+  }
+  const LossResult loss =
+      SoftmaxCrossEntropy(h_[L], ds_->labels, train, &grad_[L], all_train);
+  platform_->AddCpuAccum(static_cast<int64_t>(train.size()) *
+                         model_.config().dims.back() * kF32);
+  platform_->Synchronize();
+  HT_RETURN_IF_ERROR(BackwardPass());
+  return loss;
 }
 
 Result<double> HongTuEngine::EvaluateAccuracy(SplitRole role) {

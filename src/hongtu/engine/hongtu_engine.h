@@ -21,6 +21,11 @@
 /// devices 1..m-1 have copies refreshed at every forward pass — and
 /// accumulates its own gradients; the all-reduce sums them into model_ in
 /// device order, so weights do not depend on thread timing.
+///
+/// An engine hosts every device (Create, moving rows with CommExecutor) or
+/// one cluster worker's device (CreateHosting, moving rows with the given
+/// LayerComm). Stages, workspaces, replicas and loss vertices range over
+/// the hosted devices; partition and plan always cover all of them.
 
 #pragma once
 
@@ -32,6 +37,7 @@
 #include "hongtu/common/parallel.h"
 #include "hongtu/common/pipeline.h"
 #include "hongtu/comm/executor.h"
+#include "hongtu/comm/layer_comm.h"
 #include "hongtu/comm/reorganize.h"
 #include "hongtu/engine/engine.h"
 #include "hongtu/gnn/loss.h"
@@ -52,8 +58,30 @@ class HongTuEngine : public Engine {
                                                       ModelConfig model_config,
                                                       EngineConfig options);
 
+  /// Builds a hosting engine's data movement after preprocessing; it
+  /// records retries into `degrade`, the engine's policy.
+  using CommFactory = std::function<std::unique_ptr<LayerComm>(
+      const DedupPlan& plan, fault::DegradationPolicy* degrade)>;
+  /// An engine that hosts only `device` of options.num_devices (a cluster
+  /// worker). It trains through ForwardPass + LossAndBackward; summing its
+  /// gradients (model()'s) across devices is the caller's job.
+  static Result<std::unique_ptr<HongTuEngine>> CreateHosting(
+      const Dataset* dataset, ModelConfig model_config, EngineConfig options,
+      int device, const CommFactory& make_comm);
+
   /// One full forward+backward epoch with parameter update.
   Result<EpochStats> TrainEpoch();
+
+  /// Algorithm 1 lines 1-9: forward over all layers and batches; fills the
+  /// h^l buffers (and caches) of the hosted devices' vertices.
+  Status ForwardPass();
+  /// Lines 10-20 without the update: the loss over the hosted devices'
+  /// train vertices, normalized by the count of all train vertices (so a
+  /// device seeds the same gradient rows whichever engine hosts it), then
+  /// backward. Each hosted device's gradients stay in its own replica.
+  Result<LossResult> LossAndBackward();
+  /// h^L: the logits of the last ForwardPass (rows of hosted vertices).
+  const Tensor& logits() const { return h_.back(); }
 
   // ---- Engine interface ----------------------------------------------------
   Result<EpochStats> RunEpoch() override { return TrainEpoch(); }
@@ -80,8 +108,11 @@ class HongTuEngine : public Engine {
  private:
   HongTuEngine() = default;
 
-  /// Forward over all layers/batches; fills h^l buffers (and caches).
-  Status ForwardPass();
+  /// `hosted` is a contiguous device range; null `make_comm` = CommExecutor.
+  static Result<std::unique_ptr<HongTuEngine>> Build(
+      const Dataset* dataset, ModelConfig model_config, EngineConfig options,
+      std::vector<int> hosted, const CommFactory* make_comm);
+
   /// Backward from the loss gradient in grad_[L] down to layer 0, which
   /// forms parameter gradients only (no grad h^0 and no gradient push).
   Status BackwardPass();
@@ -89,22 +120,30 @@ class HongTuEngine : public Engine {
   /// takes the Adam step on model_.
   Status AllReduceAndStep();
 
-  /// Layer l of device i's parameter replica (model_ for device 0).
+  /// True when this process holds every device (Create).
+  bool HostsAllDevices() const {
+    return static_cast<int>(hosted_.size()) == options_.num_devices;
+  }
+  /// Layer l of hosted device i's parameter replica (model_ for the first
+  /// hosted device).
   Layer* DeviceLayer(int i, int l) {
-    return i == 0 ? model_.layer(l)
-                  : replicas_[static_cast<size_t>(i - 1)].layer(l);
+    const int k = i - hosted_.front();
+    return k == 0 ? model_.layer(l)
+                  : replicas_[static_cast<size_t>(k - 1)].layer(l);
   }
   /// Copies model_'s parameters into every replica.
   Status SyncReplicas();
-  /// Runs `fn(i)` for every device i at once on device_workers_, bound to
-  /// the compute lane and to pool arena i. Returns the first error in
-  /// device order.
+  /// Runs `fn(i)` for every hosted device i at once on device_workers_,
+  /// bound to the compute lane and to the pool arena of i's position among
+  /// the hosted devices. Returns the first error in device order.
   Status RunDevices(const std::function<Status(int)>& fn);
 
   /// Runs `layer(Depth())`. When a deeper-than-1 attempt fails on
   /// OutOfMemory or a transient cause, records the degradation event and
   /// replays the layer as `layer(1)` (retrying that replay's transient
   /// failures); permanent errors, and failures at depth 1, pass through.
+  /// So does every failure of a hosting engine: its layers are collective
+  /// with the other workers, so the cluster's recovery ladder handles them.
   /// `direction` and `l` only name the layer in the event record.
   Status RunWithSerialFallback(const char* direction, int l,
                                const std::function<Status(int)>& layer);
@@ -169,17 +208,20 @@ class HongTuEngine : public Engine {
 
   const Dataset* ds_ = nullptr;
   EngineConfig options_;
-  GnnModel model_;  ///< device 0's replica; the one Adam and checkpoints use
-  std::vector<GnnModel> replicas_;  ///< devices 1..m-1
+  /// The hosted devices, ascending and contiguous: all m, or one.
+  std::vector<int> hosted_;
+  /// The first hosted device's replica; the one Adam and checkpoints use.
+  GnnModel model_;
+  std::vector<GnnModel> replicas_;  ///< the other hosted devices
   std::unique_ptr<WorkerGroup> device_workers_;  ///< one task per device
   Adam adam_;
-  /// Counted record of every graceful degradation (shared with executor_).
+  /// Counted record of every graceful degradation (shared with comm_).
   fault::DegradationPolicy degrade_;
 
   TwoLevelPartition tl_;
   DedupPlan plan_;
   std::unique_ptr<SimPlatform> platform_;
-  std::unique_ptr<CommExecutor> executor_;
+  std::unique_ptr<LayerComm> comm_;
 
   std::vector<Tensor> h_;      ///< h^l, l = 0..L (host)
   std::vector<Tensor> grad_;   ///< grad h^l, l = 1..L (host); [0] is empty

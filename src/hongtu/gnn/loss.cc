@@ -8,11 +8,19 @@ LossResult SoftmaxCrossEntropy(const Tensor& logits,
                                const std::vector<int32_t>& labels,
                                const std::vector<VertexId>& vertices,
                                Tensor* d_logits) {
+  return SoftmaxCrossEntropy(logits, labels, vertices, d_logits,
+                             static_cast<int64_t>(vertices.size()));
+}
+
+LossResult SoftmaxCrossEntropy(const Tensor& logits,
+                               const std::vector<int32_t>& labels,
+                               const std::vector<VertexId>& vertices,
+                               Tensor* d_logits, int64_t denominator) {
   LossResult out;
-  if (vertices.empty()) return out;
+  if (vertices.empty() || denominator <= 0) return out;
   const int64_t c = logits.cols();
   if (d_logits != nullptr) d_logits->Zero();
-  const float inv_n = 1.0f / static_cast<float>(vertices.size());
+  const float inv_n = 1.0f / static_cast<float>(denominator);
   double loss = 0.0;
   int64_t correct = 0;
   std::vector<float> prob(static_cast<size_t>(c));
@@ -42,9 +50,9 @@ LossResult SoftmaxCrossEntropy(const Tensor& logits,
       drow[y] -= inv_n;
     }
   }
-  out.loss = loss / static_cast<double>(vertices.size());
+  out.loss = loss / static_cast<double>(denominator);
   out.accuracy =
-      static_cast<double>(correct) / static_cast<double>(vertices.size());
+      static_cast<double>(correct) / static_cast<double>(denominator);
   return out;
 }
 

@@ -24,6 +24,16 @@ LossResult SoftmaxCrossEntropy(const Tensor& logits,
                                const std::vector<VertexId>& vertices,
                                Tensor* d_logits);
 
+/// The same over a part of a larger set: the mean is taken over
+/// `denominator` vertices, of which `vertices` are the ones computed here.
+/// Loss and accuracy are this part's sums divided by `denominator`, so the
+/// parts of a set add up to its means, and each gradient row is exactly the
+/// row the whole-set call writes for that vertex.
+LossResult SoftmaxCrossEntropy(const Tensor& logits,
+                               const std::vector<int32_t>& labels,
+                               const std::vector<VertexId>& vertices,
+                               Tensor* d_logits, int64_t denominator);
+
 /// Top-1 accuracy over `vertices`.
 double Accuracy(const Tensor& logits, const std::vector<int32_t>& labels,
                 const std::vector<VertexId>& vertices);

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -24,14 +25,10 @@
 #include <thread>
 #include <utility>
 
-#include "hongtu/comm/dedup_plan.h"
-#include "hongtu/comm/reorganize.h"
 #include "hongtu/common/logging.h"
 #include "hongtu/common/wire.h"
-#include "hongtu/gnn/layer.h"
-#include "hongtu/gnn/loss.h"
-#include "hongtu/kernels/backend.h"
-#include "hongtu/partition/two_level.h"
+#include "hongtu/engine/hongtu_engine.h"
+#include "hongtu/net/rpc_comm.h"
 
 extern char** environ;
 
@@ -39,60 +36,6 @@ namespace hongtu {
 namespace net {
 
 namespace {
-
-// ---- Bit-exact text encoding for the HONGTU_DIST_CONFIG env contract. ------
-
-std::string U64Hex(uint64_t v) {
-  char b[20];
-  std::snprintf(b, sizeof(b), "%016llx", static_cast<unsigned long long>(v));
-  return b;
-}
-
-uint64_t HexU64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 16);
-}
-
-std::string F64Hex(double d) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return U64Hex(bits);
-}
-
-double HexF64(const std::string& s) {
-  const uint64_t bits = HexU64(s);
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
-std::string F32Hex(float f) {
-  uint32_t bits;
-  std::memcpy(&bits, &f, sizeof(bits));
-  char b[12];
-  std::snprintf(b, sizeof(b), "%08x", bits);
-  return b;
-}
-
-float HexF32(const std::string& s) {
-  const uint32_t bits = static_cast<uint32_t>(HexU64(s));
-  float f;
-  std::memcpy(&f, &bits, sizeof(f));
-  return f;
-}
-
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  for (;;) {
-    const size_t p = s.find(sep, start);
-    if (p == std::string::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, p - start));
-    start = p + 1;
-  }
-}
 
 constexpr int64_t kNoKillEpoch = -1;
 
@@ -188,98 +131,93 @@ Status CheckCoordinatorTerm(uint64_t frame_term, uint64_t* known_term) {
   return Status::OK();
 }
 
+// The HONGTU_DIST_CONFIG env contract: the fields through the one byte
+// cursor (floating-point values as bit patterns, so the rebuild is
+// bit-exact), two hex digits per byte so the value stays printable text.
 std::string EncodeClusterConfig(const ClusterConfig& c) {
-  std::string dims;
-  for (size_t i = 0; i < c.model_dims.size(); ++i) {
-    if (i > 0) dims += '|';
-    dims += std::to_string(c.model_dims[i]);
+  WireWriter w;
+  w.Str(c.transport);
+  w.I32(c.num_workers);
+  w.Str(c.dataset);
+  w.F64(c.dataset_scale);
+  w.U64(c.dataset_seed);
+  w.I32(static_cast<int32_t>(c.model_kind));
+  w.Vec(c.model_dims);
+  w.U64(c.model_seed);
+  w.I32(c.chunks_per_partition);
+  w.I32(c.dedup_level);
+  w.U32(c.reorganize ? 1 : 0);
+  w.U64(c.partition_seed);
+  w.I32(static_cast<int32_t>(c.wire));
+  // A float widens to a double and back without loss.
+  for (const float f : {c.adam.lr, c.adam.beta1, c.adam.beta2, c.adam.eps,
+                        c.adam.weight_decay}) {
+    w.F64(f);
   }
-  const std::pair<const char*, std::string> kv[] = {
-      {"transport", c.transport},
-      {"workers", std::to_string(c.num_workers)},
-      {"ds", c.dataset},
-      {"scale", F64Hex(c.dataset_scale)},
-      {"dseed", U64Hex(c.dataset_seed)},
-      {"kind", std::to_string(static_cast<int>(c.model_kind))},
-      {"dims", dims},
-      {"mseed", U64Hex(c.model_seed)},
-      {"chunks", std::to_string(c.chunks_per_partition)},
-      {"dedup", std::to_string(c.dedup_level)},
-      {"reorg", c.reorganize ? "1" : "0"},
-      {"pseed", U64Hex(c.partition_seed)},
-      {"wire", std::to_string(static_cast<int>(c.wire))},
-      {"lr", F32Hex(c.adam.lr)},
-      {"b1", F32Hex(c.adam.beta1)},
-      {"b2", F32Hex(c.adam.beta2)},
-      {"eps", F32Hex(c.adam.eps)},
-      {"wd", F32Hex(c.adam.weight_decay)},
-      {"dir", c.runtime_dir},
-      {"ckdir", c.checkpoint_dir},
-      {"hb", F64Hex(c.heartbeat_interval_s)},
-      {"pto", F64Hex(c.peer_timeout_s)},
-      {"rpc", F64Hex(c.rpc_deadline_s)},
-      {"edl", F64Hex(c.epoch_deadline_s)},
-      {"rmode", c.recover_mode},
-      {"grace", F64Hex(c.recovery_grace_s)},
-      {"lease", F64Hex(c.coord_lease_s)},
-  };
+  w.Str(c.runtime_dir);
+  w.Str(c.checkpoint_dir);
+  for (const double d : {c.heartbeat_interval_s, c.peer_timeout_s,
+                         c.rpc_deadline_s, c.epoch_deadline_s,
+                         c.recovery_grace_s, c.coord_lease_s}) {
+    w.F64(d);
+  }
+  w.Str(c.recover_mode);
+  const std::string bytes = w.Take();
+  static const char kHex[] = "0123456789abcdef";
   std::string out;
-  for (const auto& p : kv) {
-    if (!out.empty()) out += ';';
-    out += p.first;
-    out += '=';
-    out += p.second;
+  out.reserve(2 * bytes.size());
+  for (const unsigned char b : bytes) {
+    out += kHex[b >> 4];
+    out += kHex[b & 15];
   }
   return out;
 }
 
 Result<ClusterConfig> DecodeClusterConfig(const std::string& s) {
-  ClusterConfig c;
-  c.model_dims.clear();
-  for (const std::string& clause : Split(s, ';')) {
-    if (clause.empty()) continue;
-    const size_t eq = clause.find('=');
-    if (eq == std::string::npos) {
-      return Status::Invalid("cluster config clause without '=': " + clause);
-    }
-    const std::string k = clause.substr(0, eq);
-    const std::string v = clause.substr(eq + 1);
-    if (k == "transport") c.transport = v;
-    else if (k == "workers") c.num_workers = std::atoi(v.c_str());
-    else if (k == "ds") c.dataset = v;
-    else if (k == "scale") c.dataset_scale = HexF64(v);
-    else if (k == "dseed") c.dataset_seed = HexU64(v);
-    else if (k == "kind") c.model_kind = static_cast<GnnKind>(std::atoi(v.c_str()));
-    else if (k == "dims") {
-      for (const std::string& d : Split(v, '|')) {
-        if (!d.empty()) c.model_dims.push_back(std::atoi(d.c_str()));
-      }
-    } else if (k == "mseed") c.model_seed = HexU64(v);
-    else if (k == "chunks") c.chunks_per_partition = std::atoi(v.c_str());
-    else if (k == "dedup") c.dedup_level = std::atoi(v.c_str());
-    else if (k == "reorg") c.reorganize = (v == "1");
-    else if (k == "pseed") c.partition_seed = HexU64(v);
-    else if (k == "wire")
-      c.wire = static_cast<kernels::CommPrecision>(std::atoi(v.c_str()));
-    else if (k == "lr") c.adam.lr = HexF32(v);
-    else if (k == "b1") c.adam.beta1 = HexF32(v);
-    else if (k == "b2") c.adam.beta2 = HexF32(v);
-    else if (k == "eps") c.adam.eps = HexF32(v);
-    else if (k == "wd") c.adam.weight_decay = HexF32(v);
-    else if (k == "dir") c.runtime_dir = v;
-    else if (k == "ckdir") c.checkpoint_dir = v;
-    else if (k == "hb") c.heartbeat_interval_s = HexF64(v);
-    else if (k == "pto") c.peer_timeout_s = HexF64(v);
-    else if (k == "rpc") c.rpc_deadline_s = HexF64(v);
-    else if (k == "edl") c.epoch_deadline_s = HexF64(v);
-    else if (k == "rmode") c.recover_mode = v;
-    else if (k == "grace") c.recovery_grace_s = HexF64(v);
-    else if (k == "lease") c.coord_lease_s = HexF64(v);
-    // Unknown keys ignored: older workers tolerate newer coordinators.
+  if (s.size() % 2 != 0) return Status::Invalid("cluster config: odd length");
+  std::string bytes(s.size() / 2, '\0');
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char ch = s[i];
+    const int v = ch >= '0' && ch <= '9'   ? ch - '0'
+                  : ch >= 'a' && ch <= 'f' ? ch - 'a' + 10
+                                           : -1;
+    if (v < 0) return Status::Invalid("cluster config: not hex");
+    bytes[i / 2] = static_cast<char>(bytes[i / 2] << 4 | v);
   }
-  if (c.dataset.empty()) return Status::Invalid("cluster config missing ds=");
+  WireReader r(bytes);
+  ClusterConfig c;
+  HT_ASSIGN_OR_RETURN(c.transport, r.Str());
+  HT_ASSIGN_OR_RETURN(c.num_workers, r.I32());
+  HT_ASSIGN_OR_RETURN(c.dataset, r.Str());
+  HT_ASSIGN_OR_RETURN(c.dataset_scale, r.F64());
+  HT_ASSIGN_OR_RETURN(c.dataset_seed, r.U64());
+  HT_ASSIGN_OR_RETURN(const int32_t kind, r.I32());
+  c.model_kind = static_cast<GnnKind>(kind);
+  HT_RETURN_IF_ERROR(r.Vec(&c.model_dims));
+  HT_ASSIGN_OR_RETURN(c.model_seed, r.U64());
+  HT_ASSIGN_OR_RETURN(c.chunks_per_partition, r.I32());
+  HT_ASSIGN_OR_RETURN(c.dedup_level, r.I32());
+  HT_ASSIGN_OR_RETURN(const uint32_t reorganize, r.U32());
+  c.reorganize = reorganize != 0;
+  HT_ASSIGN_OR_RETURN(c.partition_seed, r.U64());
+  HT_ASSIGN_OR_RETURN(const int32_t wire, r.I32());
+  c.wire = static_cast<kernels::CommPrecision>(wire);
+  for (float* f : {&c.adam.lr, &c.adam.beta1, &c.adam.beta2, &c.adam.eps,
+                   &c.adam.weight_decay}) {
+    HT_ASSIGN_OR_RETURN(const double d, r.F64());
+    *f = static_cast<float>(d);
+  }
+  HT_ASSIGN_OR_RETURN(c.runtime_dir, r.Str());
+  HT_ASSIGN_OR_RETURN(c.checkpoint_dir, r.Str());
+  for (double* d : {&c.heartbeat_interval_s, &c.peer_timeout_s,
+                    &c.rpc_deadline_s, &c.epoch_deadline_s,
+                    &c.recovery_grace_s, &c.coord_lease_s}) {
+    HT_ASSIGN_OR_RETURN(*d, r.F64());
+  }
+  HT_ASSIGN_OR_RETURN(c.recover_mode, r.Str());
+  if (c.dataset.empty()) return Status::Invalid("cluster config: no dataset");
   if (c.model_dims.size() < 2) {
-    return Status::Invalid("cluster config needs dims= with >= 2 entries");
+    return Status::Invalid("cluster config needs dims with >= 2 entries");
   }
   if (c.num_workers < 1) return Status::Invalid("cluster config workers < 1");
   return c;
@@ -292,8 +230,8 @@ Status DecodeEpochDone(const std::string& payload, uint64_t* run, int* rank,
   HT_ASSIGN_OR_RETURN(const uint32_t rank_u, r.U32());
   HT_ASSIGN_OR_RETURN(const uint32_t ok_u, r.U32());
   HT_ASSIGN_OR_RETURN(d->error, r.Str());
-  HT_ASSIGN_OR_RETURN(d->loss_sum, r.F64());
-  HT_ASSIGN_OR_RETURN(d->acc_sum, r.F64());
+  HT_ASSIGN_OR_RETURN(d->loss, r.F64());
+  HT_ASSIGN_OR_RETURN(d->accuracy, r.F64());
   HT_ASSIGN_OR_RETURN(d->n, r.U64());
   HT_ASSIGN_OR_RETURN(const uint32_t ncnt, r.U32());
   *rank = static_cast<int>(rank_u);
@@ -327,13 +265,12 @@ namespace {
 
 class RankState;
 
-/// One worker process: the process shell. Rebuilds the shared training
-/// problem (dataset, partition, dedup plan) from the env contract, owns the
-/// transport and the process-wide peer-address cache, and hosts one or more
-/// `RankState`s: its own rank always (`primary_`), plus any dead partitions
-/// it adopted for the current run (`adopted_`). Every peer-visible payload
-/// carries an explicit owner rank, so requests are routed to the right
-/// hosted state regardless of which process serves them.
+/// One worker process: the process shell. Rebuilds the dataset from the env
+/// contract, owns the transport, and hosts one or more `RankState`s: its
+/// own rank always (`primary_`), plus any dead partitions it adopted for
+/// the current run (`adopted_`). Every peer-visible payload carries an
+/// explicit owner rank, so requests are routed to the right hosted state
+/// regardless of which process serves them.
 class ClusterWorker {
  public:
   int Run();
@@ -344,8 +281,11 @@ class ClusterWorker {
   Status Init();
   void MainLoop();
   void OnRequest(Transport::Request&& req);
-  void RunEpochCmd(const std::string& payload);
-  void RunEvalCmd(const std::string& payload);
+  /// Routes a peer data RPC (fetch, push, sync_state, fetch_push) to the
+  /// RpcComm of the rank it names as owner.
+  void RoutePeerRequest(Transport::Request& req);
+  /// Runs a queued kEpoch or kEval command on the primary rank.
+  void RunCmd(const Frame& cmd);
   void HandlePeerUpdate(Transport::Request& req);
   void HandleAdopt(Transport::Request& req);
   void HandleCoordUpdate(Transport::Request& req);
@@ -373,27 +313,16 @@ class ClusterWorker {
   int rank_ = -1;
   int W_ = 0;
   int coord_ = 0;  ///< coordinator rank = W_
-  int L_ = 0;
-  int n_ = 0;
-  int64_t V_ = 0;
   int64_t kill_epoch_ = kNoKillEpoch;
   bool kill_on_recover_ = false;
   std::atomic<bool> kill_fired_{false};
   ClusterConfig cfg_;
   Dataset ds_;
-  TwoLevelPartition tl_;
-  DedupPlan plan_;
   std::unique_ptr<Transport> transport_;
-  kernels::Backend kb_ = kernels::Backend::kReference;
-  bool packed_ = false;
-  int64_t elem_bytes_ = 4;
-  std::vector<int> dims_;
-  int64_t global_train_ = 0;
 
   std::mutex pmu_;
   std::condition_variable pcv_;
   std::deque<Frame> cmds_;
-  std::vector<std::string> peer_addrs_;  ///< under pmu_
   struct Adopted {
     std::shared_ptr<RankState> state;
     std::thread thread;
@@ -412,144 +341,45 @@ class ClusterWorker {
   std::atomic<double> coord_dead_since_{0.0};
 };
 
-/// Per-hosted-rank training state and replay logs. A process usually hosts
-/// exactly one (its own rank); after `kAdoptPartition` it hosts a survivor
-/// copy of a dead rank too. All peer-visible state lives behind `mu_`,
-/// shared between the step loop and the connection reader threads.
-///
-/// Replay contract: `fetch_log_` keeps, for every published step, the exact
-/// serialized response each expected fetcher would receive — written at
-/// PUBLISH time, so serving never reads the live transition slots and a
-/// recovering peer can re-fetch any step of the epoch bit-identically.
-/// `push_out_log_` keeps every outbound gradient push so a recovering
-/// destination can re-pull what was already delivered (`kFetchPush`).
-/// Both logs retain the full epoch (memory ~ one epoch of communication
-/// volume) and reset at the next run.
+/// Per-hosted-rank state: a HongTuEngine that hosts this rank's device and
+/// moves rows through an RpcComm (net/rpc_comm.h), which also keeps the
+/// replay logs and serves the peer RPCs. A process usually hosts exactly
+/// one (its own rank); after `kAdoptPartition` it hosts a survivor copy of a
+/// dead rank too.
 class RankState {
  public:
   RankState(ClusterWorker* host, int rank);
 
-  /// Builds the per-rank problem: model replica, fetcher lists, own train
-  /// vertices, activation/gradient buffers.
+  /// Builds the engine — the same preprocessing, from the same seeds, as a
+  /// single-process HongTuEngine over all the workers' devices — and its
+  /// RpcComm.
   Status Prepare();
 
   void ExecuteEpoch(uint64_t run, int64_t epoch, bool recover,
                     const std::string& tail);
   void ExecuteEval(uint64_t run, SplitRole role, const std::string& tail);
-  void Abort(uint64_t run);
+  void Abort(uint64_t run) { comm_->Abort(run); }
 
-  void HandleFetch(Transport::Request& req, uint64_t run, int64_t step,
-                   int requester);
-  void HandlePush(Transport::Request& req, uint64_t run, int64_t step,
-                  int sender, std::string body);
-  void HandleSyncState(Transport::Request& req, uint64_t run, int asker);
-  void HandleFetchPush(Transport::Request& req, uint64_t run, int64_t step,
-                       int asker);
-
-  /// The run currently executing (0 when idle). A re-attaching coordinator
-  /// asks for it to decide whether this rank must rejoin a resumed run.
-  uint64_t current_run() {
-    std::lock_guard<std::mutex> lk(mu_);
-    return cur_run_;
-  }
-  /// Records a degrade event into this rank's epoch counters (they travel
-  /// to the coordinator inside the kEpochDone report).
-  void RecordDegrade(fault::DegradeEvent e, const std::string& detail) {
-    degrade_.Record(e, detail);
-  }
+  /// The peer-RPC side of this rank.
+  RpcComm* comm() { return comm_; }
+  /// Its degrade counters travel to the coordinator in kEpochDone.
+  HongTuEngine* engine() { return engine_.get(); }
 
  private:
-  Status SetupRun(WireReader* r);
-  Status SyncRecoveryFloors(uint64_t run);
-  Status TrainEpoch(uint64_t run, int64_t epoch);
-  Status ForwardPhase(uint64_t run);
-  Status DoStep(uint64_t run, int64_t s, int l, int j, bool backward);
-  Status PublishStep(uint64_t run, int64_t s, int l, int j);
-  Status FetchNeighbors(uint64_t run, int64_t s, int l, int j);
-  Status PushApplyFlush(uint64_t run, int64_t s, int l, int j);
-  Status ComputeLossAndSeed();
-
-  /// Retries `fn` while its failure is transient: one RetryTransient burst
-  /// per pass (policy derived from fault::DefaultRetryPolicy), then keeps
-  /// going only while the recovery grace window is open.
-  Status RetryRpc(const char* site, const std::function<Status()>& fn);
-  /// Caller holds lk(mu_). Waits for pred with a budget that stretches to
-  /// the recovery grace window; Internal on abort, Unavailable on timeout.
-  Status WaitCond(std::unique_lock<std::mutex>& lk, double budget_s,
-                  const std::function<bool()>& pred, const std::string& what);
-  double AttemptDeadlineS() const {
-    return std::min(cfg_.rpc_deadline_s, std::max(cfg_.peer_timeout_s, 0.5));
-  }
-
-  // Step index mapping: forward steps are l*n+j, backward steps continue at
-  // L*n with layers descending; all workers iterate the identical sequence.
-  int LayerOf(int64_t s) const {
-    const int64_t fwd = static_cast<int64_t>(L_) * n_;
-    return s < fwd ? static_cast<int>(s / n_)
-                   : static_cast<int>(L_ - 1 - (s - fwd) / n_);
-  }
-  int BatchOf(int64_t s) const { return static_cast<int>(s % n_); }
-  int64_t PayloadCols(int dim) const { return packed_ ? (dim + 1) / 2 : dim; }
-  size_t RowBytes(int dim) const {
-    return static_cast<size_t>(dim) * static_cast<size_t>(elem_bytes_);
-  }
-  const Tensor& HIn(int l) const { return l == 0 ? ds_.features : h_[l]; }
-
-  /// Serializes the requester's owner-group rows out of the transition
-  /// buffer. Caller holds mu_; the buffer holds the step being published.
-  std::string BuildFetchPayload(int requester, int64_t step) const;
+  /// The run start shared by epochs and evals: resets the RpcComm's
+  /// per-run state, then installs the run's peer addresses and weights from
+  /// the command tail. False when the run was aborted before it started
+  /// (nothing runs and nothing is reported).
+  bool BeginRun(uint64_t run, const std::string& tail, Status* st);
+  /// Delivers a done report; a resend after a dropped frame or lost ack is
+  /// deduped by the coordinator's !received guard.
+  void Report(MsgType type, const char* site, const std::string& report);
 
   ClusterWorker* host_;
   const int rank_;
-  const int W_;
-  const int coord_;
-  const int L_;
-  const int n_;
-  const int64_t V_;
-  const int64_t kill_epoch_;
-  const ClusterConfig& cfg_;
-  const Dataset& ds_;
-  const TwoLevelPartition& tl_;
-  const DedupPlan& plan_;
-  Transport* transport_;
-  const kernels::Backend kb_;
-  const bool packed_;
-  const int64_t elem_bytes_;
-  const std::vector<int> dims_;
-  const int64_t global_train_;
-
-  GnnModel model_;
-  fault::DegradationPolicy degrade_;
-  /// Per batch j: peers that fetch from (and push gradients to) this rank.
-  std::vector<std::vector<int>> fetchers_;
-  std::vector<VertexId> own_train_;
-  std::vector<Tensor> h_;     ///< h_[l] for l >= 1 (l == 0 is ds_.features)
-  std::vector<Tensor> grad_;  ///< gradient wrt h^l, |V| x dims[l]
-  Tensor trans_;              ///< transition buffer (wire-encoded payload)
-  Tensor tgrad_;              ///< transition gradients, fp32 accumulators
-  Tensor nb_, dst_h_, d_dst_, d_src_;
-  double loss_sum_ = 0.0, acc_sum_ = 0.0;
-  int64_t n_own_ = 0;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  uint64_t cur_run_ = 0;
-  uint64_t max_aborted_run_ = 0;
-  bool abort_cur_ = false;
-  int64_t published_step_ = -1;
-  int64_t applied_step_ = -1;
-  std::map<std::pair<int64_t, int>, std::string> pushes_;  ///< (step, sender)
-  /// (step, fetcher) -> the exact serialized fetch response, logged when the
-  /// step is published. Serving reads only this, never the live slots.
-  std::map<std::pair<int64_t, int>, std::string> fetch_log_;
-  /// (step, destination) -> raw outbound gradient rows, logged before send.
-  std::map<std::pair<int64_t, int>, std::string> push_out_log_;
-  /// Highest step successfully pushed to each destination this run.
-  std::vector<int64_t> push_hi_;
-  /// Recovery floors (replay only): highest step each peer had already
-  /// pushed to this rank's dead incarnation — those will not arrive live
-  /// and are re-pulled via kFetchPush instead.
-  std::vector<int64_t> push_floor_;
+  std::unique_ptr<HongTuEngine> engine_;
+  RpcComm* comm_ = nullptr;  ///< owned by engine_
+  uint64_t own_train_ = 0;   ///< train vertices of this rank's partition
 };
 
 // ---- ClusterWorker: process shell -----------------------------------------
@@ -599,36 +429,7 @@ Status ClusterWorker::Init() {
   HT_ASSIGN_OR_RETURN(
       ds_, LoadDatasetScaled(cfg_.dataset, cfg_.dataset_scale,
                              cfg_.dataset_seed));
-  V_ = ds_.graph.num_vertices();
-  L_ = static_cast<int>(cfg_.model_dims.size()) - 1;
-  dims_ = cfg_.model_dims;
 
-  TwoLevelOptions topts;
-  topts.metis.seed = cfg_.partition_seed;
-  HT_ASSIGN_OR_RETURN(
-      tl_, BuildTwoLevelPartition(ds_.graph, W_, cfg_.chunks_per_partition,
-                                  topts));
-  const DedupLevel level = static_cast<DedupLevel>(cfg_.dedup_level);
-  if (level == DedupLevel::kNone) {
-    return Status::Invalid(
-        "cluster backend requires owner-grouped transition buffers "
-        "(dedup kP2P or kP2PReuse)");
-  }
-  if (cfg_.reorganize) {
-    HT_RETURN_IF_ERROR(ReorganizePartition(&tl_).status());
-  }
-  HT_ASSIGN_OR_RETURN(plan_, BuildDedupPlan(tl_, level));
-  n_ = plan_.num_chunks;
-
-  kb_ = kernels::ActiveBackend();
-  packed_ = cfg_.wire != kernels::CommPrecision::kFp32;
-  elem_bytes_ = kernels::CommElemBytes(cfg_.wire);
-
-  for (int64_t v = 0; v < V_; ++v) {
-    if (ds_.split[v] == SplitRole::kTrain) ++global_train_;
-  }
-
-  peer_addrs_.assign(W_, "");
 
   Transport::Options topt;
   topt.rank = rank_;
@@ -668,7 +469,6 @@ Status ClusterWorker::Init() {
   // Self-dial: an adopted rank hosted here fetches from the primary rank
   // (and vice versa) over the same transport path as any remote peer.
   transport_->SetPeer(rank_, transport_->bound_addr());
-  peer_addrs_[rank_] = transport_->bound_addr();
 
   primary_.reset(new RankState(this, rank_));
   HT_RETURN_IF_ERROR(primary_->Prepare());
@@ -730,10 +530,8 @@ void ClusterWorker::MainLoop() {
         HT_LOG(INFO) << "cluster worker r" << rank_ << " shutting down";
         return;
       case MsgType::kEpoch:
-        RunEpochCmd(cmd.payload);
-        break;
       case MsgType::kEval:
-        RunEvalCmd(cmd.payload);
+        RunCmd(cmd);
         break;
       default:
         HT_LOG(WARNING) << "worker r" << rank_ << ": unexpected command "
@@ -806,113 +604,12 @@ void ClusterWorker::OnRequest(Transport::Request&& req) {
       req.reply(MsgType::kAck, "");
       return;
     }
-    case MsgType::kFetchRows: {
-      WireReader r(req.frame.payload);
-      auto run_r = r.U64();
-      auto step_r = r.U32();
-      auto owner_r = r.U32();
-      auto req_r = r.U32();
-      if (!run_r.ok() || !step_r.ok() || !owner_r.ok() || !req_r.ok()) {
-        req.reply_error(Status::DataLoss("malformed kFetchRows payload"));
-        return;
-      }
-      const int owner = static_cast<int>(owner_r.ValueOrDie());
-      const int requester = static_cast<int>(req_r.ValueOrDie());
-      if (owner < 0 || owner >= W_ || requester < 0 || requester >= W_) {
-        req.reply_error(Status::Invalid("fetch names an unknown rank"));
-        return;
-      }
-      auto st = FindState(owner);
-      if (st == nullptr) {
-        // Transient by design: during an adoption handoff the requester
-        // retries until the new host registers the rank.
-        req.reply_error(Status::Unavailable(
-            "rank r" + std::to_string(owner) + " is not hosted here"));
-        return;
-      }
-      st->HandleFetch(req, run_r.ValueOrDie(),
-                      static_cast<int64_t>(step_r.ValueOrDie()), requester);
+    case MsgType::kFetchRows:
+    case MsgType::kGradPush:
+    case MsgType::kSyncState:
+    case MsgType::kFetchPush:
+      RoutePeerRequest(req);
       return;
-    }
-    case MsgType::kGradPush: {
-      WireReader r(req.frame.payload);
-      auto run_r = r.U64();
-      auto step_r = r.U32();
-      auto owner_r = r.U32();
-      auto snd_r = r.U32();
-      if (!run_r.ok() || !step_r.ok() || !owner_r.ok() || !snd_r.ok()) {
-        req.reply_error(Status::DataLoss("malformed kGradPush payload"));
-        return;
-      }
-      const int owner = static_cast<int>(owner_r.ValueOrDie());
-      const int sender = static_cast<int>(snd_r.ValueOrDie());
-      if (owner < 0 || owner >= W_ || sender < 0 || sender >= W_) {
-        req.reply_error(Status::Invalid("push names an unknown rank"));
-        return;
-      }
-      auto st = FindState(owner);
-      if (st == nullptr) {
-        req.reply_error(Status::Unavailable(
-            "rank r" + std::to_string(owner) + " is not hosted here"));
-        return;
-      }
-      // The remainder after {run u64, step u32, owner u32, sender u32} is
-      // the raw gradient row block.
-      st->HandlePush(req, run_r.ValueOrDie(),
-                     static_cast<int64_t>(step_r.ValueOrDie()), sender,
-                     req.frame.payload.substr(20));
-      return;
-    }
-    case MsgType::kSyncState: {
-      WireReader r(req.frame.payload);
-      auto run_r = r.U64();
-      auto owner_r = r.U32();
-      auto asker_r = r.U32();
-      if (!run_r.ok() || !owner_r.ok() || !asker_r.ok()) {
-        req.reply_error(Status::DataLoss("malformed kSyncState payload"));
-        return;
-      }
-      const int owner = static_cast<int>(owner_r.ValueOrDie());
-      const int asker = static_cast<int>(asker_r.ValueOrDie());
-      if (owner < 0 || owner >= W_ || asker < 0 || asker >= W_) {
-        req.reply_error(Status::Invalid("sync_state names an unknown rank"));
-        return;
-      }
-      auto st = FindState(owner);
-      if (st == nullptr) {
-        req.reply_error(Status::Unavailable(
-            "rank r" + std::to_string(owner) + " is not hosted here"));
-        return;
-      }
-      st->HandleSyncState(req, run_r.ValueOrDie(), asker);
-      return;
-    }
-    case MsgType::kFetchPush: {
-      WireReader r(req.frame.payload);
-      auto run_r = r.U64();
-      auto step_r = r.U32();
-      auto owner_r = r.U32();
-      auto asker_r = r.U32();
-      if (!run_r.ok() || !step_r.ok() || !owner_r.ok() || !asker_r.ok()) {
-        req.reply_error(Status::DataLoss("malformed kFetchPush payload"));
-        return;
-      }
-      const int owner = static_cast<int>(owner_r.ValueOrDie());
-      const int asker = static_cast<int>(asker_r.ValueOrDie());
-      if (owner < 0 || owner >= W_ || asker < 0 || asker >= W_) {
-        req.reply_error(Status::Invalid("fetch_push names an unknown rank"));
-        return;
-      }
-      auto st = FindState(owner);
-      if (st == nullptr) {
-        req.reply_error(Status::Unavailable(
-            "rank r" + std::to_string(owner) + " is not hosted here"));
-        return;
-      }
-      st->HandleFetchPush(req, run_r.ValueOrDie(),
-                          static_cast<int64_t>(step_r.ValueOrDie()), asker);
-      return;
-    }
     case MsgType::kPeerUpdate:
       HandlePeerUpdate(req);
       return;
@@ -926,6 +623,56 @@ void ClusterWorker::OnRequest(Transport::Request&& req) {
   }
 }
 
+void ClusterWorker::RoutePeerRequest(Transport::Request& req) {
+  // Every peer data payload starts {run u64, step u32 (not kSyncState),
+  // owner u32, requester/sender/asker u32}; a push's row block follows.
+  const MsgType type = req.frame.type;
+  WireReader r(req.frame.payload);
+  auto run_r = r.U64();
+  auto step_r = type == MsgType::kSyncState ? Result<uint32_t>(0u) : r.U32();
+  auto owner_r = r.U32();
+  auto peer_r = r.U32();
+  if (!run_r.ok() || !step_r.ok() || !owner_r.ok() || !peer_r.ok()) {
+    req.reply_error(Status::DataLoss(std::string("malformed ") +
+                                     MsgTypeName(type) + " payload"));
+    return;
+  }
+  const uint64_t run = run_r.ValueOrDie();
+  const int64_t step = static_cast<int64_t>(step_r.ValueOrDie());
+  const int owner = static_cast<int>(owner_r.ValueOrDie());
+  const int peer = static_cast<int>(peer_r.ValueOrDie());
+  if (owner < 0 || owner >= W_ || peer < 0 || peer >= W_) {
+    req.reply_error(Status::Invalid(std::string(MsgTypeName(type)) +
+                                    " names an unknown rank"));
+    return;
+  }
+  auto st = FindState(owner);
+  if (st == nullptr) {
+    // Transient by design: during an adoption handoff the requester
+    // retries until the new host registers the rank.
+    req.reply_error(Status::Unavailable(
+        "rank r" + std::to_string(owner) + " is not hosted here"));
+    return;
+  }
+  RpcComm* comm = st->comm();
+  switch (type) {
+    case MsgType::kFetchRows:
+      comm->HandleFetch(req, run, step, peer);
+      return;
+    case MsgType::kGradPush:
+      comm->HandlePush(req, run, step, peer,
+                       req.frame.payload.substr(req.frame.payload.size() -
+                                                r.remaining()));
+      return;
+    case MsgType::kSyncState:
+      comm->HandleSyncState(req, run, peer);
+      return;
+    default:
+      comm->HandleFetchPush(req, run, step, peer);
+      return;
+  }
+}
+
 std::shared_ptr<RankState> ClusterWorker::FindState(int owner) {
   if (owner == rank_) return primary_;
   std::lock_guard<std::mutex> lk(pmu_);
@@ -934,13 +681,9 @@ std::shared_ptr<RankState> ClusterWorker::FindState(int owner) {
 }
 
 void ClusterWorker::UpdatePeer(int peer, const std::string& addr) {
-  std::lock_guard<std::mutex> lk(pmu_);
-  if (peer < 0 || peer >= W_ || peer_addrs_[peer] == addr) return;
-  // A recovered peer has a fresh address: drop any cached connection so the
-  // next Call dials the new process.
-  transport_->DropConnection(peer);
-  transport_->SetPeer(peer, addr);
-  peer_addrs_[peer] = addr;
+  // A recovered peer has a fresh address; SetPeer retires the cached
+  // connection to the old one, so the next Call dials the new process.
+  if (peer >= 0 && peer < W_) transport_->SetPeer(peer, addr);
 }
 
 void ClusterWorker::ExtendGrace() {
@@ -989,13 +732,13 @@ void ClusterWorker::HandleCoordUpdate(Transport::Request& req) {
   transport_->DropConnection(coord_);
   transport_->SetPeer(coord_, addr_r.ValueOrDie());
   transport_->WatchPeer(coord_);
-  const uint64_t cur_run = primary_->current_run();
+  const uint64_t cur_run = primary_->comm()->current_run();
   HT_LOG(INFO) << "worker r" << rank_ << ": re-attached to coordinator at "
                << addr_r.ValueOrDie() << " (term " << term_r.ValueOrDie()
                << ", current run " << cur_run << ")";
-  primary_->RecordDegrade(fault::DegradeEvent::kWorkerReattach,
-                          "re-attached to coordinator term " +
-                              std::to_string(term_r.ValueOrDie()));
+  primary_->engine()->degradation()->Record(
+      fault::DegradeEvent::kWorkerReattach,
+      "re-attached to coordinator term " + std::to_string(term_r.ValueOrDie()));
   // Reply with who we are and which run we are inside, so the successor can
   // decide whether we must rejoin its resumed run.
   WireWriter w;
@@ -1064,394 +807,159 @@ void ClusterWorker::ClearAdopted(uint64_t abort_upto) {
   }
 }
 
-void ClusterWorker::RunEpochCmd(const std::string& payload) {
-  WireReader r(payload);
+void ClusterWorker::RunCmd(const Frame& cmd) {
+  // kEpoch{run, epoch, recover} or kEval{run, split}, then the run tail.
+  const bool eval = cmd.type == MsgType::kEval;
+  WireReader r(cmd.payload);
   auto run_r = r.U64();
-  auto epoch_r = r.U64();
-  auto rec_r = r.U32();
-  if (!run_r.ok() || !epoch_r.ok() || !rec_r.ok()) {
-    HT_LOG(WARNING) << "worker r" << rank_ << ": malformed kEpoch payload";
+  auto epoch_r = eval ? Result<uint64_t>(uint64_t{0}) : r.U64();
+  auto arg_r = r.U32();
+  if (!run_r.ok() || !epoch_r.ok() || !arg_r.ok()) {
+    HT_LOG(WARNING) << "worker r" << rank_ << ": malformed "
+                    << MsgTypeName(cmd.type) << " payload";
     return;
   }
   const uint64_t run = run_r.ValueOrDie();
   // Adopted ranks belong to an earlier run; their real process takes over.
   ClearAdopted(run > 0 ? run - 1 : 0);
-  const std::string tail = payload.substr(payload.size() - r.remaining());
-  primary_->ExecuteEpoch(run, static_cast<int64_t>(epoch_r.ValueOrDie()),
-                         rec_r.ValueOrDie() != 0, tail);
-}
-
-void ClusterWorker::RunEvalCmd(const std::string& payload) {
-  WireReader r(payload);
-  auto run_r = r.U64();
-  auto role_r = r.U32();
-  if (!run_r.ok() || !role_r.ok()) {
-    HT_LOG(WARNING) << "worker r" << rank_ << ": malformed kEval payload";
-    return;
+  const std::string tail = cmd.payload.substr(cmd.payload.size() - r.remaining());
+  if (eval) {
+    primary_->ExecuteEval(run, static_cast<SplitRole>(arg_r.ValueOrDie()),
+                          tail);
+  } else {
+    primary_->ExecuteEpoch(run, static_cast<int64_t>(epoch_r.ValueOrDie()),
+                           arg_r.ValueOrDie() != 0, tail);
   }
-  const uint64_t run = run_r.ValueOrDie();
-  ClearAdopted(run > 0 ? run - 1 : 0);
-  const std::string tail = payload.substr(payload.size() - r.remaining());
-  primary_->ExecuteEval(run, static_cast<SplitRole>(role_r.ValueOrDie()),
-                        tail);
 }
 
 // ---- RankState: per-hosted-rank training state -----------------------------
 
 RankState::RankState(ClusterWorker* host, int rank)
-    : host_(host),
-      rank_(rank),
-      W_(host->W_),
-      coord_(host->coord_),
-      L_(host->L_),
-      n_(host->n_),
-      V_(host->V_),
-      kill_epoch_(rank == host->rank_ ? host->kill_epoch_ : kNoKillEpoch),
-      cfg_(host->cfg_),
-      ds_(host->ds_),
-      tl_(host->tl_),
-      plan_(host->plan_),
-      transport_(host->transport_.get()),
-      kb_(host->kb_),
-      packed_(host->packed_),
-      elem_bytes_(host->elem_bytes_),
-      dims_(host->dims_),
-      global_train_(host->global_train_) {}
+    : host_(host), rank_(rank) {}
 
 Status RankState::Prepare() {
-  ModelConfig mc;
-  mc.kind = cfg_.model_kind;
-  mc.dims = cfg_.model_dims;
-  mc.seed = cfg_.model_seed;
-  HT_ASSIGN_OR_RETURN(model_, GnnModel::Create(mc));
-
-  // Expected fetchers (== gradient pushers) per batch: peers whose fetch
-  // plan has a nonempty group for this rank as owner.
-  fetchers_.assign(n_, {});
-  for (int j = 0; j < n_; ++j) {
-    for (int w = 0; w < W_; ++w) {
-      if (w == rank_) continue;
-      const FetchPlan& fp = plan_.fetch[w][j];
-      if (fp.group_off[rank_ + 1] > fp.group_off[rank_]) {
-        fetchers_[j].push_back(w);
-      }
-    }
-  }
-
-  own_train_.clear();
-  for (int64_t v = 0; v < V_; ++v) {
-    if (ds_.split[v] == SplitRole::kTrain && tl_.partition_of[v] == rank_) {
-      own_train_.push_back(v);
-    }
-  }
-
-  h_.resize(L_ + 1);
-  grad_.resize(L_ + 1);
-  push_hi_.assign(W_, -1);
-  push_floor_.assign(W_, -1);
-  return Status::OK();
-}
-
-void RankState::Abort(uint64_t run) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    max_aborted_run_ = std::max(max_aborted_run_, run);
-    if (cur_run_ != 0 && cur_run_ <= run) abort_cur_ = true;
-  }
-  cv_.notify_all();
-}
-
-Status RankState::RetryRpc(const char* site,
-                           const std::function<Status()>& fn) {
-  // Short per-attempt deadline (the peer timeout), bounded total budget per
-  // burst; the outer loop keeps retrying past the budget only while a
-  // recovery grace window is open (a peer is being respawned or adopted).
-  fault::RetryPolicy pol = fault::DefaultRetryPolicy();
-  pol.max_attempts = std::max(pol.max_attempts, 16);
-  pol.total_deadline_s = cfg_.rpc_deadline_s * 2.0;
-  for (;;) {
-    const Status st = fault::RetryTransient(pol, &degrade_, site, fn);
-    if (st.ok() || !st.IsTransient()) return st;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (abort_cur_) return Status::Internal("run aborted");
-    }
-    // Keep retrying while a peer recovery grace window is open, or while a
-    // dead coordinator's lease still allows a successor to appear (so a
-    // finished epoch's report survives a coordinator restart).
-    if (NowS() >= host_->grace_until() && !host_->InCoordLease()) return st;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-}
-
-Status RankState::WaitCond(std::unique_lock<std::mutex>& lk, double budget_s,
-                           const std::function<bool()>& pred,
-                           const std::string& what) {
-  const double start = NowS();
-  for (;;) {
-    if (pred()) return Status::OK();
-    if (abort_cur_) return Status::Internal("run aborted");
-    const double now = NowS();
-    if (now >= start + budget_s && now >= host_->grace_until()) {
-      return Status::Unavailable("timed out waiting for " + what);
-    }
-    cv_.wait_for(lk, std::chrono::milliseconds(50));
-  }
-}
-
-std::string RankState::BuildFetchPayload(int requester, int64_t step) const {
-  const int l = LayerOf(step);
-  const int j = BatchOf(step);
-  const size_t row_b = RowBytes(dims_[l]);
-  const FetchPlan& fp = plan_.fetch[requester][j];
-  const int64_t b = fp.group_off[rank_];
-  const int64_t e = fp.group_off[rank_ + 1];
-  std::string out;
-  out.resize(static_cast<size_t>(e - b) * row_b);
-  for (int64_t k = b; k < e; ++k) {
-    std::memcpy(&out[static_cast<size_t>(k - b) * row_b],
-                trans_.row(fp.group_slot[k]), row_b);
-  }
-  return out;
-}
-
-void RankState::HandleFetch(Transport::Request& req, uint64_t run,
-                            int64_t step, int requester) {
-  std::string payload;
-  Status err = Status::OK();
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    const double start = NowS();
-    for (;;) {
-      if (cur_run_ > run || run <= max_aborted_run_) {
-        err = Status::Unavailable("fetch for stale run");
-        break;
-      }
-      if (cur_run_ == run) {
-        if (abort_cur_) {
-          err = Status::Unavailable("run aborted");
-          break;
-        }
-        auto it = fetch_log_.find({step, requester});
-        if (it != fetch_log_.end()) {
-          payload = it->second;
-          break;
-        }
-      }
-      const double now = NowS();
-      if (now >= start + cfg_.rpc_deadline_s && now >= host_->grace_until()) {
-        err = Status::Unavailable(
-            "fetch wait timed out (run " + std::to_string(run) + " step " +
-            std::to_string(step) + ", published " +
-            std::to_string(published_step_) + ")");
-        break;
-      }
-      cv_.wait_for(lk, std::chrono::milliseconds(50));
-    }
-  }
-  if (!err.ok()) {
-    req.reply_error(err);
-    return;
-  }
-  req.reply(MsgType::kAck, std::move(payload));
-}
-
-void RankState::HandlePush(Transport::Request& req, uint64_t run,
-                           int64_t step, int sender, std::string body) {
-  Status err = Status::OK();
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    const double start = NowS();
-    while (cur_run_ < run && run > max_aborted_run_) {
-      const double now = NowS();
-      if (now >= start + cfg_.rpc_deadline_s && now >= host_->grace_until()) {
-        break;
-      }
-      cv_.wait_for(lk, std::chrono::milliseconds(50));
-    }
-    if (cur_run_ != run || run <= max_aborted_run_) {
-      err = Status::Unavailable("push for stale run");
-    } else if (abort_cur_) {
-      err = Status::Unavailable("run aborted");
-    } else if (applied_step_ < step) {
-      // Duplicates (a replaying sender re-pushing an applied step, or a
-      // resend after a lost ack) either overwrite with identical bytes or
-      // are dropped by the applied_step_ guard — idempotent both ways.
-      pushes_[{step, sender}] = std::move(body);
-    }
-  }
-  if (!err.ok()) {
-    req.reply_error(err);
-    return;
-  }
-  cv_.notify_all();
-  req.reply(MsgType::kAck, "");
-}
-
-void RankState::HandleSyncState(Transport::Request& req, uint64_t run,
-                                int asker) {
-  int64_t hi = -1;
-  Status err = Status::OK();
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    const double start = NowS();
-    while (cur_run_ < run && run > max_aborted_run_) {
-      const double now = NowS();
-      if (now >= start + cfg_.rpc_deadline_s && now >= host_->grace_until()) {
-        break;
-      }
-      cv_.wait_for(lk, std::chrono::milliseconds(50));
-    }
-    if (cur_run_ != run || run <= max_aborted_run_) {
-      err = Status::Unavailable("sync_state for stale run");
-    } else {
-      hi = push_hi_[asker];
-    }
-  }
-  if (!err.ok()) {
-    req.reply_error(err);
-    return;
-  }
-  WireWriter w;
-  w.I64(hi);
-  req.reply(MsgType::kAck, w.Take());
-}
-
-void RankState::HandleFetchPush(Transport::Request& req, uint64_t run,
-                                int64_t step, int asker) {
-  std::string rows;
-  Status err = Status::OK();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (cur_run_ != run || run <= max_aborted_run_) {
-      err = Status::Unavailable("fetch_push for stale run");
-    } else {
-      auto it = push_out_log_.find({step, asker});
-      if (it == push_out_log_.end()) {
-        // Not logged yet — this rank may itself be replaying toward the
-        // step. Transient: the asker retries under the grace window.
-        err = Status::Unavailable("push (step " + std::to_string(step) +
-                                  " -> r" + std::to_string(asker) +
-                                  ") not logged yet");
-      } else {
-        rows = it->second;
-      }
-    }
-  }
-  if (!err.ok()) {
-    req.reply_error(err);
-    return;
-  }
-  req.reply(MsgType::kAck, std::move(rows));
-}
-
-Status RankState::SetupRun(WireReader* r) {
-  HT_ASSIGN_OR_RETURN(uint32_t w_count, r->U32());
-  if (static_cast<int>(w_count) != W_) {
-    return Status::Invalid("run announces " + std::to_string(w_count) +
-                           " workers, expected " + std::to_string(W_));
-  }
-  for (int w = 0; w < W_; ++w) {
-    HT_ASSIGN_OR_RETURN(std::string addr, r->Str());
-    host_->UpdatePeer(w, addr);
-  }
-  HT_ASSIGN_OR_RETURN(uint32_t p_count, r->U32());
-  auto params = model_.AllParams();
-  if (p_count != params.size()) {
-    return Status::Invalid("run broadcast has " + std::to_string(p_count) +
-                           " params, model has " +
-                           std::to_string(params.size()));
-  }
-  for (Tensor* p : params) {
-    HT_ASSIGN_OR_RETURN(uint64_t rows, r->U64());
-    HT_ASSIGN_OR_RETURN(uint64_t cols, r->U64());
-    if (static_cast<int64_t>(rows) != p->rows() ||
-        static_cast<int64_t>(cols) != p->cols()) {
-      return Status::Invalid("parameter shape mismatch in run broadcast");
-    }
-    HT_RETURN_IF_ERROR(
-        r->Raw(p->data(), static_cast<size_t>(p->size()) * sizeof(float)));
+  const ClusterConfig& cfg = host_->cfg_;
+  const ModelConfig mc{cfg.model_kind, cfg.model_dims, cfg.model_seed};
+  // Everything else is the engine's default, as for a single-process engine
+  // built from the same config (HONGTU_MAX_INFLIGHT and the other runtime
+  // variables reach the workers through their inherited environment).
+  EngineConfig ec;
+  ec.num_devices = cfg.num_workers;
+  ec.chunks_per_partition = cfg.chunks_per_partition;
+  ec.dedup = static_cast<DedupLevel>(cfg.dedup_level);
+  ec.reorganize = cfg.reorganize;
+  ec.partition_seed = cfg.partition_seed;
+  ec.comm_precision = cfg.wire;
+  ec.adam = cfg.adam;
+  const RpcComm::Host rh{host_->transport_.get(), rank_, cfg.rpc_deadline_s,
+                         cfg.peer_timeout_s,
+                         [w = host_] { return w->grace_until(); },
+                         [w = host_] { return w->InCoordLease(); }};
+  HT_ASSIGN_OR_RETURN(
+      engine_,
+      HongTuEngine::CreateHosting(
+          &host_->ds_, mc, ec, rank_,
+          [&](const DedupPlan& plan, fault::DegradationPolicy* degrade) {
+            auto comm = std::make_unique<RpcComm>(rh, &plan, degrade);
+            comm_ = comm.get();
+            return std::unique_ptr<LayerComm>(std::move(comm));
+          }));
+  const std::vector<int32_t>& part = engine_->partition().partition_of;
+  for (const VertexId v : host_->ds_.VerticesWithRole(SplitRole::kTrain)) {
+    if (part[static_cast<size_t>(v)] == rank_) ++own_train_;
   }
   return Status::OK();
 }
 
-Status RankState::SyncRecoveryFloors(uint64_t run) {
-  std::set<int> senders;
-  for (int j = 0; j < n_; ++j) {
-    for (int w : fetchers_[j]) senders.insert(w);
-  }
-  for (int w : senders) {
-    WireWriter q;
-    q.U64(run);
-    q.U32(static_cast<uint32_t>(w));      // owner: whose watermark
-    q.U32(static_cast<uint32_t>(rank_));  // asker: the recovering rank
-    const std::string q_payload = q.Take();
-    int64_t hi = -1;
-    const Status st = RetryRpc("net.sync_state", [&]() -> Status {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (abort_cur_) return Status::Internal("run aborted");
+bool RankState::BeginRun(uint64_t run, const std::string& tail, Status* st) {
+  if (!comm_->StartRun(run)) return false;  // aborted while queued
+  WireReader r(tail);
+  *st = [&]() -> Status {
+    const int W = host_->W_;
+    HT_ASSIGN_OR_RETURN(uint32_t w_count, r.U32());
+    if (static_cast<int>(w_count) != W) {
+      return Status::Invalid("run announces " + std::to_string(w_count) +
+                             " workers, expected " + std::to_string(W));
+    }
+    for (int w = 0; w < W; ++w) {
+      HT_ASSIGN_OR_RETURN(std::string addr, r.Str());
+      host_->UpdatePeer(w, addr);
+    }
+    HT_ASSIGN_OR_RETURN(uint32_t p_count, r.U32());
+    const std::vector<Tensor*> params = engine_->model()->AllParams();
+    if (p_count != params.size()) {
+      return Status::Invalid("run broadcast has " + std::to_string(p_count) +
+                             " params, model has " +
+                             std::to_string(params.size()));
+    }
+    for (Tensor* p : params) {
+      HT_ASSIGN_OR_RETURN(uint64_t rows, r.U64());
+      HT_ASSIGN_OR_RETURN(uint64_t cols, r.U64());
+      if (static_cast<int64_t>(rows) != p->rows() ||
+          static_cast<int64_t>(cols) != p->cols()) {
+        return Status::Invalid("parameter shape mismatch in run broadcast");
       }
-      auto res = transport_->Call(w, MsgType::kSyncState, q_payload,
-                                  AttemptDeadlineS());
-      if (!res.ok()) return res.status();
-      WireReader rr(res.ValueOrDie());
-      HT_ASSIGN_OR_RETURN(hi, rr.I64());
-      return Status::OK();
-    });
-    HT_RETURN_IF_ERROR(st);
-    std::lock_guard<std::mutex> lk(mu_);
-    push_floor_[w] = hi;
+      HT_RETURN_IF_ERROR(
+          r.Raw(p->data(), static_cast<size_t>(p->size()) * sizeof(float)));
+    }
+    return Status::OK();
+  }();
+  return true;
+}
+
+void RankState::Report(MsgType type, const char* site,
+                       const std::string& report) {
+  const Status dr = comm_->RetryRpc(site, [&]() -> Status {
+    return host_->transport_
+        ->Call(host_->coord_, type, report, comm_->AttemptDeadlineS())
+        .status();
+  });
+  if (!dr.ok()) {
+    HT_LOG(WARNING) << "worker r" << rank_ << ": " << MsgTypeName(type)
+                    << " delivery failed: " << dr.ToString();
   }
-  HT_LOG(INFO) << "worker replay r" << rank_ << ": recovery floors synced ("
-               << senders.size() << " peers)";
-  return Status::OK();
 }
 
 void RankState::ExecuteEpoch(uint64_t run, int64_t epoch, bool recover,
                              const std::string& tail) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (run <= max_aborted_run_) return;  // aborted while queued
-    // cur_run_ first: a peer recovering at the same time may already be
-    // asking this state for its watermarks.
-    cur_run_ = run;
-    abort_cur_ = false;
-    published_step_ = -1;
-    applied_step_ = -1;
-    pushes_.clear();
-    fetch_log_.clear();
-    push_out_log_.clear();
-    push_hi_.assign(W_, -1);
-    push_floor_.assign(W_, -1);
-  }
-  cv_.notify_all();
+  Status st;
+  if (!BeginRun(run, tail, &st)) return;
   if (recover) host_->ExtendGrace();
-  WireReader r(tail);
-  Status st = SetupRun(&r);
-  if (st.ok() && recover) st = SyncRecoveryFloors(run);
+  if (st.ok() && recover) st = comm_->SyncRecoveryFloors();
+  LossResult loss;
+  fault::DegradationPolicy* degrade = engine_->degradation();
   if (st.ok()) {
-    degrade_.ResetEpoch();
-    model_.ZeroGrads();
-    loss_sum_ = acc_sum_ = 0.0;
-    n_own_ = 0;
-    st = TrainEpoch(run, epoch);
+    degrade->ResetEpoch();
+    st = engine_->ForwardPass();
+  }
+  if (st.ok() && rank_ == host_->rank_ && epoch == host_->kill_epoch_) {
+    // Deterministic failure drill (the process's own rank only): die
+    // between forward and backward, with the epoch's communication in full
+    // flight on the peers.
+    HT_LOG(WARNING) << "worker r" << rank_ << ": kill drill at epoch "
+                    << epoch << " — raising SIGKILL";
+    ::raise(SIGKILL);
+  }
+  if (st.ok()) {
+    Result<LossResult> lr = engine_->LossAndBackward();
+    st = lr.status();
+    if (st.ok()) loss = lr.ValueOrDie();
   }
   WireWriter w;
   w.U64(run);
   w.U32(static_cast<uint32_t>(rank_));
   w.U32(st.ok() ? 1 : 0);
   w.Str(st.ok() ? "" : st.ToString());
-  w.F64(loss_sum_);
-  w.F64(acc_sum_);
-  w.U64(static_cast<uint64_t>(n_own_));
-  const fault::RecoveryCounters rec = degrade_.SnapshotEpoch();
+  w.F64(loss.loss);
+  w.F64(loss.accuracy);
+  w.U64(own_train_);
+  const fault::RecoveryCounters rec = degrade->SnapshotEpoch();
   w.U32(fault::kNumDegradeEvents);
   for (int e = 0; e < fault::kNumDegradeEvents; ++e) w.I64(rec.counts[e]);
   if (st.ok()) {
-    auto grads = model_.AllGrads();
+    const std::vector<Tensor*> grads = engine_->model()->AllGrads();
     w.U32(static_cast<uint32_t>(grads.size()));
-    for (Tensor* g : grads) {
+    for (const Tensor* g : grads) {
       w.U64(static_cast<uint64_t>(g->rows()));
       w.U64(static_cast<uint64_t>(g->cols()));
       w.Bytes(g->data(), static_cast<size_t>(g->size()) * sizeof(float));
@@ -1461,54 +969,25 @@ void RankState::ExecuteEpoch(uint64_t run, int64_t epoch, bool recover,
     HT_LOG(WARNING) << "worker r" << rank_ << ": epoch run " << run
                     << " failed: " << st.ToString();
   }
-  // The report must arrive or the coordinator's watchdog eventually fires;
-  // retry delivery — a resend after a dropped frame or lost ack is deduped
-  // by the coordinator's !received guard.
-  const std::string report = w.Take();
-  const Status dr = RetryRpc("net.epoch_done", [&]() -> Status {
-    return transport_
-        ->Call(coord_, MsgType::kEpochDone, report, AttemptDeadlineS())
-        .status();
-  });
-  if (!dr.ok()) {
-    HT_LOG(WARNING) << "worker r" << rank_ << ": kEpochDone delivery failed: "
-                    << dr.ToString();
-  }
+  // The report must arrive or the coordinator's watchdog eventually fires.
+  Report(MsgType::kEpochDone, "net.epoch_done", w.Take());
 }
 
 void RankState::ExecuteEval(uint64_t run, SplitRole role,
                             const std::string& tail) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (run <= max_aborted_run_) return;
-    cur_run_ = run;
-    abort_cur_ = false;
-    published_step_ = -1;
-    applied_step_ = -1;
-    pushes_.clear();
-    fetch_log_.clear();
-    push_out_log_.clear();
-    push_hi_.assign(W_, -1);
-    push_floor_.assign(W_, -1);
-  }
-  cv_.notify_all();
-  WireReader r(tail);
-  Status st = SetupRun(&r);
-  if (st.ok()) st = ForwardPhase(run);
+  Status st;
+  if (!BeginRun(run, tail, &st)) return;
+  if (st.ok()) st = engine_->ForwardPass();
   uint64_t correct = 0, total = 0;
   if (st.ok()) {
-    const Tensor& logits = L_ == 0 ? ds_.features : h_[L_];
-    const int C = dims_[L_];
-    for (int64_t v = 0; v < V_; ++v) {
-      if (tl_.partition_of[v] != rank_ || ds_.split[v] != role) continue;
-      const float* row = logits.row(v);
-      int best = 0;
-      for (int c = 1; c < C; ++c) {
-        if (row[c] > row[best]) best = c;
-      }
-      total++;
-      if (best == ds_.labels[v]) correct++;
-    }
+    const std::vector<int32_t>& part = engine_->partition().partition_of;
+    std::vector<VertexId> mine = host_->ds_.VerticesWithRole(role);
+    mine.erase(std::remove_if(mine.begin(), mine.end(),
+                              [&](VertexId v) { return part[v] != rank_; }),
+               mine.end());
+    total = mine.size();
+    correct = static_cast<uint64_t>(std::llround(
+        Accuracy(engine_->logits(), host_->ds_.labels, mine) * total));
   }
   WireWriter w;
   w.U64(run);
@@ -1517,362 +996,7 @@ void RankState::ExecuteEval(uint64_t run, SplitRole role,
   w.Str(st.ok() ? "" : st.ToString());
   w.U64(correct);
   w.U64(total);
-  const std::string report = w.Take();
-  const Status dr = RetryRpc("net.eval_done", [&]() -> Status {
-    return transport_
-        ->Call(coord_, MsgType::kEvalDone, report, AttemptDeadlineS())
-        .status();
-  });
-  if (!dr.ok()) {
-    HT_LOG(WARNING) << "worker r" << rank_ << ": kEvalDone delivery failed: "
-                    << dr.ToString();
-  }
-}
-
-Status RankState::TrainEpoch(uint64_t run, int64_t epoch) {
-  HT_RETURN_IF_ERROR(ForwardPhase(run));
-  if (epoch == kill_epoch_) {
-    // Deterministic failure drill: die between forward and backward, with
-    // the epoch's communication in full flight on the peers.
-    HT_LOG(WARNING) << "worker r" << rank_ << ": kill drill at epoch "
-                    << epoch << " — raising SIGKILL";
-    ::raise(SIGKILL);
-  }
-  HT_RETURN_IF_ERROR(ComputeLossAndSeed());
-  for (int l = L_ - 1; l >= 0; --l) {
-    grad_[l].EnsureShapeZeroed(V_, dims_[l]);
-    tgrad_.EnsureShapeZeroed(plan_.buffer_slots[rank_], dims_[l]);
-    for (int j = 0; j < n_; ++j) {
-      const int64_t s = static_cast<int64_t>(L_) * n_ +
-                        static_cast<int64_t>(L_ - 1 - l) * n_ + j;
-      HT_RETURN_IF_ERROR(DoStep(run, s, l, j, /*backward=*/true));
-    }
-  }
-  return Status::OK();
-}
-
-Status RankState::ForwardPhase(uint64_t run) {
-  for (int l = 0; l < L_; ++l) {
-    h_[l + 1].EnsureShape(V_, dims_[l + 1]);
-    for (int j = 0; j < n_; ++j) {
-      const int64_t s = static_cast<int64_t>(l) * n_ + j;
-      HT_RETURN_IF_ERROR(DoStep(run, s, l, j, /*backward=*/false));
-    }
-  }
-  return Status::OK();
-}
-
-Status RankState::DoStep(uint64_t run, int64_t s, int l, int j,
-                         bool backward) {
-  const Chunk& chunk = tl_.chunks[rank_][j];
-  HT_RETURN_IF_ERROR(PublishStep(run, s, l, j));
-  HT_RETURN_IF_ERROR(FetchNeighbors(run, s, l, j));
-  const LocalGraph lg = LocalGraph::FromChunk(chunk);
-  Layer* layer = model_.layer(l);
-  if (!backward) {
-    HT_RETURN_IF_ERROR(layer->Forward(lg, nb_, &dst_h_, nullptr));
-    Tensor& hout = h_[l + 1];
-    const size_t out_b = static_cast<size_t>(dims_[l + 1]) * sizeof(float);
-    for (int64_t d = 0; d < chunk.num_dst(); ++d) {
-      std::memcpy(hout.row(chunk.dst_vertices[d]), dst_h_.row(d), out_b);
-    }
-    return Status::OK();
-  }
-  d_dst_.EnsureShape(chunk.num_dst(), dims_[l + 1]);
-  const size_t out_b = static_cast<size_t>(dims_[l + 1]) * sizeof(float);
-  for (int64_t d = 0; d < chunk.num_dst(); ++d) {
-    std::memcpy(d_dst_.row(d), grad_[l + 1].row(chunk.dst_vertices[d]), out_b);
-  }
-  d_src_.EnsureShapeZeroed(chunk.num_neighbors(), dims_[l]);
-  HT_RETURN_IF_ERROR(layer->BackwardRecompute(lg, nb_, d_dst_, &d_src_));
-  return PushApplyFlush(run, s, l, j);
-}
-
-Status RankState::PublishStep(uint64_t run, int64_t s, int l, int j) {
-  (void)run;
-  std::unique_lock<std::mutex> lk(mu_);
-  if (abort_cur_) return Status::Internal("run aborted");
-  const int dim = dims_[l];
-  trans_.EnsureShape(plan_.buffer_slots[rank_], PayloadCols(dim));
-  const TransitionStep& ts = plan_.transition[rank_][j];
-  const Tensor& hin = HIn(l);
-  const size_t row_b = RowBytes(dim);
-  for (size_t p = 0; p < ts.vertices.size(); ++p) {
-    if (ts.reused[p]) continue;  // N^gpu: the slot already holds this vertex
-    const float* src = hin.row(ts.vertices[p]);
-    float* slot_row = trans_.row(ts.slots[p]);
-    if (packed_) {
-      kernels::EncodeRows(kb_, cfg_.wire, src, dim,
-                          reinterpret_cast<uint16_t*>(slot_row));
-    } else {
-      std::memcpy(slot_row, src, row_b);
-    }
-  }
-  // Log the serialized response for every expected fetcher NOW, at publish
-  // time: serving reads the log, never the live slots, so slot reuse needs
-  // no gate and a replaying peer is served bit-identical bytes for any step
-  // of the epoch.
-  for (int w : fetchers_[j]) {
-    fetch_log_[{s, w}] = BuildFetchPayload(w, s);
-  }
-  published_step_ = s;
-  lk.unlock();
-  cv_.notify_all();
-  return Status::OK();
-}
-
-Status RankState::FetchNeighbors(uint64_t run, int64_t s, int l, int j) {
-  const Chunk& chunk = tl_.chunks[rank_][j];
-  const int dim = dims_[l];
-  const FetchPlan& fp = plan_.fetch[rank_][j];
-  const size_t row_b = RowBytes(dim);
-  nb_.EnsureShape(chunk.num_neighbors(), dim);
-  for (int o = 0; o < W_; ++o) {
-    const int64_t b = fp.group_off[o];
-    const int64_t e = fp.group_off[o + 1];
-    if (b == e) continue;
-    if (o == rank_) {
-      std::lock_guard<std::mutex> lk(mu_);
-      for (int64_t k = b; k < e; ++k) {
-        float* dst = nb_.row(fp.group_pos[k]);
-        if (packed_) {
-          kernels::DecodeRows(
-              kb_, cfg_.wire,
-              reinterpret_cast<const uint16_t*>(trans_.row(fp.group_slot[k])),
-              dim, dst);
-        } else {
-          std::memcpy(dst, trans_.row(fp.group_slot[k]), row_b);
-        }
-      }
-      continue;
-    }
-    WireWriter req;
-    req.U64(run);
-    req.U32(static_cast<uint32_t>(s));
-    req.U32(static_cast<uint32_t>(o));      // owner
-    req.U32(static_cast<uint32_t>(rank_));  // requester
-    const std::string req_payload = req.Take();
-    std::string resp;
-    const Status st = RetryRpc("net.fetch_rows", [&]() -> Status {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (abort_cur_) return Status::Internal("run aborted");
-      }
-      auto r = transport_->Call(o, MsgType::kFetchRows, req_payload,
-                                AttemptDeadlineS());
-      if (!r.ok()) return r.status();
-      resp = r.MoveValueUnsafe();
-      if (resp.size() != static_cast<size_t>(e - b) * row_b) {
-        return Status::DataLoss("fetch response size mismatch from rank " +
-                                std::to_string(o));
-      }
-      return Status::OK();
-    });
-    HT_RETURN_IF_ERROR(st);
-    const char* p = resp.data();
-    for (int64_t k = b; k < e; ++k) {
-      const char* src = p + static_cast<size_t>(k - b) * row_b;
-      float* dst = nb_.row(fp.group_pos[k]);
-      if (packed_) {
-        kernels::DecodeRows(kb_, cfg_.wire,
-                            reinterpret_cast<const uint16_t*>(src), dim, dst);
-      } else {
-        std::memcpy(dst, src, row_b);
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status RankState::PushApplyFlush(uint64_t run, int64_t s, int l, int j) {
-  const int dim = dims_[l];
-  const size_t row_b = RowBytes(dim);
-  const FetchPlan& fp = plan_.fetch[rank_][j];
-
-  // 1. Send this chunk's gradient contributions to every remote owner
-  //    before waiting for inbound pushes (deadlock freedom: everyone sends
-  //    first, then waits). The raw row block is logged before the send so a
-  //    recovering destination can re-pull it (kFetchPush) after this rank
-  //    has moved on.
-  for (int o = 0; o < W_; ++o) {
-    if (o == rank_) continue;
-    const int64_t b = fp.group_off[o];
-    const int64_t e = fp.group_off[o + 1];
-    if (b == e) continue;
-    std::string rows;
-    rows.resize(static_cast<size_t>(e - b) * row_b);
-    for (int64_t k = b; k < e; ++k) {
-      char* dst = &rows[static_cast<size_t>(k - b) * row_b];
-      if (packed_) {
-        kernels::EncodeRows(kb_, cfg_.wire, d_src_.row(fp.group_pos[k]), dim,
-                            reinterpret_cast<uint16_t*>(dst));
-      } else {
-        std::memcpy(dst, d_src_.row(fp.group_pos[k]), row_b);
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      push_out_log_[{s, o}] = rows;
-    }
-    WireWriter w;
-    w.U64(run);
-    w.U32(static_cast<uint32_t>(s));
-    w.U32(static_cast<uint32_t>(o));      // owner (destination)
-    w.U32(static_cast<uint32_t>(rank_));  // sender
-    w.Bytes(rows.data(), rows.size());
-    const Status st = RetryRpc("net.grad_push", [&]() -> Status {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (abort_cur_) return Status::Internal("run aborted");
-      }
-      return transport_
-          ->Call(o, MsgType::kGradPush, w.buf(), AttemptDeadlineS())
-          .status();
-    });
-    HT_RETURN_IF_ERROR(st);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      push_hi_[o] = std::max(push_hi_[o], s);
-    }
-  }
-
-  // 2. Collect the expected inbound pushes for this step. A peer that had
-  //    already delivered step s to this rank's dead incarnation
-  //    (s <= push_floor_) will not resend — re-pull those from its outbound
-  //    log; the rest arrive live.
-  const std::vector<int>& senders = fetchers_[j];
-  std::map<int, std::string> inbound;
-  std::vector<int> live;
-  for (int w : senders) {
-    bool pull;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      pull = s <= push_floor_[w];
-    }
-    if (!pull) {
-      live.push_back(w);
-      continue;
-    }
-    WireWriter q;
-    q.U64(run);
-    q.U32(static_cast<uint32_t>(s));
-    q.U32(static_cast<uint32_t>(w));      // owner: whose outbound log
-    q.U32(static_cast<uint32_t>(rank_));  // asker: original destination
-    const std::string q_payload = q.Take();
-    std::string resp;
-    const Status st = RetryRpc("net.fetch_push", [&]() -> Status {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (abort_cur_) return Status::Internal("run aborted");
-      }
-      auto r = transport_->Call(w, MsgType::kFetchPush, q_payload,
-                                AttemptDeadlineS());
-      if (!r.ok()) return r.status();
-      resp = r.MoveValueUnsafe();
-      return Status::OK();
-    });
-    HT_RETURN_IF_ERROR(st);
-    inbound[w] = std::move(resp);
-  }
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    const std::vector<int>& lv = live;
-    HT_RETURN_IF_ERROR(WaitCond(
-        lk, cfg_.rpc_deadline_s,
-        [&] {
-          for (int w : lv) {
-            if (pushes_.count({s, w}) == 0) return false;
-          }
-          return true;
-        },
-        "gradient pushes for step " + std::to_string(s)));
-    for (int w : live) {
-      auto it = pushes_.find({s, w});
-      inbound[w] = std::move(it->second);
-      pushes_.erase(it);
-    }
-  }
-
-  // 3. Apply contributions in sender-rank order — the fixed accumulation
-  //    order is what makes the distributed epoch bit-deterministic.
-  for (int w = 0; w < W_; ++w) {
-    if (w == rank_) {
-      const int64_t b = fp.group_off[rank_];
-      const int64_t e = fp.group_off[rank_ + 1];
-      for (int64_t k = b; k < e; ++k) {
-        kernels::QuantizeAccumRows(kb_, cfg_.wire, d_src_.row(fp.group_pos[k]),
-                                   dim, tgrad_.row(fp.group_slot[k]));
-      }
-      continue;
-    }
-    auto it = inbound.find(w);
-    if (it == inbound.end()) continue;  // no group for us in batch j
-    const std::string& rows = it->second;
-    const FetchPlan& fpw = plan_.fetch[w][j];
-    const int64_t b = fpw.group_off[rank_];
-    const int64_t e = fpw.group_off[rank_ + 1];
-    if (rows.size() != static_cast<size_t>(e - b) * row_b) {
-      return Status::Internal("gradient push size mismatch from rank " +
-                              std::to_string(w));
-    }
-    for (int64_t k = b; k < e; ++k) {
-      const char* src = rows.data() + static_cast<size_t>(k - b) * row_b;
-      float* acc = tgrad_.row(fpw.group_slot[k]);
-      if (packed_) {
-        kernels::DecodeAccumRows(kb_, cfg_.wire,
-                                 reinterpret_cast<const uint16_t*>(src), dim,
-                                 acc);
-      } else {
-        const float* g = reinterpret_cast<const float*>(src);
-        for (int c = 0; c < dim; ++c) acc[c] += g[c];
-      }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    applied_step_ = s;
-  }
-  cv_.notify_all();
-
-  // 4. Flush completed slots into the host gradient buffer (one more wire
-  //    crossing under a packed precision, exactly like the executor's D2H).
-  const TransitionStep& ts = plan_.transition[rank_][j];
-  Tensor& hg = grad_[l];
-  for (size_t p = 0; p < ts.vertices.size(); ++p) {
-    if (!ts.flush[p]) continue;  // retained: keeps accumulating next batch
-    float* tg = tgrad_.row(ts.slots[p]);
-    float* dst = hg.row(ts.vertices[p]);
-    if (packed_) {
-      kernels::QuantizeAccumRows(kb_, cfg_.wire, tg, dim, dst);
-    } else {
-      for (int c = 0; c < dim; ++c) dst[c] += tg[c];
-    }
-    std::memset(tg, 0, static_cast<size_t>(dim) * sizeof(float));
-  }
-  return Status::OK();
-}
-
-Status RankState::ComputeLossAndSeed() {
-  const int C = dims_[L_];
-  grad_[L_].EnsureShapeZeroed(V_, C);
-  n_own_ = static_cast<int64_t>(own_train_.size());
-  if (n_own_ == 0 || global_train_ == 0) {
-    loss_sum_ = acc_sum_ = 0.0;
-    return Status::OK();
-  }
-  const LossResult lr =
-      SoftmaxCrossEntropy(h_[L_], ds_.labels, own_train_, &grad_[L_]);
-  // SoftmaxCrossEntropy divides by the local vertex count; rescale so every
-  // worker's rows carry the global 1/|train| factor of the serial engines.
-  const float scale = static_cast<float>(
-      static_cast<double>(n_own_) / static_cast<double>(global_train_));
-  for (const VertexId v : own_train_) {
-    float* g = grad_[L_].row(v);
-    for (int c = 0; c < C; ++c) g[c] *= scale;
-  }
-  loss_sum_ = lr.loss * static_cast<double>(n_own_);
-  acc_sum_ = lr.accuracy * static_cast<double>(n_own_);
-  return Status::OK();
+  Report(MsgType::kEvalDone, "net.eval_done", w.Take());
 }
 
 }  // namespace
@@ -1962,11 +1086,9 @@ Result<std::unique_ptr<ClusterCoordinator>> ClusterCoordinator::Start(
   }
   if (c.checkpoint_dir.empty()) c.checkpoint_dir = c.runtime_dir;
 
-  ModelConfig mc;
-  mc.kind = c.model_kind;
-  mc.dims = c.model_dims;
-  mc.seed = c.model_seed;
-  HT_ASSIGN_OR_RETURN(co->model_, GnnModel::Create(mc));
+  HT_ASSIGN_OR_RETURN(co->model_, GnnModel::Create(ModelConfig{
+                                      c.model_kind, c.model_dims,
+                                      c.model_seed}));
   co->adam_ = Adam(c.adam);
   for (Tensor* p : co->model_.AllParams()) co->adam_.Register(p);
 
@@ -2143,9 +1265,14 @@ Status ClusterCoordinator::SpawnWorker(int rank, bool first_spawn) {
   if (first_spawn && rank == cfg_.kill_on_recover_rank) {
     env.push_back(std::string(kEnvDistKillOnRecover) + "=1");
   }
+  // Each worker gets its share of the cores, capped by the coordinator's
+  // own OMP_NUM_THREADS when one is set.
   long ncpu = ::sysconf(_SC_NPROCESSORS_ONLN);
   if (ncpu < 1) ncpu = 1;
-  const long per = std::max(1L, ncpu / std::max(1, cfg_.num_workers));
+  long per = std::max(1L, ncpu / std::max(1, cfg_.num_workers));
+  if (const char* omp = std::getenv("OMP_NUM_THREADS")) {
+    if (std::atol(omp) >= 1) per = std::min(per, std::atol(omp));
+  }
   env.push_back("OMP_NUM_THREADS=" + std::to_string(per));
 
   std::vector<char*> envp;
@@ -2172,6 +1299,17 @@ Status ClusterCoordinator::SpawnWorker(int rank, bool first_spawn) {
     wp.addr.clear();
   }
   return Status::OK();
+}
+
+Result<std::string> ClusterCoordinator::Respawn(int rank) {
+  transport_->DropConnection(rank);
+  HT_RETURN_IF_ERROR(SpawnWorker(rank, /*first_spawn=*/false));
+  HT_RETURN_IF_ERROR(WaitForHello(rank, 120.0));
+  ++respawns_;
+  std::lock_guard<std::mutex> lk(run_->mu);
+  transport_->SetPeer(rank, workers_[rank].addr);
+  transport_->WatchPeer(rank);
+  return workers_[rank].addr;
 }
 
 Status ClusterCoordinator::WaitForHello(int rank, double deadline_s) {
@@ -2347,15 +1485,7 @@ Status ClusterCoordinator::ReattachOrRespawn(const JournalState& js) {
       w.U32(static_cast<uint32_t>(r));
       (void)JournalAppend(JournalRecordType::kMemberDead, w.Take());
       if (known && !ProbePidDead(old_pid)) KillPidAndWait(old_pid);
-      transport_->DropConnection(r);
-      HT_RETURN_IF_ERROR(SpawnWorker(r, /*first_spawn=*/false));
-      HT_RETURN_IF_ERROR(WaitForHello(r, 120.0));
-      {
-        std::lock_guard<std::mutex> lk(run_->mu);
-        transport_->SetPeer(r, workers_[r].addr);
-        transport_->WatchPeer(r);
-      }
-      ++respawns_;
+      HT_RETURN_IF_ERROR(Respawn(r).status());
       LogRecoveryEvent("coord_respawn", term_, r, 0.0,
                        "respawned during coordinator restart");
       std::lock_guard<std::mutex> lk(run_->mu);
@@ -2582,15 +1712,7 @@ Status ClusterCoordinator::EnsureWorkersAlive() {
       dead = workers_[r].dead;
     }
     if (!dead) continue;
-    transport_->DropConnection(r);
-    HT_RETURN_IF_ERROR(SpawnWorker(r, /*first_spawn=*/false));
-    HT_RETURN_IF_ERROR(WaitForHello(r, 120.0));
-    {
-      std::lock_guard<std::mutex> lk(run_->mu);
-      transport_->SetPeer(r, workers_[r].addr);
-      transport_->WatchPeer(r);
-    }
-    ++respawns_;
+    HT_RETURN_IF_ERROR(Respawn(r).status());
     HT_LOG(INFO) << "cluster coordinator: respawned worker r" << r
                  << " (respawn #" << respawns_ << ")";
   }
@@ -2654,6 +1776,38 @@ Status ClusterCoordinator::SendEpochTo(int rank, uint64_t run, int64_t epoch,
   if (!cr.ok()) {
     return Status::Unavailable("kEpoch to worker r" + std::to_string(rank) +
                                " failed: " + cr.status().ToString());
+  }
+  return Status::OK();
+}
+
+Status ClusterCoordinator::Terminate() {
+  HT_LOG(INFO) << "cluster coordinator: SIGTERM — draining and shutting down";
+  Shutdown();
+  return Status::Internal("coordinator terminated by SIGTERM");
+}
+
+void ClusterCoordinator::OpenRun(uint64_t run, bool eval) {
+  std::lock_guard<std::mutex> lk(run_->mu);
+  run_->run = run;
+  run_->eval = eval;
+  run_->epoch = epochs_completed_;
+  run_->done_count = 0;
+  run_->deaths.clear();
+  for (auto& d : run_->done) d = DoneReport{};
+}
+
+Status ClusterCoordinator::CheckReports(uint64_t run, const char* what) {
+  for (int r = 0; r < cfg_.num_workers; ++r) {
+    const DoneReport& d = run_->done[r];
+    if (!d.received) {
+      return Status::Internal("worker r" + std::to_string(r) +
+                              " never reported " + what + " (run " +
+                              std::to_string(run) + ")");
+    }
+    if (!d.ok) {
+      return Status::Unavailable("worker r" + std::to_string(r) +
+                                 " reported " + what + " failure: " + d.error);
+    }
   }
   return Status::OK();
 }
@@ -2747,17 +1901,7 @@ Status ClusterCoordinator::RecoverRespawn(uint64_t run, int64_t epoch,
   // extension — survivors' wait budgets must not expire during the seconds
   // the respawn takes. The real address follows after the hello.
   HT_RETURN_IF_ERROR(BroadcastPeerUpdate(run, rank, old_addr));
-  transport_->DropConnection(rank);
-  HT_RETURN_IF_ERROR(SpawnWorker(rank, /*first_spawn=*/false));
-  HT_RETURN_IF_ERROR(WaitForHello(rank, 120.0));
-  std::string new_addr;
-  {
-    std::lock_guard<std::mutex> lk(run_->mu);
-    new_addr = workers_[rank].addr;
-    transport_->SetPeer(rank, new_addr);
-    transport_->WatchPeer(rank);
-  }
-  ++respawns_;
+  HT_ASSIGN_OR_RETURN(const std::string new_addr, Respawn(rank));
   ++step_recoveries_;
   degrade_.Record(fault::DegradeEvent::kStepRecovery,
                   "respawned worker r" + std::to_string(rank) +
@@ -2872,12 +2016,7 @@ Result<ClusterEpochResult> ClusterCoordinator::RunEpoch() {
   const double rs0 = recovery_seconds_;
   Status last = Status::OK();
   for (int attempt = 0; attempt < cfg_.max_epoch_attempts; ++attempt) {
-    if (SigtermRequested()) {
-      HT_LOG(INFO) << "cluster coordinator: SIGTERM — draining and "
-                   << "shutting down";
-      Shutdown();
-      return Status::Internal("coordinator terminated by SIGTERM");
-    }
+    if (SigtermRequested()) return Terminate();
     // Adoption: the first epoch after a journal resume continues the
     // in-flight run under its ORIGINAL id — journaled reports are adopted
     // verbatim, live workers finish and deliver to this incarnation.
@@ -2885,15 +2024,7 @@ Result<ClusterEpochResult> ClusterCoordinator::RunEpoch() {
         attempt == 0 && resume_run_ != 0 && resume_epoch_ == epochs_completed_;
     if (!adopting) HT_RETURN_IF_ERROR(EnsureWorkersAlive());
     const uint64_t run = adopting ? resume_run_ : next_run_++;
-    {
-      std::lock_guard<std::mutex> lk(run_->mu);
-      run_->run = run;
-      run_->eval = false;
-      run_->epoch = epochs_completed_;
-      run_->done_count = 0;
-      run_->deaths.clear();
-      for (auto& d : run_->done) d = DoneReport{};
-    }
+    OpenRun(run, /*eval=*/false);
     Status st = Status::OK();
     if (adopting) {
       int prefilled = 0;
@@ -2971,12 +2102,7 @@ Result<ClusterEpochResult> ClusterCoordinator::RunEpoch() {
       std::string why;
       const RunWait rw = WaitRun(run, cfg_.epoch_deadline_s, &dead, &why);
       if (rw == RunWait::kAllDone) break;
-      if (rw == RunWait::kSigterm) {
-        HT_LOG(INFO) << "cluster coordinator: SIGTERM mid-run — draining "
-                     << "and shutting down";
-        Shutdown();
-        return Status::Internal("coordinator terminated by SIGTERM");
-      }
+      if (rw == RunWait::kSigterm) return Terminate();
       if (rw == RunWait::kTimeout) {
         st = Status::Unavailable("epoch watchdog expired (run " +
                                  std::to_string(run) +
@@ -3021,20 +2147,7 @@ Result<ClusterEpochResult> ClusterCoordinator::RunEpoch() {
     if (st.ok()) {
       std::lock_guard<std::mutex> lk(run_->mu);
       done = run_->done;
-      for (int r = 0; r < cfg_.num_workers; ++r) {
-        if (done[r].received && !done[r].ok) {
-          st = Status::Unavailable("worker r" + std::to_string(r) +
-                                   " reported epoch failure: " +
-                                   done[r].error);
-          break;
-        }
-        if (!done[r].received) {
-          st = Status::Internal("worker r" + std::to_string(r) +
-                                " never reported (run " +
-                                std::to_string(run) + ")");
-          break;
-        }
-      }
+      st = CheckReports(run, "epoch");
     }
     if (!st.ok()) {
       last = st;
@@ -3048,10 +2161,11 @@ Result<ClusterEpochResult> ClusterCoordinator::RunEpoch() {
       run_->run = 0;
     }
 
-    // Deterministic gradient reduction: sum worker contributions in rank
-    // order, then one Adam step on the authoritative replica.
+    // Deterministic gradient reduction: rank 0's gradients, plus ranks
+    // 1..W-1 in rank order — the float ops of HongTuEngine's device-order
+    // all-reduce (starting from zero would turn a -0.0 into +0.0) — then one
+    // Adam step on the authoritative replica.
     auto grads = model_.AllGrads();
-    model_.ZeroGrads();
     for (int r = 0; r < cfg_.num_workers; ++r) {
       if (done[r].grads.size() != grads.size()) {
         return Status::Internal("worker r" + std::to_string(r) +
@@ -3067,7 +2181,11 @@ Result<ClusterEpochResult> ClusterCoordinator::RunEpoch() {
                                   std::to_string(r));
         }
         float* dst = grads[gi]->data();
-        for (size_t i = 0; i < src.size(); ++i) dst[i] += src[i];
+        if (r == 0) {
+          std::memcpy(dst, src.data(), src.size() * sizeof(float));
+        } else {
+          for (size_t i = 0; i < src.size(); ++i) dst[i] += src[i];
+        }
       }
     }
     std::vector<const Tensor*> cgrads(grads.begin(), grads.end());
@@ -3085,15 +2203,9 @@ Result<ClusterEpochResult> ClusterCoordinator::RunEpoch() {
     JournalCompact();
 
     ClusterEpochResult res;
-    double n_total = 0;
-    for (const auto& d : done) n_total += static_cast<double>(d.n);
-    if (n_total > 0) {
-      for (const auto& d : done) {
-        res.loss += d.loss_sum;
-        res.train_accuracy += d.acc_sum;
-      }
-      res.loss /= n_total;
-      res.train_accuracy /= n_total;
+    for (const auto& d : done) {
+      res.loss += d.loss;
+      res.train_accuracy += d.accuracy;
     }
     res.wall_seconds = NowS() - t0;
     res.step_recoveries = step_recoveries_ - sr0;
@@ -3117,20 +2229,10 @@ Result<double> ClusterCoordinator::Evaluate(SplitRole role) {
   if (crashed_) return Status::Unavailable("coordinator crashed (drill)");
   Status last = Status::OK();
   for (int attempt = 0; attempt < cfg_.max_epoch_attempts; ++attempt) {
-    if (SigtermRequested()) {
-      Shutdown();
-      return Status::Internal("coordinator terminated by SIGTERM");
-    }
+    if (SigtermRequested()) return Terminate();
     HT_RETURN_IF_ERROR(EnsureWorkersAlive());
     const uint64_t run = next_run_++;
-    {
-      std::lock_guard<std::mutex> lk(run_->mu);
-      run_->run = run;
-      run_->eval = true;
-      run_->done_count = 0;
-      run_->deaths.clear();
-      for (auto& d : run_->done) d = DoneReport{};
-    }
+    OpenRun(run, /*eval=*/true);
     // Journaled for run-id monotonicity: a successor must never reuse an
     // id a worker has already seen, even one from an eval run.
     {
@@ -3151,8 +2253,7 @@ Result<double> ClusterCoordinator::Evaluate(SplitRole role) {
         st = Status::Unavailable("worker r" + std::to_string(dead) +
                                  " died mid-eval: " + why);
       } else if (rw == RunWait::kSigterm) {
-        Shutdown();
-        return Status::Internal("coordinator terminated by SIGTERM");
+        return Terminate();
       } else if (rw == RunWait::kTimeout) {
         st = Status::Unavailable("eval watchdog expired (run " +
                                  std::to_string(run) +
@@ -3162,19 +2263,8 @@ Result<double> ClusterCoordinator::Evaluate(SplitRole role) {
     uint64_t correct = 0, total = 0;
     if (st.ok()) {
       std::lock_guard<std::mutex> lk(run_->mu);
-      for (int r = 0; r < cfg_.num_workers; ++r) {
-        const DoneReport& d = run_->done[r];
-        if (!d.received) {
-          st = Status::Internal("worker r" + std::to_string(r) +
-                                " never reported eval (run " +
-                                std::to_string(run) + ")");
-          break;
-        }
-        if (!d.ok) {
-          st = Status::Unavailable("worker r" + std::to_string(r) +
-                                   " reported eval failure: " + d.error);
-          break;
-        }
+      st = CheckReports(run, "eval");
+      for (const DoneReport& d : run_->done) {
         correct += d.correct;
         total += d.total;
       }

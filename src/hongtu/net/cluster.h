@@ -16,14 +16,15 @@
 /// things that ever cross the wire are vertex-row payloads, gradients and
 /// model parameters:
 ///
-///   - Per epoch the coordinator broadcasts `kEpoch{run, weights}`;
-///     workers run the full forward+backward over their own partition's
-///     chunks, exchanging transition rows (`kFetchRows`) and gradient
-///     pushes (`kGradPush`) peer-to-peer exactly along the owner-grouped
-///     FetchPlan arrays the single-process executor uses, and reply
-///     `kEpochDone{loss, param grads}`. The coordinator reduces gradients
-///     in rank order (deterministic fp32 sum), applies Adam, and saves an
-///     HTCK checkpoint.
+///   - Each worker is a HongTuEngine hosting its own partition's device
+///     (HongTuEngine::CreateHosting) that moves rows through an RpcComm
+///     (net/rpc_comm.h). Per epoch the coordinator broadcasts
+///     `kEpoch{run, weights}`; workers run the engine's forward, loss and
+///     backward, exchanging transition rows (`kFetchRows`) and gradient
+///     pushes (`kGradPush`) along the owner-grouped FetchPlan arrays, and
+///     reply `kEpochDone{loss, param grads}`. The coordinator sums them in
+///     rank order starting from rank 0's — the engine's device-order
+///     all-reduce — applies Adam, and saves an HTCK checkpoint.
 ///   - Step synchronization is data-driven: when an owner publishes its
 ///     transition buffer for step s it immediately logs the serialized
 ///     fetch response for every expected fetcher of s, keyed by
@@ -64,10 +65,10 @@
 ///   2. **Survivor takeover** (`recover_mode = "adopt"`). Same replay
 ///      contract, but instead of respawning a process the coordinator
 ///      sends `kAdoptPartition` to a survivor, which instantiates a second
-///      rank state in-process (the dataset/partition/plan are shared; all
-///      peer requests carry an owner rank so one process can serve many
-///      ranks) and replays the dead partition on a separate thread. The
-///      dead rank gets a fresh process again at the next epoch.
+///      rank state in-process (with the dead rank's own engine; all peer
+///      requests carry an owner rank so one process can serve many ranks)
+///      and replays the dead partition on a separate thread. The dead rank
+///      gets a fresh process again at the next epoch.
 ///   3. **Epoch restart** (`recover_mode = "epoch"` — the PR 8 ladder, and
 ///      the fallback when a step recovery itself fails or
 ///      `max_step_recoveries` is exceeded): the epoch aborts (`kAbort`),
@@ -248,8 +249,10 @@ struct EpochDoneReport {
   bool received = false;
   bool ok = false;
   std::string error;
-  double loss_sum = 0.0, acc_sum = 0.0;
-  uint64_t n = 0;
+  /// This rank's shares of the epoch's mean loss and train accuracy (its
+  /// sums over the count of all train vertices), which add up to the means.
+  double loss = 0.0, accuracy = 0.0;
+  uint64_t n = 0;  ///< train vertices of this rank's partition
   uint64_t correct = 0, total = 0;
   fault::RecoveryCounters rec;
   std::vector<std::vector<float>> grads;
@@ -348,10 +351,18 @@ class ClusterCoordinator {
 
   Status SpawnWorker(int rank, bool first_spawn);
   Status WaitForHello(int rank, double deadline_s);
+  /// A fresh process for `rank`: spawn, hello, dial, watch; its address.
+  Result<std::string> Respawn(int rank);
   Status EnsureWorkersAlive();
   std::string BuildWeightsPayloadTail();
   Status BroadcastRun(bool eval, uint64_t run, int64_t epoch, SplitRole role);
   Status SendEpochTo(int rank, uint64_t run, int64_t epoch, bool recover);
+  /// Shuts down on SIGTERM; returns the error the interrupted call reports.
+  Status Terminate();
+  /// Makes `run` the active run (`eval` or training), with no reports yet.
+  void OpenRun(uint64_t run, bool eval);
+  /// Caller holds run_->mu. OK when every rank reported `run` done and OK.
+  Status CheckReports(uint64_t run, const char* what);
   /// Waits until all done / a death is pending / the deadline passes.
   RunWait WaitRun(uint64_t run, double deadline_s, int* dead_rank,
                   std::string* death_why);

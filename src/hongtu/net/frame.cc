@@ -167,15 +167,18 @@ Status ReadFull(int fd, void* buf, size_t n, double deadline_s) {
 }
 
 Status WriteFrame(int fd, const Frame& f, double deadline_s) {
-  std::string payload = f.payload;  // mutable copy for injected corruption
+  // The bytes sent: the caller's payload, or a flipped copy of it when an
+  // armed net.send corrupt fault fires (the only case that pays a copy).
+  const std::string* payload = &f.payload;
+  std::string corrupted;
   FrameHeader h;
   h.type = static_cast<uint16_t>(f.type);
   h.flags = f.flags;
   h.src_rank = static_cast<uint32_t>(f.src_rank);
   h.seq = f.seq;
   h.term = f.term;
-  h.payload_len = payload.size();
-  h.payload_crc = Crc32c(payload.data(), payload.size());
+  h.payload_len = f.payload.size();
+  h.payload_crc = Crc32c(f.payload.data(), f.payload.size());
 
   switch (fault::Check(fault::Site::kNetSend)) {
     case fault::Kind::kNone:
@@ -202,9 +205,11 @@ Status WriteFrame(int fd, const Frame& f, double deadline_s) {
       // integrity word must catch it (empty payloads corrupt the CRC word
       // itself via the header path — flip a header-adjacent payload is
       // impossible, so corrupt the CRC instead).
-      if (!payload.empty()) {
-        payload[payload.size() / 2] =
-            static_cast<char>(payload[payload.size() / 2] ^ 0x40);
+      if (!f.payload.empty()) {
+        corrupted = f.payload;
+        corrupted[corrupted.size() / 2] =
+            static_cast<char>(corrupted[corrupted.size() / 2] ^ 0x40);
+        payload = &corrupted;
       } else {
         h.payload_crc ^= 0xdeadbeefu;
       }
@@ -213,9 +218,9 @@ Status WriteFrame(int fd, const Frame& f, double deadline_s) {
 
   const std::string hdr = EncodeFrameHeader(h);
   HT_RETURN_IF_ERROR(WriteFull(fd, hdr.data(), hdr.size(), deadline_s));
-  if (!payload.empty()) {
+  if (!payload->empty()) {
     HT_RETURN_IF_ERROR(
-        WriteFull(fd, payload.data(), payload.size(), deadline_s));
+        WriteFull(fd, payload->data(), payload->size(), deadline_s));
   }
   return Status::OK();
 }

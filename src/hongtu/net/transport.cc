@@ -91,8 +91,8 @@ Status Transport::Listen(const std::string& addr) {
           return;
         }
         conns_.push_back(conn);
+        StartReader(conn);
       }
-      StartReader(conn);
     }
   });
   monitor_thread_ = std::thread([this] { MonitorLoop(); });
@@ -100,8 +100,19 @@ Status Transport::Listen(const std::string& addr) {
 }
 
 void Transport::SetPeer(int rank, const std::string& addr) {
-  std::lock_guard<std::mutex> lk(mu_);
-  peer_addrs_[rank] = addr;
+  std::shared_ptr<Conn> stale;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = peer_addrs_.find(rank);
+    auto conn = out_conns_.find(rank);
+    if (it != peer_addrs_.end() && it->second != addr &&
+        conn != out_conns_.end()) {
+      stale = conn->second;
+    }
+    peer_addrs_[rank] = addr;
+  }
+  // A connection to the replaced address must not carry later calls.
+  if (stale) RetireConn(stale, Status::Unavailable("peer address changed"));
 }
 
 bool Transport::HasPeer(int rank) const {
@@ -110,6 +121,7 @@ bool Transport::HasPeer(int rank) const {
 }
 
 void Transport::StartReader(const std::shared_ptr<Conn>& conn) {
+  // Caller holds mu_, under which the monitor reaps finished readers.
   conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
 }
 
@@ -156,11 +168,15 @@ std::shared_ptr<Transport::Conn> Transport::EnsureConn(int rank,
             return nullptr;
           }
           auto it = out_conns_.find(rank);
+          auto ait = peer_addrs_.find(rank);
           if (it != out_conns_.end() && !it->second->dead.load()) {
             raced = true;  // another caller dialed first; use theirs
+          } else if (ait == peer_addrs_.end() || ait->second != addr) {
+            raced = true;  // redirected (SetPeer) while dialing: redial
           } else {
             out_conns_[rank] = conn;
             conns_.push_back(conn);
+            StartReader(conn);
           }
         }
         if (raced) {
@@ -168,7 +184,6 @@ std::shared_ptr<Transport::Conn> Transport::EnsureConn(int rank,
           conn->fd = -1;
           continue;
         }
-        StartReader(conn);
         return conn;
       }
       ::close(conn->fd);
@@ -207,12 +222,14 @@ void Transport::RetireConn(const std::shared_ptr<Conn>& conn,
     for (auto& [seq, pc] : pending_) {
       if (pc->conn == conn.get() && !pc->done) to_fail.push_back(pc);
     }
+    // Notified under mu_: the caller destroys its PendingCall as soon as it
+    // sees `done` under mu_, so a notify after unlock could touch a dead cv.
     for (PendingCall* pc : to_fail) {
       pc->done = true;
       pc->st = Status::Unavailable("connection lost: " + why.message());
+      pc->cv.notify_all();
     }
   }
-  for (PendingCall* pc : to_fail) pc->cv.notify_all();
 }
 
 void Transport::ReaderLoop(std::shared_ptr<Conn> conn) {
@@ -225,17 +242,13 @@ void Transport::ReaderLoop(std::shared_ptr<Conn> conn) {
     if (st.IsDataLoss()) {
       // Intact header, corrupt payload: answer in-band and stay framed.
       if (f.is_response()) {
-        std::vector<PendingCall*> notify;
-        {
-          std::lock_guard<std::mutex> lk(mu_);
-          auto it = pending_.find(f.seq);
-          if (it != pending_.end() && !it->second->done) {
-            it->second->done = true;
-            it->second->st = st;
-            notify.push_back(it->second);
-          }
+        std::lock_guard<std::mutex> lk(mu_);  // see RetireConn
+        auto it = pending_.find(f.seq);
+        if (it != pending_.end() && !it->second->done) {
+          it->second->done = true;
+          it->second->st = st;
+          it->second->cv.notify_all();
         }
-        for (PendingCall* pc : notify) pc->cv.notify_all();
       } else {
         Frame err;
         err.type = MsgType::kError;
@@ -259,17 +272,13 @@ void Transport::ReaderLoop(std::shared_ptr<Conn> conn) {
     if (f.term != 0) conn->peer_term.store(f.term, std::memory_order_relaxed);
     if (f.type == MsgType::kIdent || f.type == MsgType::kHeartbeat) continue;
     if (f.is_response()) {
-      std::vector<PendingCall*> notify;
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        auto it = pending_.find(f.seq);
-        if (it != pending_.end() && !it->second->done) {
-          it->second->done = true;
-          it->second->resp = std::move(f);
-          notify.push_back(it->second);
-        }
+      std::lock_guard<std::mutex> lk(mu_);  // see RetireConn
+      auto it = pending_.find(f.seq);
+      if (it != pending_.end() && !it->second->done) {
+        it->second->done = true;
+        it->second->resp = std::move(f);
+        it->second->cv.notify_all();
       }
-      for (PendingCall* pc : notify) pc->cv.notify_all();
       continue;
     }
     if (!handler_) continue;
@@ -522,7 +531,6 @@ void Transport::Shutdown() {
     if (accept_thread_.joinable()) return;
   }
   std::vector<std::shared_ptr<Conn>> conns;
-  std::vector<PendingCall*> to_fail;
   {
     std::lock_guard<std::mutex> lk(mu_);
     conns = conns_;
@@ -530,11 +538,10 @@ void Transport::Shutdown() {
       if (!pc->done) {
         pc->done = true;
         pc->st = Status::Unavailable("transport shutdown");
-        to_fail.push_back(pc);
+        pc->cv.notify_all();  // under mu_: see RetireConn
       }
     }
   }
-  for (PendingCall* pc : to_fail) pc->cv.notify_all();
   stop_cv_.notify_all();
   for (auto& c : conns) {
     c->dead.store(true);

@@ -95,7 +95,8 @@ class Transport {
   void set_handler(Handler h) { handler_ = std::move(h); }
   void set_death_callback(DeathCallback cb) { on_death_ = std::move(cb); }
 
-  /// Registers/overwrites the dial address for `rank`.
+  /// Registers/overwrites the dial address for `rank`. A new address
+  /// retires the cached connection to the old one.
   void SetPeer(int rank, const std::string& addr);
   bool HasPeer(int rank) const;
 

@@ -400,6 +400,33 @@ TEST(Loss, UnlabeledRowsGetZeroGradient) {
   }
 }
 
+TEST(Loss, PartWithGlobalDenominatorMatchesWholeSetBitwise) {
+  // A cluster worker seeds the loss gradient of its own train vertices only,
+  // normalized by the global train count: its rows must be exactly the rows
+  // the whole-set call writes, and the parts' losses add up to the mean.
+  const int64_t n = 9, c = 5;
+  const Tensor logits = Tensor::Gaussian(n, c, 2.0f, 62);
+  const std::vector<int32_t> labels = {0, 4, 2, 3, 1, 2, 0, 3, 4};
+  const std::vector<VertexId> all = {0, 1, 3, 4, 6, 7, 8};
+  const std::vector<std::vector<VertexId>> parts = {{1, 4, 8}, {0, 3, 6, 7}};
+  Tensor whole(n, c);
+  const LossResult lw = SoftmaxCrossEntropy(logits, labels, all, &whole);
+  double loss = 0.0, acc = 0.0;
+  for (const std::vector<VertexId>& part : parts) {
+    Tensor d(n, c);
+    const LossResult lp = SoftmaxCrossEntropy(
+        logits, labels, part, &d, static_cast<int64_t>(all.size()));
+    loss += lp.loss;
+    acc += lp.accuracy;
+    for (VertexId v : part) {
+      EXPECT_EQ(0, std::memcmp(d.row(v), whole.row(v), c * sizeof(float)))
+          << "row " << v;
+    }
+  }
+  EXPECT_NEAR(lw.loss, loss, 1e-12);
+  EXPECT_NEAR(lw.accuracy, acc, 1e-12);
+}
+
 TEST(Loss, EmptyVertexSet) {
   Tensor logits(2, 2);
   std::vector<int32_t> labels = {0, 1};

@@ -33,6 +33,7 @@
 #include "hongtu/common/crc32c.h"
 #include "hongtu/common/fault.h"
 #include "hongtu/common/wire.h"
+#include "hongtu/engine/hongtu_engine.h"
 #include "hongtu/graph/datasets.h"
 #include "hongtu/net/cluster.h"
 #include "hongtu/net/frame.h"
@@ -533,8 +534,8 @@ std::string EpochDonePayload(uint64_t rows, uint64_t cols, size_t floats) {
   w.U32(2);    // rank
   w.U32(1);    // ok
   w.Str("");   // error
-  w.F64(1.5);  // loss_sum
-  w.F64(0.5);  // acc_sum
+  w.F64(1.5);  // loss share
+  w.F64(0.5);  // accuracy share
   w.U64(3);    // n
   w.U32(fault::kNumDegradeEvents);
   for (int e = 0; e < fault::kNumDegradeEvents; ++e) w.I64(e);
@@ -771,6 +772,88 @@ TEST_F(NetTest, ClusterKillDuringRecoveryDoubleFault) {
   EXPECT_GE(killed.step_recoveries, 2);
   EXPECT_EQ(clean.digest, killed.digest);
   EXPECT_EQ(clean.losses, killed.losses);
+}
+
+// The same training problem as a single-process engine that hosts all of
+// `cc`'s devices, with the engine's defaults for everything `cc` leaves out.
+uint32_t EngineDigest(const net::ClusterConfig& cc, int epochs) {
+  static const Dataset& ds =
+      *new Dataset(LoadDatasetScaled("reddit", 0.04).MoveValueUnsafe());
+  ModelConfig mc;
+  mc.kind = cc.model_kind;
+  mc.dims = cc.model_dims;
+  mc.seed = cc.model_seed;
+  EngineConfig ec;
+  ec.num_devices = cc.num_workers;
+  ec.chunks_per_partition = cc.chunks_per_partition;
+  ec.dedup = static_cast<DedupLevel>(cc.dedup_level);
+  ec.reorganize = cc.reorganize;
+  ec.partition_seed = cc.partition_seed;
+  ec.comm_precision = cc.wire;
+  ec.adam = cc.adam;
+  auto er = HongTuEngine::Create(&ds, mc, ec);
+  EXPECT_TRUE(er.ok()) << er.status().ToString();
+  if (!er.ok()) return 0;
+  HongTuEngine* engine = er.ValueOrDie().get();
+  for (int e = 0; e < epochs; ++e) {
+    const auto st = engine->TrainEpoch();
+    EXPECT_TRUE(st.ok()) << st.status().ToString();
+    if (!st.ok()) return 0;
+  }
+  return StateDigest(engine->model(), *engine->adam());
+}
+
+TEST_F(NetTest, ClusterMatchesSingleProcessEngine) {
+  // Cross-engine equivalence: a 2-worker cluster and a HongTuEngine hosting
+  // both devices run one Algorithm-1 step, so two epochs end on the same
+  // params, Adam moments and step count — for GCN at fp32 (the cached
+  // backward) and GAT at bf16 (the recompute backward, rows quantized on
+  // every wire crossing).
+  struct Case {
+    GnnKind kind;
+    kernels::CommPrecision wire;
+  };
+  for (const Case c : {Case{GnnKind::kGcn, kernels::CommPrecision::kFp32},
+                       Case{GnnKind::kGat, kernels::CommPrecision::kBf16}}) {
+    net::ClusterConfig used;
+    const ClusterOutcome cluster =
+        RunCluster("uds", 2, 2, [&](net::ClusterConfig* cc) {
+          cc->model_kind = c.kind;
+          cc->wire = c.wire;
+          used = *cc;
+        });
+    ASSERT_TRUE(cluster.ok) << cluster.error;
+    EXPECT_EQ(0, cluster.respawns);
+    EXPECT_EQ(cluster.digest, EngineDigest(used, 2))
+        << GnnKindName(c.kind) << " at " << kernels::CommPrecisionName(c.wire);
+  }
+}
+
+TEST_F(NetTest, ClusterPipelineDepthsAgree) {
+  // The workers inherit HONGTU_MAX_INFLIGHT, so this runs their layer loops
+  // strictly in order and then two batches deep, where the load lane's
+  // fetches and the store lane's pushes to the same peer are in flight at
+  // once. Both must finish (no lane waits on a reply queued behind another)
+  // and agree bitwise.
+  const char* prev = std::getenv("HONGTU_MAX_INFLIGHT");
+  const std::string saved = prev != nullptr ? prev : "";
+  ASSERT_EQ(0, setenv("HONGTU_MAX_INFLIGHT", "1", 1));
+  const ClusterOutcome d1 = RunCluster("uds", 2, 2);
+  ASSERT_EQ(0, setenv("HONGTU_MAX_INFLIGHT", "2", 1));
+  const ClusterOutcome d2 = RunCluster("uds", 2, 2);
+  if (prev != nullptr) {
+    setenv("HONGTU_MAX_INFLIGHT", saved.c_str(), 1);
+  } else {
+    unsetenv("HONGTU_MAX_INFLIGHT");
+  }
+  ASSERT_TRUE(d1.ok) << d1.error;
+  ASSERT_TRUE(d2.ok) << d2.error;
+  EXPECT_EQ(d1.digest, d2.digest);
+  EXPECT_EQ(d1.losses, d2.losses);
+  // Nothing died on the way (under a sanitizer, a worker that reports an
+  // error exits, and recovery would otherwise hide it).
+  EXPECT_EQ(0, d1.respawns + d2.respawns);
+  EXPECT_EQ(0, d1.step_recoveries + d2.step_recoveries);
 }
 
 TEST_F(NetTest, ClusterCkptFaultsPlusNetFaultsStillConverge) {
