@@ -260,8 +260,10 @@ Status GatLayer::ForwardStore(const LocalGraph& g, const Tensor& src_h,
         }
         acc.Store(po);
         float* ph = dst_h->row(d);
-        for (int64_t k = 0; k < out_dim_; ++k) {
-          ph[k] = relu_ ? (po[k] > 0 ? po[k] : 0.0f) : po[k];
+        if (relu_) {
+          kernels::ReluSelect(po, po, ph, out_dim_);
+        } else {
+          std::copy(po, po + out_dim_, ph);
         }
       }
     });
@@ -320,8 +322,8 @@ Status GatLayer::BackwardStored(const LocalGraph& g, const LayerCtx& ctx,
         float dt = 0.0f;
         for (int64_t e = e0; e < e1; ++e) {
           const float dpre = c.alpha.at(e, 0) * (dlin.at(e, 0) - sumterm);
-          const float mask = c.pre.at(e, 0) > 0 ? 1.0f : kLeakySlope;
-          dlin.at(e, 0) = dpre * mask;
+          dlin.at(e, 0) =
+              dpre * ops::LeakyReluGrad(c.pre.at(e, 0), kLeakySlope);
           dt += dlin.at(e, 0);
         }
         dt_dst.at(d, 0) = dt;

@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <cstring>
 
 namespace hongtu {
@@ -24,6 +25,19 @@ inline void LoadV(V16& v, const float* p) { std::memcpy(&v, p, sizeof(v)); }
 
 /// The 16 floats at p (unaligned) = v.
 inline void StoreV(float* p, const V16& v) { std::memcpy(p, &v, sizeof(v)); }
+
+/// y[i] = x[i] > 0 ? d[i] : 0 for i in [0, n): the ReLU mask as a lane
+/// select. Both operands are loaded unconditionally, so the loop has no
+/// per-element branch; NaN and ±0 in x select +0. y may alias x or d.
+inline void ReluSelect(const float* x, const float* d, float* y, int64_t n) {
+  int64_t i = 0;
+  for (V16 xv, dv; i + kV <= n; i += kV) {
+    LoadV(xv, x + i);
+    LoadV(dv, d + i);
+    StoreV(y + i, xv > 0.0f ? dv : V16{});
+  }
+  for (; i < n; ++i) y[i] = x[i] > 0.0f ? d[i] : 0.0f;
+}
 
 }  // namespace kernels
 }  // namespace hongtu

@@ -1,5 +1,6 @@
 #include "hongtu/net/transport.h"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -307,9 +308,20 @@ void Transport::ReaderLoop(std::shared_ptr<Conn> conn) {
     handler_(std::move(req));
   }
   RetireConn(conn, exit_st);
-  // Fast-path death: an identified connection from a watched peer hit EOF.
+  // Fast-path death: an identified connection from a watched peer hit EOF and
+  // no other one to or from that rank is open at the far end. A dead process
+  // has hung up all of its sockets, even those whose reader is in a handler.
   const int rank = conn->peer_rank.load();
-  if (!stop_.load(std::memory_order_relaxed) && rank >= 0) {
+  bool other_live = false;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (const auto& c : conns_) {
+      if (c == conn || c->dead.load() || c->peer_rank.load() != rank) continue;
+      pollfd p{c->fd, POLLRDHUP, 0};
+      other_live |= ::poll(&p, 1, 0) == 0;
+    }
+  }
+  if (!stop_.load(std::memory_order_relaxed) && rank >= 0 && !other_live) {
     ReportDeath(rank,
                 "connection closed (" +
                     (exit_st.ok() ? std::string("eof") : exit_st.message()) +

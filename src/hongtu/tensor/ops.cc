@@ -5,6 +5,7 @@
 #include "hongtu/common/parallel.h"
 #include "hongtu/kernels/backend.h"
 #include "hongtu/kernels/gemm.h"
+#include "hongtu/kernels/simd.h"
 
 namespace hongtu {
 namespace ops {
@@ -78,47 +79,25 @@ double Dot(const Tensor& a, const Tensor& b) {
   return kernels::Dot(kernels::ActiveBackend(), a.data(), b.data(), a.size());
 }
 
-void Relu(const Tensor& x, Tensor* y) {
-  assert(x.size() == y->size());
-  const float* px = x.data();
-  float* py = y->data();
-  ParallelForChunked(0, x.size(), [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) py[i] = px[i] > 0 ? px[i] : 0.0f;
-  });
-}
-
 void ReluBackward(const Tensor& x_pre, const Tensor& dy, Tensor* dx) {
   assert(x_pre.size() == dy.size() && dy.size() == dx->size());
-  const float* px = x_pre.data();
-  const float* pdy = dy.data();
-  float* pdx = dx->data();
-  ParallelForChunked(0, dy.size(), [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) pdx[i] = px[i] > 0 ? pdy[i] : 0.0f;
+  ParallelForChunked(0, dy.size(), [px = x_pre.data(), pdy = dy.data(),
+                                    pdx = dx->data()](int64_t lo, int64_t hi) {
+    kernels::ReluSelect(px + lo, pdy + lo, pdx + lo, hi - lo);
   });
 }
 
 void AddInPlace(const Tensor& x, Tensor* y) {
   assert(x.size() == y->size());
-  const float* px = x.data();
-  float* py = y->data();
-  ParallelForChunked(0, x.size(), [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) py[i] += px[i];
-  });
-}
-
-void Axpy(float alpha, const Tensor& x, Tensor* y) {
-  assert(x.size() == y->size());
-  const float* px = x.data();
-  float* py = y->data();
-  ParallelForChunked(0, x.size(), [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) py[i] += alpha * px[i];
-  });
-}
-
-void Scale(float alpha, Tensor* y) {
-  float* py = y->data();
-  ParallelForChunked(0, y->size(), [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) py[i] *= alpha;
+  ParallelForChunked(0, x.size(), [px = x.data(),
+                                   py = y->data()](int64_t lo, int64_t hi) {
+    int64_t i = lo;
+    for (kernels::V16 xv, yv; i + kernels::kV <= hi; i += kernels::kV) {
+      kernels::LoadV(xv, px + i);
+      kernels::LoadV(yv, py + i);
+      kernels::StoreV(py + i, yv + xv);
+    }
+    for (; i < hi; ++i) py[i] += px[i];
   });
 }
 

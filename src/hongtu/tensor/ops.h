@@ -48,20 +48,11 @@ void ColumnSumAccum(const Tensor& x, Tensor* bias_grad);
 /// sum_i a[i]*b[i] over flattened tensors, accumulated in double.
 double Dot(const Tensor& a, const Tensor& b);
 
-/// y = relu(x), elementwise; x and y may alias.
-void Relu(const Tensor& x, Tensor* y);
-
 /// dx = dy * 1[x_pre > 0]; `x_pre` is the pre-activation input.
 void ReluBackward(const Tensor& x_pre, const Tensor& dy, Tensor* dx);
 
 /// y += x (elementwise).
 void AddInPlace(const Tensor& x, Tensor* y);
-
-/// y = alpha * x + y.
-void Axpy(float alpha, const Tensor& x, Tensor* y);
-
-/// y *= alpha.
-void Scale(float alpha, Tensor* y);
 
 /// Leaky ReLU forward value for a scalar.
 inline float LeakyRelu(float x, float slope) { return x > 0 ? x : slope * x; }

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -742,13 +743,32 @@ TEST_F(NetTest, ClusterAdoptModeRecoversBitwiseIdentical) {
   // the adopted RankState, including self-dial to its own process).
   const ClusterOutcome clean = RunCluster("uds", 2, 2);
   ASSERT_TRUE(clean.ok) << clean.error;
+  // Capture the [RECOVERY] lines of every process: workers inherit fd 2.
+  std::fflush(stderr);
+  FILE* log = std::tmpfile();
+  ASSERT_NE(nullptr, log);
+  const int saved_stderr = ::dup(2);
+  ::dup2(::fileno(log), 2);
   const ClusterOutcome killed = RunCluster("uds", 2, 2, [](net::ClusterConfig* c) {
     c->kill_rank = 1;
     c->kill_epoch = 0;
     c->recover_mode = "adopt";
   });
+  std::fflush(stderr);
+  ::dup2(saved_stderr, 2);
+  ::close(saved_stderr);
+  std::string recovery_log;
+  std::rewind(log);
+  for (int ch; (ch = std::fgetc(log)) != EOF;) {
+    recovery_log += static_cast<char>(ch);
+  }
+  std::fclose(log);
+  std::fputs(recovery_log.c_str(), stderr);
   ASSERT_TRUE(killed.ok) << killed.error;
   EXPECT_GE(killed.adoptions, 1);
+  // The coordinator never died: re-addressing rank 1 to r0 and dropping
+  // that connection at the respawn must not read as its death.
+  EXPECT_EQ(std::string::npos, recovery_log.find("rung=coord_park"));
   // The adopted partition lives in r0's process for epoch 0; r1 gets a
   // fresh process again at the next epoch.
   EXPECT_GE(killed.respawns, 1);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "hongtu/tensor/adam.h"
 #include "hongtu/tensor/ops.h"
@@ -163,14 +166,10 @@ TEST(Ops, MatmulTransBMatchesExplicit) {
   }
 }
 
-TEST(Ops, ReluAndBackward) {
+TEST(Ops, ReluBackward) {
   Tensor x(1, 4);
   float xv[] = {-2, -0.5, 0.5, 2};
   std::copy(xv, xv + 4, x.data());
-  Tensor y(1, 4);
-  ops::Relu(x, &y);
-  EXPECT_FLOAT_EQ(y.at(0, 0), 0);
-  EXPECT_FLOAT_EQ(y.at(0, 2), 0.5);
   Tensor dy(1, 4);
   dy.Fill(1.0f);
   Tensor dx(1, 4);
@@ -181,16 +180,41 @@ TEST(Ops, ReluAndBackward) {
   EXPECT_FLOAT_EQ(dx.at(0, 3), 1);
 }
 
-TEST(Ops, AddAxpyScale) {
+TEST(Ops, AddInPlace) {
   Tensor x(1, 3), y(1, 3);
   x.Fill(2.0f);
   y.Fill(1.0f);
   ops::AddInPlace(x, &y);
   EXPECT_FLOAT_EQ(y.at(0, 0), 3.0f);
-  ops::Axpy(0.5f, x, &y);
-  EXPECT_FLOAT_EQ(y.at(0, 0), 4.0f);
-  ops::Scale(0.25f, &y);
-  EXPECT_FLOAT_EQ(y.at(0, 0), 1.0f);
+}
+
+// ReluBackward and AddInPlace equal their scalar definitions bit for bit:
+// at lengths covering a lone tail, a full vector and every tail remainder,
+// and with NaN, signed zeros, denormals and infinities in both operands.
+TEST(Ops, ElementwiseMatchScalarReferenceBitwise) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float den = std::numeric_limits<float>::denorm_min();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> xs = {nan, 0.0f, -0.0f, den, -den, inf, -inf,
+                                 1.5f, -2.5f};
+  const std::vector<float> dys = {nan, -0.0f, 0.75f, -3.0f, 0.0f};
+  for (int64_t n : {1, 15, 16, 17, 4099}) {
+    SCOPED_TRACE(n);
+    Tensor x(1, n), dy(1, n), dx(1, n), y(1, n);
+    std::vector<float> want_dx(n), want_y(n);
+    for (int64_t i = 0; i < n; ++i) {
+      // i % 9 and i / 9 pair every x value with every dy value by n = 45.
+      x.data()[i] = xs[i % xs.size()];
+      dy.data()[i] = dys[(i / xs.size()) % dys.size()];
+      y.data()[i] = dy.data()[i];
+      want_dx[i] = x.data()[i] > 0 ? dy.data()[i] : 0.0f;
+      want_y[i] = y.data()[i] + x.data()[i];
+    }
+    ops::ReluBackward(x, dy, &dx);
+    ops::AddInPlace(x, &y);
+    EXPECT_EQ(0, std::memcmp(dx.data(), want_dx.data(), n * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(y.data(), want_y.data(), n * sizeof(float)));
+  }
 }
 
 TEST(Ops, LeakyReluScalar) {
