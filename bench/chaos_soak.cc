@@ -40,6 +40,11 @@
 ///     one rank instead of all W, survivor state kept live) do not show up
 ///     in wall-clock at all.
 ///
+/// `--assert-recovery-ratio` turns these into gates, and adds one more:
+/// `kill_during_recovery` and `coordinator_plus_worker_double_kill` must
+/// each finish inside one `rpc_deadline_s`. A verified death fails the
+/// calls to the dead rank at once, so no recovery waits out an RPC deadline.
+///
 /// Results merge into BENCH_fault.json as a "chaos" section (or stand
 /// alone when the report file does not exist yet).
 ///
@@ -522,16 +527,18 @@ int main(int argc, char** argv) {
          if (o.reattaches < 1) return "survivors must re-attach";
          return "";
        },
-       [](const SoakConfig& s, const Dataset& d) {
-         // Worker 1 SIGKILLs itself mid-epoch; the coordinator crashes in
-         // its own death-recovery branch. The successor inherits BOTH
-         // failures: respawn + rejoin the dead rank, re-attach the rest.
+       [W](const SoakConfig& s, const Dataset& d) {
+         // Worker 1 SIGKILLs itself mid-epoch; the crash drill fires at its
+         // verified death, before all W reports could be journaled. The
+         // successor inherits BOTH failures: respawn + rejoin the dead
+         // rank, re-attach the rest.
          return RunCoordRestartScenario(
              s, d,
-             [](net::ClusterConfig* c) {
+             [W](net::ClusterConfig* c) {
                c->kill_rank = 1;
                c->kill_epoch = 0;
-               c->coord_crash_on_death = true;
+               c->coord_crash_epoch = 0;
+               c->coord_crash_done = W;
              },
              /*expect_crash=*/true, /*phase1_epochs=*/s.epochs,
              /*corrupt_journal=*/false);
@@ -546,8 +553,9 @@ int main(int argc, char** argv) {
          return "";
        },
        [](const SoakConfig& s, const Dataset& d) {
-         // Worker 1 dies mid-epoch AND the coordinator crashes once two
-         // survivor reports are journaled — before anyone recovered r1.
+         // Worker 1 dies mid-epoch AND the coordinator crashes at two
+         // journaled reports or r1's verified death, whichever comes first
+         // — before anyone recovered r1.
          return RunCoordRestartScenario(
              s, d,
              [](net::ClusterConfig* c) {
@@ -625,6 +633,29 @@ int main(int argc, char** argv) {
                 r.o.step_recoveries, r.o.adoptions, r.o.respawns,
                 r.pass ? "" : "  -- ", r.pass ? "" : r.why.c_str());
     rows.push_back(std::move(r));
+  }
+
+  // ---- Recovery never waits out an RPC deadline: a verified death fails
+  // every call to the dead rank at once, so neither double fault may last
+  // one rpc_deadline_s. The drop storms are not bounded here: a dropped
+  // frame is only noticed when its call's deadline expires.
+  if (soak.assert_ratio) {
+    const double rpc_deadline = BaseConfig(soak, ds).rpc_deadline_s;
+    for (const Row& r : rows) {
+      if (r.name != "kill_during_recovery" &&
+          r.name != "coordinator_plus_worker_double_kill") {
+        continue;
+      }
+      if (r.o.total_wall >= rpc_deadline) {
+        std::fprintf(stderr,
+                     "FAIL: %s took %.2fs, not under rpc_deadline_s %.1fs\n",
+                     r.name.c_str(), r.o.total_wall, rpc_deadline);
+        ++failures;
+      } else {
+        std::printf("   PASS  %s %.2fs < rpc_deadline_s %.1fs\n",
+                    r.name.c_str(), r.o.total_wall, rpc_deadline);
+      }
+    }
   }
 
   // ---- Recovery-latency comparison: what the death cost under step replay

@@ -12,8 +12,10 @@
 # rung) — must end bitwise-identical to the clean run.
 # The recovery-latency <50% assertion is also enabled: the coordinator's
 # death-to-resume stall must stay under half of what the epoch-restart
-# ladder pays to rerun the epoch, and the successor's adopted epoch must
-# finish below a full epoch-0 rerun.
+# ladder pays to rerun the epoch, the successor's adopted epoch must
+# finish below a full epoch-0 rerun, and the two double faults (a kill
+# during a recovery, a coordinator and a worker killed together) must each
+# finish inside one RPC deadline.
 #
 # Usage: ci/chaos_soak.sh <chaos_soak binary> [scale] [report.json]
 

@@ -91,6 +91,18 @@ bool ProbePidDead(pid_t pid) {
   return false;  // still running (our child), or transient waitpid error
 }
 
+/// ProbePidDead, allowing `pid` up to `seconds` to finish dying: a
+/// SIGKILLed process hangs up its sockets a moment before it can be reaped,
+/// so the EOF that reports its death can arrive first.
+bool PidDiesWithin(pid_t pid, double seconds) {
+  const double t_end = NowS() + seconds;
+  while (!ProbePidDead(pid)) {
+    if (NowS() >= t_end) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
 /// SIGKILL + wait until the process is gone, whether or not it is a child.
 void KillPidAndWait(pid_t pid) {
   ::kill(pid, SIGKILL);
@@ -1012,26 +1024,49 @@ void MaybeRunClusterWorker() {
 // Coordinator
 // ============================================================================
 
+namespace {
+/// How long a Pump sleeps before it looks again at what no event announces:
+/// SIGTERM, the deadline, and a child that exits before its hello.
+constexpr double kPumpTickSeconds = 0.1;
+/// How long a death report waits for the process to become reapable.
+constexpr double kExitGraceSeconds = 0.05;
+}  // namespace
+
 struct ClusterCoordinator::WorkerProc {
-  pid_t pid = -1;
+  /// The one field a transport thread reads (to verify a death). -1 once
+  /// the process is reaped, so no pid is reaped twice.
+  std::atomic<pid_t> pid{-1};
   std::string addr;
   bool hello = false;
   bool dead = false;
 };
 
 struct ClusterCoordinator::RunState {
-  std::mutex mu;
-  std::condition_variable cv;
   uint64_t run = 0;  ///< active run id (0 = idle)
   bool eval = false;
   int64_t epoch = 0;  ///< training epoch the active run belongs to
   std::vector<DoneReport> done;
   int done_count = 0;
-  /// Deaths observed during the active run, in detection order. A queue,
+  /// Deaths applied during the active run, in detection order. A queue,
   /// not a single slot: a second rank can die while the first is still
   /// being recovered (the double-fault drill), and each death gets its own
   /// recovery pass.
   std::deque<std::pair<int, std::string>> deaths;
+};
+
+/// What a transport thread hands the coordinator thread.
+struct ClusterCoordinator::Event {
+  enum class Kind { kHello, kEpochDone, kEvalDone, kDeath };
+  Kind kind = Kind::kHello;
+  int rank = -1;
+  uint64_t run = 0;
+  /// Hello: the worker's address. Epoch-done: the raw report, journaled
+  /// as received. Death: why.
+  std::string text;
+  DoneReport report;  ///< epoch-done and eval-done
+  /// Acks the request once the event is applied (hello, epoch-done,
+  /// eval-done); empty for a death.
+  Transport::ReplyFn reply;
 };
 
 Result<std::unique_ptr<ClusterCoordinator>> ClusterCoordinator::Start(
@@ -1149,7 +1184,7 @@ Result<std::unique_ptr<ClusterCoordinator>> ClusterCoordinator::Start(
   const int W = c.num_workers;
   co->run_.reset(new RunState());
   co->run_->done.resize(W);
-  co->workers_.resize(W);
+  std::vector<WorkerProc>(W).swap(co->workers_);
 
   Transport::Options topt;
   topt.rank = W;  // coordinator rank
@@ -1188,6 +1223,7 @@ Result<std::unique_ptr<ClusterCoordinator>> ClusterCoordinator::Start(
     (void)co->JournalAppend(JournalRecordType::kTerm, w.Take());
   }
 
+  InstallSigtermHandler();
   if (replayed && !js.members.empty()) {
     // Successor path: adopt journaled survivors, respawn the dead.
     HT_RETURN_IF_ERROR(co->ReattachOrRespawn(js));
@@ -1209,13 +1245,6 @@ Result<std::unique_ptr<ClusterCoordinator>> ClusterCoordinator::Start(
     for (int r = 0; r < W; ++r) {
       HT_RETURN_IF_ERROR(co->WaitForHello(r, 120.0));
     }
-    {
-      std::lock_guard<std::mutex> lk(co->run_->mu);
-      for (int r = 0; r < W; ++r) {
-        co->transport_->SetPeer(r, co->workers_[r].addr);
-        co->transport_->WatchPeer(r);
-      }
-    }
     if (c.resume) {
       LogRecoveryEvent("checkpoint_fallback", co->term_, -1, NowS() - t_start,
                        "epoch=" + std::to_string(co->epochs_completed_));
@@ -1224,7 +1253,6 @@ Result<std::unique_ptr<ClusterCoordinator>> ClusterCoordinator::Start(
   // Coordinator→worker heartbeats: workers watch these to detect a dead
   // coordinator and park instead of wedging (the PDEATHSIG replacement).
   for (int r = 0; r < W; ++r) co->transport_->StartHeartbeatTo(r);
-  InstallSigtermHandler();
   HT_LOG(INFO) << "cluster coordinator up: " << W << " workers over "
                << c.transport << ", runtime dir " << c.runtime_dir
                << ", recover_mode " << c.recover_mode << ", term "
@@ -1291,56 +1319,50 @@ Status ClusterCoordinator::SpawnWorker(int rank, bool first_spawn) {
     ::execve("/proc/self/exe", argv, envp.data());
     _exit(127);
   }
-  {
-    std::lock_guard<std::mutex> lk(run_->mu);
-    wp.pid = pid;
-    wp.dead = false;
-    wp.hello = false;
-    wp.addr.clear();
-  }
+  wp.pid.store(pid);
+  wp.dead = false;
+  wp.hello = false;
+  wp.addr.clear();
   return Status::OK();
 }
 
-Result<std::string> ClusterCoordinator::Respawn(int rank) {
+Status ClusterCoordinator::Respawn(int rank) {
   transport_->DropConnection(rank);
   HT_RETURN_IF_ERROR(SpawnWorker(rank, /*first_spawn=*/false));
   HT_RETURN_IF_ERROR(WaitForHello(rank, 120.0));
   ++respawns_;
-  std::lock_guard<std::mutex> lk(run_->mu);
-  transport_->SetPeer(rank, workers_[rank].addr);
-  transport_->WatchPeer(rank);
-  return workers_[rank].addr;
+  return Status::OK();
 }
 
 Status ClusterCoordinator::WaitForHello(int rank, double deadline_s) {
-  const double t_end = NowS() + deadline_s;
-  std::unique_lock<std::mutex> lk(run_->mu);
-  while (!workers_[rank].hello) {
-    if (NowS() >= t_end) {
-      return Status::Internal("worker r" + std::to_string(rank) +
-                              " sent no hello within " +
-                              std::to_string(deadline_s) + "s");
-    }
-    // Catch a worker that died during startup early (bad exec, Init error).
-    if (workers_[rank].pid > 0) {
-      int wstatus = 0;
-      if (::waitpid(workers_[rank].pid, &wstatus, WNOHANG) ==
-          workers_[rank].pid) {
-        workers_[rank].pid = -1;
-        workers_[rank].dead = true;
-        return Status::Internal("worker r" + std::to_string(rank) +
-                                " exited during startup (status " +
-                                std::to_string(wstatus) + ")");
-      }
-    }
-    run_->cv.wait_for(lk, std::chrono::milliseconds(100));
+  WorkerProc& wp = workers_[rank];
+  bool exited = false;
+  const Wake w = Pump(NowS() + deadline_s, [&] {
+    // A worker that dies during startup (bad exec, Init error) never
+    // connects: catch it by its exit.
+    const pid_t p = wp.pid.load();
+    exited = !wp.hello && p > 0 && ProbePidDead(p);
+    return wp.hello || exited;
+  });
+  if (w == Wake::kTimeout) {
+    return Status::Internal("worker r" + std::to_string(rank) +
+                            " sent no hello within " +
+                            std::to_string(deadline_s) + "s");
   }
+  if (w != Wake::kReady) return Stop(w);
+  if (exited) {
+    wp.pid.store(-1);
+    wp.dead = true;
+    return Status::Internal("worker r" + std::to_string(rank) +
+                            " exited during startup");
+  }
+  transport_->SetPeer(rank, wp.addr);
+  transport_->WatchPeer(rank);
   return Status::OK();
 }
 
 Status ClusterCoordinator::JournalAppend(JournalRecordType type,
                                          std::string payload) {
-  std::lock_guard<std::mutex> lk(journal_mu_);
   if (journal_ == nullptr || !journal_ok_) {
     return Status::OK();  // degraded: checkpoint rung still covers recovery
   }
@@ -1357,19 +1379,12 @@ Status ClusterCoordinator::JournalAppend(JournalRecordType type,
   return st;
 }
 
-void ClusterCoordinator::JournalMember(int rank) {
-  std::string addr;
-  uint64_t pid = 0;
-  {
-    std::lock_guard<std::mutex> lk(run_->mu);
-    addr = workers_[rank].addr;
-    pid = static_cast<uint64_t>(workers_[rank].pid);
-  }
+std::string ClusterCoordinator::MemberRecord(int rank) const {
   WireWriter w;
   w.U32(static_cast<uint32_t>(rank));
-  w.Str(addr);
-  w.U64(pid);
-  (void)JournalAppend(JournalRecordType::kMember, w.Take());
+  w.Str(workers_[rank].addr);
+  w.U64(static_cast<uint64_t>(workers_[rank].pid.load()));
+  return w.Take();
 }
 
 void ClusterCoordinator::JournalCompact() {
@@ -1382,16 +1397,10 @@ void ClusterCoordinator::JournalCompact() {
     w.U64(term_);
     live.push_back(JournalRecord{JournalRecordType::kTerm, w.Take()});
   }
-  {
-    std::lock_guard<std::mutex> lk(run_->mu);
-    for (size_t r = 0; r < workers_.size(); ++r) {
-      if (workers_[r].dead || workers_[r].addr.empty()) continue;
-      WireWriter w;
-      w.U32(static_cast<uint32_t>(r));
-      w.Str(workers_[r].addr);
-      w.U64(static_cast<uint64_t>(workers_[r].pid));
-      live.push_back(JournalRecord{JournalRecordType::kMember, w.Take()});
-    }
+  for (size_t r = 0; r < workers_.size(); ++r) {
+    if (workers_[r].dead || workers_[r].addr.empty()) continue;
+    live.push_back(JournalRecord{JournalRecordType::kMember,
+                                 MemberRecord(static_cast<int>(r))});
   }
   {
     // The run-id high-water mark, as the start of the last issued run; the
@@ -1411,7 +1420,6 @@ void ClusterCoordinator::JournalCompact() {
     w.Str(ckpt_->PrimaryPath());
     live.push_back(JournalRecord{JournalRecordType::kApplied, w.Take()});
   }
-  std::lock_guard<std::mutex> lk(journal_mu_);
   if (journal_ == nullptr || !journal_ok_) return;
   const Status st = journal_->Compact(live);
   if (!st.ok()) {
@@ -1430,14 +1438,11 @@ Status ClusterCoordinator::ReattachOrRespawn(const JournalState& js) {
     if (known && !ProbePidDead(old_pid)) {
       // Survivor of the previous incarnation: advertise the new term and
       // endpoint; the reply tells us which run (if any) it is inside.
-      {
-        std::lock_guard<std::mutex> lk(run_->mu);
-        workers_[r].pid = old_pid;
-        workers_[r].addr = it->second.addr;
-        workers_[r].dead = false;
-        workers_[r].hello = false;
-        transport_->SetPeer(r, it->second.addr);
-      }
+      workers_[r].pid.store(old_pid);
+      workers_[r].addr = it->second.addr;
+      workers_[r].dead = false;
+      workers_[r].hello = false;
+      transport_->SetPeer(r, it->second.addr);
       WireWriter w;
       w.U64(term_);
       w.Str(transport_->bound_addr());
@@ -1451,24 +1456,17 @@ Status ClusterCoordinator::ReattachOrRespawn(const JournalState& js) {
         if (rank_r.ok() && run_r.ok() &&
             static_cast<int>(rank_r.ValueOrDie()) == r) {
           const uint64_t cur_run = run_r.ValueOrDie();
-          {
-            std::lock_guard<std::mutex> lk(run_->mu);
-            workers_[r].hello = true;
-            transport_->WatchPeer(r);
-          }
+          workers_[r].hello = true;
+          transport_->WatchPeer(r);
           attached = true;
           ++reattaches_;
-          JournalMember(r);
+          (void)JournalAppend(JournalRecordType::kMember, MemberRecord(r));
           degrade_.Record(fault::DegradeEvent::kWorkerReattach,
                           "worker r" + std::to_string(r) +
                               " re-attached to coordinator term " +
                               std::to_string(term_));
           LogRecoveryEvent("coord_reattach", term_, r, NowS() - t0,
                            "cur_run=" + std::to_string(cur_run));
-          // Lock: a survivor can resend its pending report the instant the
-          // kCoordUpdate ack lands, and the kEpochDone handler stashes it
-          // into resume_reports_ under run_->mu.
-          std::lock_guard<std::mutex> lk(run_->mu);
           if (resume_run_ != 0 && cur_run != resume_run_ &&
               resume_reports_.count(r) == 0) {
             // Alive but never saw (or already dropped) the resumed run's
@@ -1485,10 +1483,9 @@ Status ClusterCoordinator::ReattachOrRespawn(const JournalState& js) {
       w.U32(static_cast<uint32_t>(r));
       (void)JournalAppend(JournalRecordType::kMemberDead, w.Take());
       if (known && !ProbePidDead(old_pid)) KillPidAndWait(old_pid);
-      HT_RETURN_IF_ERROR(Respawn(r).status());
+      HT_RETURN_IF_ERROR(Respawn(r));
       LogRecoveryEvent("coord_respawn", term_, r, 0.0,
                        "respawned during coordinator restart");
-      std::lock_guard<std::mutex> lk(run_->mu);
       if (resume_run_ != 0 && resume_reports_.count(r) == 0) {
         rejoin_ranks_.insert(r);
       }
@@ -1497,27 +1494,9 @@ Status ClusterCoordinator::ReattachOrRespawn(const JournalState& js) {
   return Status::OK();
 }
 
-Status ClusterCoordinator::CrashDrillWait(uint64_t run) {
-  {
-    std::unique_lock<std::mutex> lk(run_->mu);
-    const double t_end = NowS() + cfg_.epoch_deadline_s;
-    const int want = std::min(cfg_.coord_crash_done, cfg_.num_workers);
-    while (run_->run == run && run_->done_count < want && NowS() < t_end) {
-      run_->cv.wait_for(lk, std::chrono::milliseconds(50));
-    }
-  }
-  HT_LOG(WARNING) << "coordinator crash drill: simulating crash in run "
-                  << run << " (epoch " << epochs_completed_ << ")";
-  Crash();
-  return Status::Unavailable("coordinator crash drill");
-}
-
 void ClusterCoordinator::Crash() {
-  {
-    std::lock_guard<std::mutex> lk(run_->mu);
-    if (crashed_ || shut_down_) return;
-    crashed_ = true;
-  }
+  if (crashed_ || shut_down_) return;
+  crashed_ = true;
   // Tear down exactly what SIGKILL would take: sockets and the journal fd.
   // Workers and on-disk state stay intact for a successor Start(resume).
   for (size_t r = 0; r < workers_.size(); ++r) {
@@ -1527,192 +1506,233 @@ void ClusterCoordinator::Crash() {
   // Drop the transport now: a second Shutdown from the destructor would
   // re-run the uds teardown and unlink the successor's live coord.sock.
   transport_.reset();
-  {
-    std::lock_guard<std::mutex> lk(journal_mu_);
-    journal_.reset();
-  }
+  journal_.reset();
   HT_LOG(WARNING) << "cluster coordinator: simulated crash (term " << term_
                   << ") — workers left running";
 }
 
+// ---- Transport threads: decode, validate, enqueue ---------------------------
+
 void ClusterCoordinator::OnRequest(Transport::Request&& req) {
-  switch (req.frame.type) {
-    case MsgType::kHello: {
-      WireReader r(req.frame.payload);
-      auto rank_r = r.U32();
-      auto addr_r = r.Str();
-      auto pid_r = r.U64();
-      if (!rank_r.ok() || !addr_r.ok() || !pid_r.ok()) {
-        req.reply_error(Status::DataLoss("malformed kHello"));
-        return;
+  Event ev;
+  const MsgType type = req.frame.type;
+  const Status st = [&]() -> Status {
+    WireReader r(req.frame.payload);
+    switch (type) {
+      case MsgType::kHello: {
+        ev.kind = Event::Kind::kHello;
+        HT_ASSIGN_OR_RETURN(const uint32_t rank, r.U32());
+        ev.rank = static_cast<int>(rank);
+        HT_ASSIGN_OR_RETURN(ev.text, r.Str());
+        return r.U64().status();  // the worker's pid
       }
-      const int rank = static_cast<int>(rank_r.ValueOrDie());
-      if (rank < 0 || rank >= static_cast<int>(workers_.size())) {
-        req.reply_error(Status::Invalid("hello from unknown rank"));
-        return;
+      case MsgType::kEpochDone:
+        ev.kind = Event::Kind::kEpochDone;
+        HT_RETURN_IF_ERROR(
+            DecodeEpochDone(req.frame.payload, &ev.run, &ev.rank, &ev.report));
+        ev.text = std::move(req.frame.payload);
+        return Status::OK();
+      case MsgType::kEvalDone: {
+        ev.kind = Event::Kind::kEvalDone;
+        DoneReport& d = ev.report;
+        HT_ASSIGN_OR_RETURN(ev.run, r.U64());
+        HT_ASSIGN_OR_RETURN(const uint32_t rank, r.U32());
+        ev.rank = static_cast<int>(rank);
+        HT_ASSIGN_OR_RETURN(const uint32_t ok, r.U32());
+        d.received = true;
+        d.ok = ok != 0;
+        HT_ASSIGN_OR_RETURN(d.error, r.Str());
+        HT_ASSIGN_OR_RETURN(d.correct, r.U64());
+        HT_ASSIGN_OR_RETURN(d.total, r.U64());
+        return Status::OK();
       }
-      {
-        std::lock_guard<std::mutex> lk(run_->mu);
-        workers_[rank].addr = addr_r.ValueOrDie();
-        workers_[rank].hello = true;
-      }
-      // Membership is a cluster decision: journal it so a successor can
-      // find (or verify dead) this worker. Duplicate re-registrations are
-      // idempotent — the journal replay keeps the last record per rank.
-      JournalMember(rank);
-      run_->cv.notify_all();
-      // The ack advertises this coordinator's fencing term.
-      WireWriter w;
-      w.U64(term_);
-      req.reply(MsgType::kAck, w.Take());
-      return;
+      default:
+        return Status::Invalid(std::string("coordinator: unexpected ") +
+                               MsgTypeName(type));
     }
-    case MsgType::kEpochDone: {
-      uint64_t run = 0;
-      int rank = -1;
-      DoneReport d;
-      const Status ps = DecodeEpochDone(req.frame.payload, &run, &rank, &d);
-      if (!ps.ok()) {
-        req.reply_error(ps);
-        return;
-      }
-      bool accept = false;
-      bool stash = false;
-      int64_t run_epoch = 0;
-      {
-        std::lock_guard<std::mutex> lk(run_->mu);
-        accept = run == run_->run && !run_->eval && rank >= 0 &&
-                 rank < static_cast<int>(run_->done.size()) &&
-                 !run_->done[rank].received;
-        // A survivor's resent report can reach a successor BEFORE the
-        // adopting RunEpoch opens the resumed run; dropping it here would
-        // lose the contribution forever (the ack stops the resend loop).
-        stash = !accept && resume_run_ != 0 && run == resume_run_ &&
-                rank >= 0 && rank < static_cast<int>(run_->done.size()) &&
-                resume_reports_.count(rank) == 0;
-        run_epoch = run_->epoch;
-      }
-      bool all_done = false;
-      if (accept || stash) {
-        // WAL ordering: the raw report must be durable BEFORE the ack — an
-        // acknowledged contribution has to survive a coordinator crash, or
-        // the worker would consider it delivered and never resend.
-        WireWriter jw;
-        jw.U64(run);
-        jw.U32(static_cast<uint32_t>(rank));
-        jw.Str(req.frame.payload);
-        (void)JournalAppend(JournalRecordType::kDoneReport, jw.Take());
-        std::lock_guard<std::mutex> lk(run_->mu);
-        // Re-check under the lock; the !received guard also dedups: after
-        // an adoption both the adopter's thread and a late original could
-        // report the same rank — first result wins.
-        if (run == run_->run && !run_->eval && !run_->done[rank].received) {
-          run_->done[rank] = std::move(d);
-          ++run_->done_count;
-          all_done = run_->done_count == cfg_.num_workers;
-        } else if (resume_run_ != 0 && run == resume_run_) {
-          resume_reports_.emplace(rank, req.frame.payload);
-        }
-      }
-      if (all_done && cfg_.coord_kill_epoch >= 0 &&
-          run_epoch == cfg_.coord_kill_epoch) {
-        // Process-level drill: die with the whole epoch journaled but NOT
-        // acked, applied, or checkpointed — the worst spot for a successor.
-        HT_LOG(WARNING) << "coordinator kill drill: last kEpochDone of epoch "
-                        << run_epoch << " journaled — raising SIGKILL";
-        ::raise(SIGKILL);
-      }
-      run_->cv.notify_all();
-      req.reply(MsgType::kAck, "");
-      return;
-    }
-    case MsgType::kEvalDone: {
-      WireReader r(req.frame.payload);
-      auto run_r = r.U64();
-      auto rank_r = r.U32();
-      auto ok_r = r.U32();
-      auto err_r = r.Str();
-      auto correct_r = r.U64();
-      auto total_r = r.U64();
-      if (!run_r.ok() || !rank_r.ok() || !ok_r.ok() || !err_r.ok() ||
-          !correct_r.ok() || !total_r.ok()) {
-        req.reply_error(Status::DataLoss("malformed kEvalDone"));
-        return;
-      }
-      const int rank = static_cast<int>(rank_r.ValueOrDie());
-      {
-        std::lock_guard<std::mutex> lk(run_->mu);
-        if (run_r.ValueOrDie() == run_->run && run_->eval && rank >= 0 &&
-            rank < static_cast<int>(run_->done.size()) &&
-            !run_->done[rank].received) {
-          DoneReport& d = run_->done[rank];
-          d.received = true;
-          d.ok = ok_r.ValueOrDie() != 0;
-          d.error = err_r.ValueOrDie();
-          d.correct = correct_r.ValueOrDie();
-          d.total = total_r.ValueOrDie();
-          ++run_->done_count;
-        }
-      }
-      run_->cv.notify_all();
-      req.reply(MsgType::kAck, "");
-      return;
-    }
-    default:
-      req.reply_error(Status::Invalid(std::string("coordinator: unexpected ") +
-                                      MsgTypeName(req.frame.type)));
-      return;
+  }();
+  if (!st.ok()) {
+    req.reply_error(st);
+  } else if (ev.rank < 0 || ev.rank >= cfg_.num_workers) {
+    req.reply_error(Status::Invalid(std::string(MsgTypeName(type)) +
+                                    " from unknown rank"));
+  } else {
+    ev.reply = std::move(req.reply);
+    Enqueue(std::move(ev));
   }
 }
 
 void ClusterCoordinator::OnPeerDeath(int rank, const std::string& why) {
-  if (rank < 0 || rank >= static_cast<int>(workers_.size())) return;
-  {
-    std::lock_guard<std::mutex> lk(run_->mu);
-    WorkerProc& wp = workers_[rank];
-    if (wp.dead || shut_down_ || crashed_) return;
-    // The transport reports EOF/heartbeat silence; verify against the OS
-    // before declaring death — an injected disconnect severs a connection
-    // while the process is perfectly alive. ProbePidDead handles both our
-    // children and re-attached workers inherited from a predecessor.
-    if (wp.pid > 0) {
-      if (ProbePidDead(wp.pid)) {
-        wp.pid = -1;
-      } else {
-        const double age = transport_->SecondsSinceContact(rank);
-        if (age < cfg_.peer_timeout_s) {
-          // Alive and recently heard from: spurious report (severed conn).
-          transport_->WatchPeer(rank);  // re-arm
-          return;
-        }
-        // Alive but silent past the timeout: treat as hung, make it true.
-        KillPidAndWait(wp.pid);
-        wp.pid = -1;
-      }
+  if (rank < 0 || rank >= cfg_.num_workers) return;
+  // The transport reports EOF or heartbeat silence; verify against the OS
+  // before declaring death — an injected disconnect severs a connection
+  // while the process is perfectly alive. ProbePidDead handles both our
+  // children and re-attached workers inherited from a predecessor.
+  std::atomic<pid_t>& pid = workers_[rank].pid;
+  pid_t p = pid.load();
+  if (p > 0 && !PidDiesWithin(p, kExitGraceSeconds)) {
+    if (transport_->SecondsSinceContact(rank) < cfg_.peer_timeout_s) {
+      // Alive and recently heard from: spurious report (severed conn).
+      transport_->WatchPeer(rank);  // re-arm
+      return;
     }
-    wp.dead = true;
-    wp.hello = false;
-    degrade_.Record(fault::DegradeEvent::kPeerDeath,
-                    "worker r" + std::to_string(rank) + ": " + why);
-    if (run_->run != 0) run_->deaths.emplace_back(rank, why);
+    // Alive but silent past the timeout: treat as hung, make it true.
+    KillPidAndWait(p);
   }
-  LogRecoveryEvent("peer_death", term_, rank, 0.0, why);
-  // Journal outside run_->mu (journal_mu_ is never nested inside it).
-  WireWriter w;
-  w.U32(static_cast<uint32_t>(rank));
-  (void)JournalAppend(JournalRecordType::kMemberDead, w.Take());
-  run_->cv.notify_all();
+  if (p > 0) pid.compare_exchange_strong(p, -1);  // reaped: never probe again
+  // The coordinator may be blocked in a Call to the dead rank right now;
+  // fail it at once so the next pump acts on the death.
+  transport_->FailPeer(rank);
+  Event ev;
+  ev.kind = Event::Kind::kDeath;
+  ev.rank = rank;
+  ev.text = why;
+  Enqueue(std::move(ev));
+}
+
+std::vector<ClusterCoordinator::Event> ClusterCoordinator::TakeEvents() {
+  std::vector<Event> batch;
+  std::lock_guard<std::mutex> lk(events_mu_);
+  batch.swap(events_);
+  return batch;
+}
+
+void ClusterCoordinator::Enqueue(Event ev) {
+  {
+    std::lock_guard<std::mutex> lk(events_mu_);
+    events_.push_back(std::move(ev));
+  }
+  events_cv_.notify_one();
+}
+
+// ---- The coordinator thread: the pump and its events ------------------------
+
+ClusterCoordinator::Wake ClusterCoordinator::Pump(
+    double deadline, const std::function<bool()>& ready) {
+  // The crash drill (ClusterConfig::coord_crash_epoch).
+  const auto drill = [this] {
+    const bool due =
+        !crashed_ && run_->run != 0 && !run_->eval &&
+        run_->epoch == cfg_.coord_crash_epoch &&
+        (run_->done_count >=
+             std::min(cfg_.coord_crash_done, cfg_.num_workers) ||
+         !run_->deaths.empty());
+    if (!due) return false;
+    HT_LOG(WARNING) << "coordinator crash drill: simulating crash in run "
+                    << run_->run << " (epoch " << run_->epoch << ", "
+                    << run_->done_count << " reports, " << run_->deaths.size()
+                    << " deaths)";
+    Crash();
+    return true;
+  };
+  for (;;) {
+    if (drill()) return Wake::kCrashed;
+    for (Event& ev : TakeEvents()) {
+      Apply(ev);
+      if (drill()) return Wake::kCrashed;
+    }
+    if (SigtermRequested()) return Wake::kSigterm;
+    if (ready()) return Wake::kReady;
+    const double left = deadline - NowS();
+    if (left <= 0.0) return Wake::kTimeout;
+    std::unique_lock<std::mutex> lk(events_mu_);
+    events_cv_.wait_for(
+        lk, std::chrono::duration<double>(std::min(left, kPumpTickSeconds)),
+        [this] { return !events_.empty(); });
+  }
+}
+
+void ClusterCoordinator::Apply(Event& ev) {
+  WorkerProc& wp = workers_[ev.rank];
+  std::string ack;
+  switch (ev.kind) {
+    case Event::Kind::kHello: {
+      wp.addr = std::move(ev.text);
+      wp.hello = true;
+      // Membership is a cluster decision: journal it so a successor can
+      // find (or verify dead) this worker. Duplicate re-registrations are
+      // idempotent — the journal replay keeps the last record per rank.
+      (void)JournalAppend(JournalRecordType::kMember, MemberRecord(ev.rank));
+      // The ack advertises this coordinator's fencing term.
+      WireWriter w;
+      w.U64(term_);
+      ack = w.Take();
+      break;
+    }
+    case Event::Kind::kEpochDone: {
+      // The !received guard dedups: after an adoption both the adopter and
+      // a late original can report the same rank — first result wins.
+      const bool accept = ev.run == run_->run && !run_->eval &&
+                          !run_->done[ev.rank].received;
+      // A survivor's resent report can reach a successor BEFORE the
+      // adopting RunEpoch opens the resumed run; dropping it here would
+      // lose the contribution forever (the ack stops the resend loop).
+      const bool stash = !accept && resume_run_ != 0 &&
+                         ev.run == resume_run_ &&
+                         resume_reports_.count(ev.rank) == 0;
+      if (!accept && !stash) break;
+      // WAL ordering: the raw report must be durable BEFORE the ack — an
+      // acknowledged contribution has to survive a coordinator crash, or
+      // the worker would consider it delivered and never resend.
+      WireWriter jw;
+      jw.U64(ev.run);
+      jw.U32(static_cast<uint32_t>(ev.rank));
+      jw.Str(ev.text);
+      (void)JournalAppend(JournalRecordType::kDoneReport, jw.Take());
+      if (stash) {
+        resume_reports_.emplace(ev.rank, std::move(ev.text));
+        break;
+      }
+      run_->done[ev.rank] = std::move(ev.report);
+      if (++run_->done_count == cfg_.num_workers &&
+          run_->epoch == cfg_.coord_kill_epoch) {
+        // Process-level drill: die with the whole epoch journaled but NOT
+        // acked, applied, or checkpointed — the worst spot for a successor.
+        HT_LOG(WARNING) << "coordinator kill drill: last kEpochDone of epoch "
+                        << run_->epoch << " journaled — raising SIGKILL";
+        ::raise(SIGKILL);
+      }
+      break;
+    }
+    case Event::Kind::kEvalDone:
+      if (ev.run == run_->run && run_->eval &&
+          !run_->done[ev.rank].received) {
+        run_->done[ev.rank] = std::move(ev.report);
+        ++run_->done_count;
+      }
+      break;
+    case Event::Kind::kDeath: {
+      // A rank without a hello is being (re)started, or was already made
+      // dead by the watchdog: the report belongs to a retired process.
+      if (wp.dead || !wp.hello) break;
+      wp.dead = true;
+      wp.hello = false;
+      degrade_.Record(fault::DegradeEvent::kPeerDeath,
+                      "worker r" + std::to_string(ev.rank) + ": " + ev.text);
+      LogRecoveryEvent("peer_death", term_, ev.rank, 0.0, ev.text);
+      WireWriter w;
+      w.U32(static_cast<uint32_t>(ev.rank));
+      (void)JournalAppend(JournalRecordType::kMemberDead, w.Take());
+      if (run_->run != 0) run_->deaths.emplace_back(ev.rank, ev.text);
+      break;
+    }
+  }
+  if (ev.reply) ev.reply(MsgType::kAck, std::move(ack));
+}
+
+Status ClusterCoordinator::Stop(Wake w) {
+  if (w == Wake::kCrashed) {
+    return Status::Unavailable("coordinator crash drill");
+  }
+  HT_LOG(INFO) << "cluster coordinator: SIGTERM — draining and shutting down";
+  Shutdown();
+  return Status::Internal("coordinator terminated by SIGTERM");
 }
 
 Status ClusterCoordinator::EnsureWorkersAlive() {
   for (int r = 0; r < cfg_.num_workers; ++r) {
-    bool dead;
-    {
-      std::lock_guard<std::mutex> lk(run_->mu);
-      dead = workers_[r].dead;
-    }
-    if (!dead) continue;
-    HT_RETURN_IF_ERROR(Respawn(r).status());
+    if (!workers_[r].dead) continue;
+    HT_RETURN_IF_ERROR(Respawn(r));
     HT_LOG(INFO) << "cluster coordinator: respawned worker r" << r
                  << " (respawn #" << respawns_ << ")";
   }
@@ -1722,10 +1742,7 @@ Status ClusterCoordinator::EnsureWorkersAlive() {
 std::string ClusterCoordinator::BuildWeightsPayloadTail() {
   WireWriter w;
   w.U32(static_cast<uint32_t>(cfg_.num_workers));
-  {
-    std::lock_guard<std::mutex> lk(run_->mu);
-    for (int r = 0; r < cfg_.num_workers; ++r) w.Str(workers_[r].addr);
-  }
+  for (int r = 0; r < cfg_.num_workers; ++r) w.Str(workers_[r].addr);
   auto params = model_.AllParams();
   w.U32(static_cast<uint32_t>(params.size()));
   for (Tensor* p : params) {
@@ -1736,64 +1753,59 @@ std::string ClusterCoordinator::BuildWeightsPayloadTail() {
   return w.Take();
 }
 
-Status ClusterCoordinator::BroadcastRun(bool eval, uint64_t run, int64_t epoch,
-                                        SplitRole role) {
+Status ClusterCoordinator::BroadcastRun(uint32_t arg) {
+  // WAL: the run start (id + epoch) goes down before any worker can observe
+  // the run, so a successor knows which run may be in flight. Eval runs are
+  // journaled too: a successor must never reuse a run id a worker has seen.
+  WireWriter jw;
+  jw.U64(run_->run);
+  jw.U64(static_cast<uint64_t>(run_->eval ? 0 : run_->epoch));
+  jw.U32(run_->eval ? 1 : 0);
+  (void)JournalAppend(JournalRecordType::kRunStart, jw.Take());
   const std::string tail = BuildWeightsPayloadTail();
   for (int r = 0; r < cfg_.num_workers; ++r) {
-    WireWriter w;
-    w.U64(run);
-    if (eval) {
-      w.U32(static_cast<uint32_t>(role));
-    } else {
-      w.U64(static_cast<uint64_t>(epoch));
-      w.U32(0);  // recover flag: fresh run
-    }
-    w.Bytes(tail.data(), tail.size());
-    auto cr = transport_->Call(r, eval ? MsgType::kEval : MsgType::kEpoch,
-                               w.Take(), cfg_.rpc_deadline_s);
-    if (!cr.ok()) {
-      return Status::Unavailable("broadcast to worker r" + std::to_string(r) +
-                                 " failed: " + cr.status().ToString());
-    }
+    HT_RETURN_IF_ERROR(SendRun(r, arg, tail));
   }
   return Status::OK();
 }
 
-Status ClusterCoordinator::SendEpochTo(int rank, uint64_t run, int64_t epoch,
-                                       bool recover) {
-  // Fresh tail: addresses may have changed since the broadcast (this is the
-  // recovery path), and the weights are still the epoch head — Adam only
-  // steps after the epoch completes, so the coordinator's replica IS the
-  // state every worker started this run from.
-  const std::string tail = BuildWeightsPayloadTail();
+Status ClusterCoordinator::SendRun(int rank, uint32_t arg,
+                                   const std::string& tail) {
+  // kEpoch{run, epoch, recover} or kEval{run, split}, then the run tail.
+  const MsgType type = run_->eval ? MsgType::kEval : MsgType::kEpoch;
   WireWriter w;
-  w.U64(run);
-  w.U64(static_cast<uint64_t>(epoch));
-  w.U32(recover ? 1 : 0);
+  w.U64(run_->run);
+  if (!run_->eval) w.U64(static_cast<uint64_t>(run_->epoch));
+  w.U32(arg);
   w.Bytes(tail.data(), tail.size());
-  auto cr = transport_->Call(rank, MsgType::kEpoch, w.Take(),
-                             cfg_.rpc_deadline_s);
+  auto cr = transport_->Call(rank, type, w.Take(), cfg_.rpc_deadline_s);
   if (!cr.ok()) {
-    return Status::Unavailable("kEpoch to worker r" + std::to_string(rank) +
+    return Status::Unavailable(std::string(MsgTypeName(type)) +
+                               " to worker r" + std::to_string(rank) +
                                " failed: " + cr.status().ToString());
   }
   return Status::OK();
 }
 
-Status ClusterCoordinator::Terminate() {
-  HT_LOG(INFO) << "cluster coordinator: SIGTERM — draining and shutting down";
-  Shutdown();
-  return Status::Internal("coordinator terminated by SIGTERM");
-}
-
 void ClusterCoordinator::OpenRun(uint64_t run, bool eval) {
-  std::lock_guard<std::mutex> lk(run_->mu);
   run_->run = run;
   run_->eval = eval;
   run_->epoch = epochs_completed_;
   run_->done_count = 0;
   run_->deaths.clear();
   for (auto& d : run_->done) d = DoneReport{};
+}
+
+bool ClusterCoordinator::RunDecided() const {
+  if (!run_->deaths.empty() || run_->done_count == cfg_.num_workers) {
+    return true;
+  }
+  // A worker reporting failure decides the attempt early — its peers may
+  // be blocked on it and would only fall to the watchdog.
+  for (const auto& d : run_->done) {
+    if (d.received && !d.ok) return true;
+  }
+  return false;
 }
 
 Status ClusterCoordinator::CheckReports(uint64_t run, const char* what) {
@@ -1812,50 +1824,16 @@ Status ClusterCoordinator::CheckReports(uint64_t run, const char* what) {
   return Status::OK();
 }
 
-ClusterCoordinator::RunWait ClusterCoordinator::WaitRun(
-    uint64_t run, double deadline_s, int* dead_rank, std::string* death_why) {
-  (void)run;
-  std::unique_lock<std::mutex> lk(run_->mu);
-  const double t_end = NowS() + deadline_s;
-  const auto decided = [&]() -> int {
-    if (!run_->deaths.empty()) return 2;
-    if (run_->done_count == cfg_.num_workers) return 1;
-    // A worker reporting failure decides the attempt early — its peers may
-    // be blocked on it and would only fall to the watchdog.
-    for (const auto& d : run_->done) {
-      if (d.received && !d.ok) return 1;
-    }
-    return 0;
-  };
-  for (;;) {
-    const int dec = decided();
-    if (dec == 2) {
-      *dead_rank = run_->deaths.front().first;
-      *death_why = run_->deaths.front().second;
-      run_->deaths.pop_front();
-      return RunWait::kDeath;
-    }
-    if (dec == 1) return RunWait::kAllDone;
-    if (SigtermRequested()) return RunWait::kSigterm;
-    if (NowS() >= t_end) return RunWait::kTimeout;
-    // Tick (rather than sleep to the deadline) so SIGTERM drains promptly.
-    run_->cv.wait_for(lk, std::chrono::milliseconds(250));
-  }
-}
-
 std::string ClusterCoordinator::KillWedged() {
-  std::lock_guard<std::mutex> lk(run_->mu);
   std::string wedged;
   for (int r = 0; r < cfg_.num_workers; ++r) {
     if (run_->done[r].received || workers_[r].dead) continue;
     wedged += " r" + std::to_string(r);
-    if (workers_[r].pid > 0) {
-      KillPidAndWait(workers_[r].pid);
-      workers_[r].pid = -1;
-    }
+    transport_->UnwatchPeer(r);
+    const pid_t p = workers_[r].pid.exchange(-1);
+    if (p > 0) KillPidAndWait(p);
     workers_[r].dead = true;
     workers_[r].hello = false;
-    transport_->UnwatchPeer(r);
     degrade_.Record(fault::DegradeEvent::kPeerDeath,
                     "epoch watchdog killed wedged worker r" +
                         std::to_string(r));
@@ -1863,89 +1841,68 @@ std::string ClusterCoordinator::KillWedged() {
   return wedged;
 }
 
-Status ClusterCoordinator::BroadcastPeerUpdate(uint64_t run, int rank,
-                                               const std::string& addr) {
+void ClusterCoordinator::BroadcastPeerUpdate(int rank,
+                                             const std::string& addr) {
   for (int r = 0; r < cfg_.num_workers; ++r) {
-    if (r == rank) continue;
-    bool alive;
-    {
-      std::lock_guard<std::mutex> lk(run_->mu);
-      alive = !workers_[r].dead && workers_[r].hello;
-    }
-    if (!alive) continue;
+    if (r == rank || workers_[r].dead || !workers_[r].hello) continue;
     WireWriter w;
-    w.U64(run);
+    w.U64(run_->run);
     w.U32(static_cast<uint32_t>(rank));
     w.Str(addr);
     auto cr = transport_->Call(r, MsgType::kPeerUpdate, w.Take(),
                                cfg_.rpc_deadline_s);
     if (!cr.ok()) {
       // Tolerated: the target may itself be dying (the kill-during-recovery
-      // drill dies exactly here); its death surfaces via OnPeerDeath.
+      // drill dies exactly here). Its verified death fails this call at
+      // once and reaches the run at the next pump.
       HT_LOG(WARNING) << "cluster coordinator: kPeerUpdate(r" << rank
                       << ") to r" << r << " failed: "
                       << cr.status().ToString();
     }
   }
-  return Status::OK();
 }
 
-Status ClusterCoordinator::RecoverRespawn(uint64_t run, int64_t epoch,
-                                          int rank) {
-  std::string old_addr;
-  {
-    std::lock_guard<std::mutex> lk(run_->mu);
-    old_addr = workers_[rank].addr;
-  }
+Status ClusterCoordinator::RecoverRespawn(int rank) {
   // First broadcast carries the OLD address: its purpose is the grace
   // extension — survivors' wait budgets must not expire during the seconds
   // the respawn takes. The real address follows after the hello.
-  HT_RETURN_IF_ERROR(BroadcastPeerUpdate(run, rank, old_addr));
-  HT_ASSIGN_OR_RETURN(const std::string new_addr, Respawn(rank));
+  BroadcastPeerUpdate(rank, workers_[rank].addr);
+  HT_RETURN_IF_ERROR(Respawn(rank));
   ++step_recoveries_;
+  const std::string run = std::to_string(run_->run);
   degrade_.Record(fault::DegradeEvent::kStepRecovery,
                   "respawned worker r" + std::to_string(rank) +
-                      " for in-epoch replay (run " + std::to_string(run) +
-                      ")");
-  HT_RETURN_IF_ERROR(BroadcastPeerUpdate(run, rank, new_addr));
+                      " for in-epoch replay (run " + run + ")");
+  BroadcastPeerUpdate(rank, workers_[rank].addr);
   HT_LOG(INFO) << "cluster coordinator: step recovery — replaying r" << rank
                << " in run " << run;
-  return SendEpochTo(rank, run, epoch, /*recover=*/true);
+  // A fresh tail: the addresses changed since the broadcast. The weights
+  // are still the epoch head (Adam steps only after the epoch completes),
+  // the state every worker started this run from.
+  return SendRun(rank, /*recover=*/1, BuildWeightsPayloadTail());
 }
 
-Status ClusterCoordinator::RecoverAdopt(uint64_t run, int64_t epoch,
-                                        int rank) {
-  std::string old_addr;
+Status ClusterCoordinator::RecoverAdopt(int rank) {
   int host = -1;
-  {
-    std::lock_guard<std::mutex> lk(run_->mu);
-    old_addr = workers_[rank].addr;
-    for (int r = 0; r < cfg_.num_workers; ++r) {
-      if (r == rank || workers_[r].dead || !workers_[r].hello) continue;
-      host = r;
-      break;
-    }
+  for (int r = 0; r < cfg_.num_workers && host < 0; ++r) {
+    if (r != rank && !workers_[r].dead && workers_[r].hello) host = r;
   }
   if (host < 0) {
     return Status::Unavailable("no survivor available to adopt partition r" +
                                std::to_string(rank));
   }
   // Grace extension first, same as the respawn path.
-  HT_RETURN_IF_ERROR(BroadcastPeerUpdate(run, rank, old_addr));
+  BroadcastPeerUpdate(rank, workers_[rank].addr);
   transport_->DropConnection(rank);
-  std::string host_addr;
-  {
-    std::lock_guard<std::mutex> lk(run_->mu);
-    host_addr = workers_[host].addr;
-    // The dead rank's traffic now routes to the host process. The slot
-    // stays marked dead so EnsureWorkersAlive gives it a fresh process at
-    // the next epoch.
-    workers_[rank].addr = host_addr;
-  }
+  // The dead rank's traffic now routes to the host process. The slot stays
+  // marked dead so EnsureWorkersAlive gives it a fresh process at the next
+  // epoch.
+  const std::string host_addr = workers_[host].addr;
+  workers_[rank].addr = host_addr;
   const std::string tail = BuildWeightsPayloadTail();
   WireWriter w;
-  w.U64(run);
-  w.U64(static_cast<uint64_t>(epoch));
+  w.U64(run_->run);
+  w.U64(static_cast<uint64_t>(run_->epoch));
   w.U32(static_cast<uint32_t>(rank));
   w.Bytes(tail.data(), tail.size());
   auto cr = transport_->Call(host, MsgType::kAdoptPartition, w.Take(),
@@ -1958,30 +1915,30 @@ Status ClusterCoordinator::RecoverAdopt(uint64_t run, int64_t epoch,
   transport_->SetPeer(rank, host_addr);  // no WatchPeer: it's host's process
   ++adoptions_;
   ++step_recoveries_;
+  const std::string run = std::to_string(run_->run);
   degrade_.Record(fault::DegradeEvent::kPartitionAdopted,
                   "partition r" + std::to_string(rank) + " adopted by r" +
-                      std::to_string(host) + " (run " + std::to_string(run) +
-                      ")");
+                      std::to_string(host) + " (run " + run + ")");
   HT_LOG(INFO) << "cluster coordinator: partition r" << rank
                << " adopted by survivor r" << host << " in run " << run;
-  return BroadcastPeerUpdate(run, rank, host_addr);
+  BroadcastPeerUpdate(rank, host_addr);
+  return Status::OK();
+}
+
+void ClusterCoordinator::NotifyAbort(uint64_t run) {
+  WireWriter w;
+  w.U64(run);
+  for (int r = 0; r < cfg_.num_workers; ++r) {
+    if (workers_[r].dead) continue;
+    (void)transport_->Notify(r, MsgType::kAbort, w.buf());
+  }
 }
 
 Status ClusterCoordinator::AbortAndRestore(uint64_t run,
                                            const std::string& why) {
   degrade_.Record(fault::DegradeEvent::kEpochRestart, why);
   LogRecoveryEvent("epoch_restart", term_, -1, 0.0, why);
-  WireWriter w;
-  w.U64(run);
-  for (int r = 0; r < cfg_.num_workers; ++r) {
-    bool dead;
-    {
-      std::lock_guard<std::mutex> lk(run_->mu);
-      dead = workers_[r].dead;
-    }
-    if (dead) continue;
-    (void)transport_->Notify(r, MsgType::kAbort, w.buf());
-  }
+  NotifyAbort(run);
   HT_ASSIGN_OR_RETURN(const int64_t ck_epoch, ckpt_->Restore(&model_, &adam_));
   HT_LOG(INFO) << "cluster coordinator: restored checkpoint (epoch "
                << ck_epoch << ") after: " << why;
@@ -2016,7 +1973,10 @@ Result<ClusterEpochResult> ClusterCoordinator::RunEpoch() {
   const double rs0 = recovery_seconds_;
   Status last = Status::OK();
   for (int attempt = 0; attempt < cfg_.max_epoch_attempts; ++attempt) {
-    if (SigtermRequested()) return Terminate();
+    // Apply what is queued first: a death verified since the last pump
+    // must mark its rank dead before EnsureWorkersAlive looks.
+    const Wake w0 = Pump(0.0, [] { return true; });
+    if (w0 != Wake::kReady) return Stop(w0);
     // Adoption: the first epoch after a journal resume continues the
     // in-flight run under its ORIGINAL id — journaled reports are adopted
     // verbatim, live workers finish and deliver to this incarnation.
@@ -2028,22 +1988,18 @@ Result<ClusterEpochResult> ClusterCoordinator::RunEpoch() {
     Status st = Status::OK();
     if (adopting) {
       int prefilled = 0;
-      {
-        std::lock_guard<std::mutex> lk(run_->mu);
-        for (const auto& kv : resume_reports_) {
-          uint64_t prun = 0;
-          int prank = -1;
-          DoneReport d;
-          if (!DecodeEpochDone(kv.second, &prun, &prank, &d).ok()) continue;
-          if (prun != run || prank != kv.first || prank < 0 ||
-              prank >= static_cast<int>(run_->done.size()) ||
-              run_->done[prank].received) {
-            continue;
-          }
-          run_->done[prank] = std::move(d);
-          ++run_->done_count;
-          ++prefilled;
+      for (const auto& kv : resume_reports_) {
+        uint64_t prun = 0;
+        int prank = -1;
+        DoneReport d;
+        if (!DecodeEpochDone(kv.second, &prun, &prank, &d).ok()) continue;
+        if (prun != run || prank != kv.first || prank < 0 ||
+            prank >= cfg_.num_workers || run_->done[prank].received) {
+          continue;
         }
+        run_->done[prank] = std::move(d);
+        ++run_->done_count;
+        ++prefilled;
       }
       HT_LOG(INFO) << "cluster coordinator: adopted run " << run << " (epoch "
                    << epochs_completed_ << ") from journal — " << prefilled
@@ -2052,19 +2008,12 @@ Result<ClusterEpochResult> ClusterCoordinator::RunEpoch() {
       // Ranks that never entered (or already left) the adopted run replay
       // into it exactly like a step recovery; survivors' logs serve them.
       for (const int r : rejoin_ranks_) {
-        std::string addr;
-        {
-          std::lock_guard<std::mutex> lk(run_->mu);
-          // The rank's report may have raced in between re-attach and now
-          // (its run id matched all along) — nothing to replay then.
-          if (run_->done[r].received) continue;
-          addr = workers_[r].addr;
-        }
+        // The rank's report may have raced in between re-attach and now
+        // (its run id matched all along) — nothing to replay then.
+        if (run_->done[r].received) continue;
         const double r0 = NowS();
-        st = BroadcastPeerUpdate(run, r, addr);
-        if (st.ok()) {
-          st = SendEpochTo(r, run, epochs_completed_, /*recover=*/true);
-        }
+        BroadcastPeerUpdate(r, workers_[r].addr);
+        st = SendRun(r, /*recover=*/1, BuildWeightsPayloadTail());
         if (!st.ok()) break;
         recovery_seconds_ += NowS() - r0;
         ++step_recoveries_;
@@ -2074,50 +2023,27 @@ Result<ClusterEpochResult> ClusterCoordinator::RunEpoch() {
         LogRecoveryEvent("coord_rejoin", term_, r, NowS() - r0,
                          "replaying into resumed run " + std::to_string(run));
       }
-      {
-        std::lock_guard<std::mutex> lk(run_->mu);
-        resume_run_ = 0;
-        resume_epoch_ = -1;
-        resume_reports_.clear();
-        rejoin_ranks_.clear();
-      }
+      resume_run_ = 0;
+      resume_epoch_ = -1;
+      resume_reports_.clear();
+      rejoin_ranks_.clear();
     } else {
-      // WAL: the run start (id + epoch) goes down before any worker can
-      // observe the run, so a successor knows which run may be in flight.
-      WireWriter jw;
-      jw.U64(run);
-      jw.U64(static_cast<uint64_t>(epochs_completed_));
-      jw.U32(0);
-      (void)JournalAppend(JournalRecordType::kRunStart, jw.Take());
-      st = BroadcastRun(/*eval=*/false, run, epochs_completed_,
-                        SplitRole::kTrain);
-    }
-    if (st.ok() && !crashed_ && cfg_.coord_crash_epoch == epochs_completed_) {
-      // Always returns non-OK: the coordinator is gone after the drill.
-      return CrashDrillWait(run);
+      st = BroadcastRun(/*recover=*/0);
     }
     int recoveries = 0;
     while (st.ok()) {
-      int dead = -1;
-      std::string why;
-      const RunWait rw = WaitRun(run, cfg_.epoch_deadline_s, &dead, &why);
-      if (rw == RunWait::kAllDone) break;
-      if (rw == RunWait::kSigterm) return Terminate();
-      if (rw == RunWait::kTimeout) {
+      const Wake w = Pump(NowS() + cfg_.epoch_deadline_s,
+                          [this] { return RunDecided(); });
+      if (w == Wake::kTimeout) {
         st = Status::Unavailable("epoch watchdog expired (run " +
                                  std::to_string(run) +
                                  "), killed:" + KillWedged());
         break;
       }
-      if (cfg_.coord_crash_on_death && !crashed_) {
-        // Drill: the coordinator dies the instant it learns of the worker
-        // death — composing coordinator restart with worker recovery.
-        HT_LOG(WARNING) << "coordinator crash-on-death drill: r" << dead
-                        << " died (" << why << ") — simulating crash";
-        Crash();
-        return Status::Unavailable("coordinator crash drill on death of r" +
-                                   std::to_string(dead));
-      }
+      if (w != Wake::kReady) return Stop(w);
+      if (run_->deaths.empty()) break;  // every report is in
+      const auto [dead, why] = run_->deaths.front();
+      run_->deaths.pop_front();
       // A death. Try to recover in-epoch; fall back to the epoch ladder
       // when the mode forbids it, the per-epoch budget is spent, or the
       // recovery itself fails.
@@ -2129,9 +2055,12 @@ Result<ClusterEpochResult> ClusterCoordinator::RunEpoch() {
       }
       const double r0 = NowS();
       const Status rst = cfg_.recover_mode == "adopt"
-                             ? RecoverAdopt(run, epochs_completed_, dead)
-                             : RecoverRespawn(run, epochs_completed_, dead);
+                             ? RecoverAdopt(dead)
+                             : RecoverRespawn(dead);
       recovery_seconds_ += NowS() - r0;
+      // A pump inside the rung (the respawn's hello wait) crashed the
+      // coordinator or shut it down: nothing may touch the cluster now.
+      if (crashed_ || shut_down_) return rst;
       if (!rst.ok()) {
         st = Status::Unavailable("in-epoch recovery of r" +
                                  std::to_string(dead) +
@@ -2143,12 +2072,7 @@ Result<ClusterEpochResult> ClusterCoordinator::RunEpoch() {
           dead, NowS() - r0, why);
       ++recoveries;
     }
-    std::vector<DoneReport> done;
-    if (st.ok()) {
-      std::lock_guard<std::mutex> lk(run_->mu);
-      done = run_->done;
-      st = CheckReports(run, "epoch");
-    }
+    if (st.ok()) st = CheckReports(run, "epoch");
     if (!st.ok()) {
       last = st;
       HT_LOG(WARNING) << "cluster epoch attempt " << (attempt + 1)
@@ -2156,10 +2080,8 @@ Result<ClusterEpochResult> ClusterCoordinator::RunEpoch() {
       HT_RETURN_IF_ERROR(AbortAndRestore(run, st.ToString()));
       continue;
     }
-    {
-      std::lock_guard<std::mutex> lk(run_->mu);
-      run_->run = 0;
-    }
+    run_->run = 0;
+    const std::vector<DoneReport>& done = run_->done;
 
     // Deterministic gradient reduction: rank 0's gradients, plus ranks
     // 1..W-1 in rank order — the float ops of HongTuEngine's device-order
@@ -2229,59 +2151,44 @@ Result<double> ClusterCoordinator::Evaluate(SplitRole role) {
   if (crashed_) return Status::Unavailable("coordinator crashed (drill)");
   Status last = Status::OK();
   for (int attempt = 0; attempt < cfg_.max_epoch_attempts; ++attempt) {
-    if (SigtermRequested()) return Terminate();
+    const Wake w0 = Pump(0.0, [] { return true; });
+    if (w0 != Wake::kReady) return Stop(w0);
     HT_RETURN_IF_ERROR(EnsureWorkersAlive());
     const uint64_t run = next_run_++;
     OpenRun(run, /*eval=*/true);
-    // Journaled for run-id monotonicity: a successor must never reuse an
-    // id a worker has already seen, even one from an eval run.
-    {
-      WireWriter jw;
-      jw.U64(run);
-      jw.U64(0);
-      jw.U32(1);
-      (void)JournalAppend(JournalRecordType::kRunStart, jw.Take());
-    }
-    Status st = BroadcastRun(/*eval=*/true, run, 0, role);
+    Status st = BroadcastRun(static_cast<uint32_t>(role));
     if (st.ok()) {
       // Eval is forward-only and cheap: a death mid-eval just reruns it
       // (no in-epoch replay, no checkpoint restore — weights are intact).
-      int dead = -1;
-      std::string why;
-      const RunWait rw = WaitRun(run, cfg_.epoch_deadline_s, &dead, &why);
-      if (rw == RunWait::kDeath) {
-        st = Status::Unavailable("worker r" + std::to_string(dead) +
-                                 " died mid-eval: " + why);
-      } else if (rw == RunWait::kSigterm) {
-        return Terminate();
-      } else if (rw == RunWait::kTimeout) {
+      const Wake w = Pump(NowS() + cfg_.epoch_deadline_s,
+                          [this] { return RunDecided(); });
+      if (w == Wake::kTimeout) {
         st = Status::Unavailable("eval watchdog expired (run " +
                                  std::to_string(run) +
                                  "), killed:" + KillWedged());
+      } else if (w != Wake::kReady) {
+        return Stop(w);
+      } else if (!run_->deaths.empty()) {
+        st = Status::Unavailable("worker r" +
+                                 std::to_string(run_->deaths.front().first) +
+                                 " died mid-eval: " +
+                                 run_->deaths.front().second);
       }
     }
     uint64_t correct = 0, total = 0;
     if (st.ok()) {
-      std::lock_guard<std::mutex> lk(run_->mu);
       st = CheckReports(run, "eval");
       for (const DoneReport& d : run_->done) {
         correct += d.correct;
         total += d.total;
       }
     }
-    {
-      std::lock_guard<std::mutex> lk(run_->mu);
-      run_->run = 0;
-    }
+    run_->run = 0;
     if (!st.ok()) {
       last = st;
       HT_LOG(WARNING) << "cluster eval attempt " << (attempt + 1)
                       << " failed: " << st.ToString();
-      WireWriter w;
-      w.U64(run);
-      for (int r = 0; r < cfg_.num_workers; ++r) {
-        (void)transport_->Notify(r, MsgType::kAbort, w.buf());
-      }
+      NotifyAbort(run);
       continue;
     }
     return total == 0 ? 0.0
@@ -2294,34 +2201,19 @@ Result<double> ClusterCoordinator::Evaluate(SplitRole role) {
 }
 
 void ClusterCoordinator::Shutdown() {
-  if (run_ == nullptr) {
-    // Start failed before any worker was spawned; only the scratch dir
-    // needs cleaning.
-    if (owns_runtime_dir_ && !shut_down_) RemoveDirShallow(cfg_.runtime_dir);
-    shut_down_ = true;
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lk(run_->mu);
-    if (shut_down_) return;
-    shut_down_ = true;  // under run_->mu: OnPeerDeath reads it there
-    if (crashed_) {
-      // Crash() already tore the transport down; a successor coordinator
-      // owns the workers and the on-disk state now — touch nothing.
-      return;
-    }
-  }
+  if (shut_down_) return;
+  shut_down_ = true;
+  // After Crash() a successor coordinator owns the workers and the on-disk
+  // state — touch nothing.
+  if (crashed_) return;
   if (transport_ != nullptr) {
     for (int r = 0; r < static_cast<int>(workers_.size()); ++r) {
       transport_->UnwatchPeer(r);
     }
     for (int r = 0; r < static_cast<int>(workers_.size()); ++r) {
-      bool alive;
-      {
-        std::lock_guard<std::mutex> lk(run_->mu);
-        alive = !workers_[r].dead && workers_[r].pid > 0;
+      if (!workers_[r].dead && workers_[r].pid.load() > 0) {
+        (void)transport_->Notify(r, MsgType::kShutdown, "");
       }
-      if (alive) (void)transport_->Notify(r, MsgType::kShutdown, "");
     }
   }
   // Grace period, then force: never leak worker processes. ProbePidDead
@@ -2330,20 +2222,23 @@ void ClusterCoordinator::Shutdown() {
   for (;;) {
     bool any = false;
     for (auto& wp : workers_) {
-      if (wp.pid <= 0) continue;
-      if (ProbePidDead(wp.pid)) {
-        wp.pid = -1;
+      pid_t p = wp.pid.load();
+      if (p <= 0) continue;
+      if (ProbePidDead(p)) {
+        wp.pid.compare_exchange_strong(p, -1);
       } else {
         any = true;
       }
     }
     if (!any || NowS() >= t_end) break;
+    // Keep acking: a worker still inside a run reads its kShutdown only
+    // after its done report is acked.
+    for (Event& ev : TakeEvents()) Apply(ev);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   for (auto& wp : workers_) {
-    if (wp.pid <= 0) continue;
-    KillPidAndWait(wp.pid);
-    wp.pid = -1;
+    const pid_t p = wp.pid.exchange(-1);
+    if (p > 0) KillPidAndWait(p);
   }
   if (transport_ != nullptr) transport_->Shutdown();
   if (owns_runtime_dir_) RemoveDirShallow(cfg_.runtime_dir);

@@ -114,10 +114,46 @@
 /// the highest they have seen with a non-transient error, so a zombie
 /// coordinator fences itself out on its first retry. Peer data RPCs are
 /// run-gated, not term-gated.
+///
+/// ## Coordinator loop
+///
+/// One thread owns the coordinator: the thread that calls Start, RunEpoch,
+/// Evaluate and Shutdown. It alone touches the worker table, the active
+/// run's done slots, the resume state, the counters and the journal. The
+/// transport threads only decode, validate and enqueue; the event queue's
+/// lock is the one lock they share with it. There are four events:
+///
+///   - **hello** (a worker's address): recorded, journaled as membership,
+///     then acked with the fencing term;
+///   - **epoch-done** (a decoded kEpochDone and its reply closure):
+///     journaled first and acked second, so the write-ahead order holds;
+///     the `coord_kill_epoch` drill's SIGKILL lands between the two;
+///   - **eval-done**;
+///   - **verified death**. The death callback verifies on its own thread:
+///     it reads the rank's pid from an atomic and reaps each pid once. A
+///     pid that is alive and was heard from within the peer timeout makes
+///     a spurious report, which only re-arms the watch (a severed
+///     connection); an alive but silent one is killed. A verified death
+///     also fails every in-flight and later Transport::Call to the rank at
+///     once (Transport::FailPeer), until the next SetPeer for it.
+///
+/// `Pump(deadline, ready)` is the coordinator's one wait: it applies every
+/// queued event in order, and it is the one place that checks SIGTERM,
+/// the run watchdog and the crash drill. The hello wait, the run wait and
+/// the drill are predicates on it. A recovery rung therefore never waits
+/// behind a call to a rank that has died: the call returns as soon as the
+/// death is verified, the rung returns, and the next pump acts on the
+/// death. Recovery latency is bounded by death detection, not by
+/// `rpc_deadline_s`. The crash drill is a predicate checked after every
+/// applied event (see ClusterConfig::coord_crash_epoch). Shutdown keeps
+/// applying events while it waits for the workers to exit, so a worker
+/// still inside a run gets its report acked and reads its kShutdown.
 
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -217,16 +253,16 @@ struct ClusterConfig {
   /// kEpochDone report of this (0-based) epoch, *before* acking it — the
   /// process-level coordinator-kill smoke (ci/coordinator_kill_smoke.sh).
   int64_t coord_kill_epoch = -1;
-  /// Drill (in-process): once `coord_crash_done` reports of this epoch have
-  /// been journaled, the coordinator "crashes" (Crash(): transport torn
-  /// down, journal fd closed, workers and on-disk state left intact) and
-  /// RunEpoch returns kUnavailable. A second coordinator started with
-  /// `resume` over the same directories adopts the cluster.
+  /// Drill (in-process), armed in the training run of this (0-based)
+  /// epoch: once `coord_crash_done` reports of the run have been journaled,
+  /// or at the first verified worker death, whichever comes first, the
+  /// coordinator "crashes" (Crash(): transport torn down, journal fd
+  /// closed, workers and on-disk state left intact) and RunEpoch returns
+  /// kUnavailable. A second coordinator started with `resume` over the same
+  /// directories adopts the cluster. The death trigger composes coordinator
+  /// restart with worker recovery: the successor inherits the dead rank.
   int64_t coord_crash_epoch = -1;
   int coord_crash_done = 0;
-  /// Drill (in-process): crash the coordinator the moment a worker death is
-  /// detected — composes coordinator restart with worker recovery.
-  bool coord_crash_on_death = false;
 
   // ---- Coordinator-side failure drills (not serialized to workers). ------
   int kill_rank = -1;       ///< worker that gets kEnvDistKillEpoch
@@ -291,7 +327,8 @@ struct ClusterEpochResult {
 };
 
 /// The coordinator: owns the authoritative model + Adam state, the worker
-/// processes, the checkpoint rotation, and the recovery ladder.
+/// processes, the checkpoint rotation, and the recovery ladder. One thread
+/// makes every call on it (see "Coordinator loop" above).
 class ClusterCoordinator {
  public:
   /// Validates the config, spawns the workers, waits for every kHello, and
@@ -343,35 +380,55 @@ class ClusterCoordinator {
  private:
   struct WorkerProc;
   struct RunState;
+  struct Event;
   using DoneReport = EpochDoneReport;
 
   ClusterCoordinator() = default;
 
-  enum class RunWait { kAllDone, kDeath, kTimeout, kSigterm };
+  /// Why a Pump returned.
+  enum class Wake { kReady, kTimeout, kSigterm, kCrashed };
 
   Status SpawnWorker(int rank, bool first_spawn);
+  /// Pumps until `rank`'s hello, then dials and watches it.
   Status WaitForHello(int rank, double deadline_s);
-  /// A fresh process for `rank`: spawn, hello, dial, watch; its address.
-  Result<std::string> Respawn(int rank);
+  /// A fresh process for `rank`: spawn, hello, dial, watch.
+  Status Respawn(int rank);
   Status EnsureWorkersAlive();
   std::string BuildWeightsPayloadTail();
-  Status BroadcastRun(bool eval, uint64_t run, int64_t epoch, SplitRole role);
-  Status SendEpochTo(int rank, uint64_t run, int64_t epoch, bool recover);
-  /// Shuts down on SIGTERM; returns the error the interrupted call reports.
-  Status Terminate();
+  /// Journals the active run's start, then sends it to every worker.
+  /// `arg` is an eval's split, or an epoch's recover flag.
+  Status BroadcastRun(uint32_t arg);
+  /// The active run's kEpoch or kEval, with its run tail, to `rank`.
+  Status SendRun(int rank, uint32_t arg, const std::string& tail);
+  /// One-way kAbort of `run` to every live worker.
+  void NotifyAbort(uint64_t run);
   /// Makes `run` the active run (`eval` or training), with no reports yet.
   void OpenRun(uint64_t run, bool eval);
-  /// Caller holds run_->mu. OK when every rank reported `run` done and OK.
+  /// True once the active run has a pending death, every report, or a
+  /// failure report.
+  bool RunDecided() const;
+  /// OK when every rank reported `run` done and OK.
   Status CheckReports(uint64_t run, const char* what);
-  /// Waits until all done / a death is pending / the deadline passes.
-  RunWait WaitRun(uint64_t run, double deadline_s, int* dead_rank,
-                  std::string* death_why);
+
+  /// The coordinator's one wait. Applies every queued event in arrival
+  /// order, then returns kCrashed once the crash drill fires, kSigterm on
+  /// SIGTERM, kReady once `ready()` holds, or kTimeout once NowS passes
+  /// `deadline`; otherwise sleeps until the next event or tick.
+  Wake Pump(double deadline, const std::function<bool()>& ready);
+  /// Applies one event to the coordinator's state, then acks its request.
+  void Apply(Event& ev);
+  /// The error a call returns when a Pump woke on the crash drill, or on
+  /// SIGTERM (after shutting the cluster down).
+  Status Stop(Wake w);
+
   /// In-epoch recovery rung 1: respawn the dead rank and replay it.
-  Status RecoverRespawn(uint64_t run, int64_t epoch, int rank);
+  Status RecoverRespawn(int rank);
   /// In-epoch recovery rung 2: a survivor adopts the dead partition.
-  Status RecoverAdopt(uint64_t run, int64_t epoch, int rank);
+  Status RecoverAdopt(int rank);
   /// Tells every alive worker (except `rank` itself) rank's new address.
-  Status BroadcastPeerUpdate(uint64_t run, int rank, const std::string& addr);
+  /// A failed call is only logged: its target may be dying, and its
+  /// verified death reaches the run at the next pump.
+  void BroadcastPeerUpdate(int rank, const std::string& addr);
   /// Watchdog action on a run timeout: SIGKILLs every worker that neither
   /// reported done nor died; returns " r1 r3"-style list for the error.
   std::string KillWedged();
@@ -379,23 +436,27 @@ class ClusterCoordinator {
   /// Epoch-end checkpoint with retry; degrades (kCheckpointFallback) instead
   /// of failing the epoch when the save cannot be completed.
   void SaveCheckpointResilient(int64_t epoch);
+
+  /// Transport threads: decode and validate a request, then enqueue it.
   void OnRequest(Transport::Request&& req);
+  /// Transport threads: verify a reported death against the OS, fail the
+  /// Calls to the rank, then enqueue it.
   void OnPeerDeath(int rank, const std::string& why);
+  void Enqueue(Event ev);
+  /// Everything queued so far, in arrival order.
+  std::vector<Event> TakeEvents();
 
   /// Appends to the cluster journal (fsynced). A failed append degrades the
   /// coordinator to checkpoint-only recovery instead of failing the run.
   Status JournalAppend(JournalRecordType type, std::string payload);
-  /// Journals rank's current membership record (addr + pid).
-  void JournalMember(int rank);
+  /// The kMember record of rank's current membership (addr + pid).
+  std::string MemberRecord(int rank) const;
   /// Rewrites the journal to its minimal live prefix after an applied epoch.
   void JournalCompact();
   /// Resume-path membership: re-attach journaled survivors via kCoordUpdate,
   /// respawn verified-dead ranks, and mark ranks that must rejoin the
   /// resumed run.
   Status ReattachOrRespawn(const JournalState& js);
-  /// In-process crash drill: waits until cfg_.coord_crash_done reports of
-  /// `run` are in, then Crash()es.
-  Status CrashDrillWait(uint64_t run);
 
   ClusterConfig cfg_;
   GnnModel model_;
@@ -418,9 +479,8 @@ class ClusterCoordinator {
 
   // Coordinator fault tolerance (journal + fencing + restart adoption).
   uint64_t term_ = 0;
-  std::mutex journal_mu_;  ///< never held together with run_->mu
   std::unique_ptr<ClusterJournal> journal_;
-  bool journal_ok_ = true;  ///< guarded by journal_mu_ after Start
+  bool journal_ok_ = true;
   bool crashed_ = false;
   bool resumed_from_journal_ = false;
   int reattaches_ = 0;
@@ -429,6 +489,12 @@ class ClusterCoordinator {
   int64_t resume_epoch_ = -1;
   std::map<int, std::string> resume_reports_;  ///< rank → raw kEpochDone
   std::set<int> rejoin_ranks_;  ///< need replay into the resumed run
+
+  /// Events from the transport threads, drained by Pump. `events_mu_` is
+  /// the only lock the coordinator shares with them.
+  std::mutex events_mu_;
+  std::condition_variable events_cv_;
+  std::vector<Event> events_;
 };
 
 /// Worker-role entry point. Call this FIRST in main() of any binary that

@@ -111,9 +111,19 @@ void Transport::SetPeer(int rank, const std::string& addr) {
       stale = conn->second;
     }
     peer_addrs_[rank] = addr;
+    failed_.erase(rank);
   }
   // A connection to the replaced address must not carry later calls.
   if (stale) RetireConn(stale, Status::Unavailable("peer address changed"));
+}
+
+void Transport::FailPeer(int rank) {
+  std::lock_guard<std::mutex> lk(mu_);
+  failed_.insert(rank);
+  // Under mu_, as in RetireConn. Each blocked Call and dial backoff
+  // re-checks failed_ on waking.
+  for (auto& [seq, pc] : pending_) pc->cv.notify_all();
+  stop_cv_.notify_all();
 }
 
 bool Transport::HasPeer(int rank) const {
@@ -133,7 +143,9 @@ std::shared_ptr<Transport::Conn> Transport::EnsureConn(int rank,
     std::string addr;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      if (stop_.load(std::memory_order_relaxed)) return nullptr;
+      if (stop_.load(std::memory_order_relaxed) || failed_.count(rank) != 0) {
+        return nullptr;
+      }
       auto it = out_conns_.find(rank);
       if (it != out_conns_.end() && !it->second->dead.load()) {
         return it->second;
@@ -193,9 +205,10 @@ std::shared_ptr<Transport::Conn> Transport::EnsureConn(int rank,
     // Peer not up (yet): capped exponential backoff, interruptible.
     {
       std::unique_lock<std::mutex> lk(mu_);
-      stop_cv_.wait_for(lk, std::chrono::duration<double>(backoff),
-                        [this] { return stop_.load(); });
-      if (stop_.load()) return nullptr;
+      stop_cv_.wait_for(lk, std::chrono::duration<double>(backoff), [&] {
+        return stop_.load() || failed_.count(rank) != 0;
+      });
+      if (stop_.load()) return nullptr;  // FailPeer: the loop head returns
     }
     backoff = std::min(backoff * 2, kDialBackoffCapSeconds);
   }
@@ -340,8 +353,17 @@ Result<std::string> Transport::Call(int rank, MsgType type,
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(deadline_s));
   Status last = Status::Unavailable("peer unreachable");
+  const auto dead = [&] { return failed_.count(rank) != 0; };  // under mu_
   for (;;) {
     if (stop_.load()) return Status::Unavailable("transport shutdown");
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (dead()) {
+        return Status::Unavailable("rank " + std::to_string(rank) +
+                                   " verified dead (" + MsgTypeName(type) +
+                                   ")");
+      }
+    }
     if (MonotonicSeconds() >= deadline_abs) {
       return Status::Unavailable(
           "rpc deadline expired calling rank " + std::to_string(rank) +
@@ -390,13 +412,16 @@ Result<std::string> Transport::Call(int rank, MsgType type,
     bool done;
     {
       std::unique_lock<std::mutex> lk(mu_);
-      pc.cv.wait_until(lk, deadline_tp, [&] { return pc.done || stop_.load(); });
+      pc.cv.wait_until(lk, deadline_tp,
+                       [&] { return pc.done || stop_.load() || dead(); });
       done = pc.done;
       pending_.erase(seq);
     }
     if (stop_.load() && !done) {
       return Status::Unavailable("transport shutdown");
     }
+    // Woken early without a response: FailPeer, reported at the loop head.
+    if (!done && std::chrono::steady_clock::now() < deadline_tp) continue;
     if (!done) {
       // The peer never answered inside the budget: declare the connection
       // suspect so the next caller redials rather than queueing behind it.

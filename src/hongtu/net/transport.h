@@ -42,6 +42,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "hongtu/common/status.h"
@@ -96,8 +97,12 @@ class Transport {
   void set_death_callback(DeathCallback cb) { on_death_ = std::move(cb); }
 
   /// Registers/overwrites the dial address for `rank`. A new address
-  /// retires the cached connection to the old one.
+  /// retires the cached connection to the old one. Also lifts FailPeer.
   void SetPeer(int rank, const std::string& addr);
+  /// `rank` is verified dead: every in-flight and later Call to it returns
+  /// kUnavailable at once, instead of waiting out its deadline, until the
+  /// next SetPeer for it.
+  void FailPeer(int rank);
   bool HasPeer(int rank) const;
 
   /// Request/response with reconnect-and-resend. Returns the response
@@ -172,6 +177,7 @@ class Transport {
   std::condition_variable stop_cv_;  ///< wakes sleeper threads on Shutdown
   std::unordered_map<int, std::string> peer_addrs_;
   std::unordered_map<int, std::shared_ptr<Conn>> out_conns_;
+  std::unordered_set<int> failed_;  ///< FailPeer'd ranks, until SetPeer
   std::vector<std::shared_ptr<Conn>> conns_;  ///< every live conn (join list)
   std::unordered_map<uint32_t, PendingCall*> pending_;
   struct WatchState {

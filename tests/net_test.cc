@@ -346,6 +346,37 @@ TEST_F(NetTest, CallDeadlineExpiryIsUnavailable) {
   EXPECT_LT(net::MonotonicSeconds() - t0, 3.0);
 }
 
+TEST_F(NetTest, FailPeerCancelsBlockedCallUntilSetPeer) {
+  TransportPair tp;
+  std::atomic<bool> answer{false};
+  tp.b->set_handler([&](net::Transport::Request&& req) {
+    // Silent until told otherwise: the caller blocks on its deadline.
+    if (answer.load()) req.reply(MsgType::kAck, "ok");
+  });
+  tp.Listen();
+  std::atomic<double> returned_after{-1.0};
+  Status st;
+  std::thread caller([&] {
+    const double t0 = net::MonotonicSeconds();
+    st = tp.a->Call(1, MsgType::kPeerUpdate, "x", 10.0).status();
+    returned_after.store(net::MonotonicSeconds() - t0);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  tp.a->FailPeer(1);
+  caller.join();
+  EXPECT_EQ(StatusCode::kUnavailable, st.code()) << st.ToString();
+  EXPECT_LT(returned_after.load(), 1.0);
+  // Later calls fail at once too, until the address is set again.
+  const double t1 = net::MonotonicSeconds();
+  EXPECT_FALSE(tp.a->Call(1, MsgType::kPeerUpdate, "x", 10.0).ok());
+  EXPECT_LT(net::MonotonicSeconds() - t1, 1.0);
+  answer.store(true);
+  tp.a->SetPeer(1, tp.b->bound_addr());
+  auto r = tp.a->Call(1, MsgType::kPeerUpdate, "x", 5.0);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ("ok", r.ValueOrDie());
+}
+
 TEST_F(NetTest, CallUnknownPeerIsInvalid) {
   TransportPair tp;
   tp.Listen();
@@ -607,6 +638,7 @@ struct ClusterOutcome {
   int respawns = 0;
   int step_recoveries = 0;
   int adoptions = 0;
+  double recovery_seconds = 0.0;  ///< death to resume, summed
   int64_t recovery_events = 0;
 };
 
@@ -658,6 +690,7 @@ ClusterOutcome RunCluster(
   out.respawns = coord->respawn_count();
   out.step_recoveries = coord->step_recovery_count();
   out.adoptions = coord->adoption_count();
+  out.recovery_seconds = coord->recovery_seconds();
   out.ok = true;
   return out;
 }
@@ -790,6 +823,10 @@ TEST_F(NetTest, ClusterKillDuringRecoveryDoubleFault) {
   ASSERT_TRUE(killed.ok) << killed.error;
   EXPECT_GE(killed.respawns, 2);
   EXPECT_GE(killed.step_recoveries, 2);
+  // r2 dies inside r1's recovery, while the coordinator's kPeerUpdate call
+  // to it is in flight. Its verified death fails that call at once: no
+  // recovery waits out the 5 s RPC deadline.
+  EXPECT_LT(killed.recovery_seconds, 5.0 / 2);
   EXPECT_EQ(clean.digest, killed.digest);
   EXPECT_EQ(clean.losses, killed.losses);
 }
